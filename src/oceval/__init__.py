@@ -39,6 +39,7 @@ from .map_metric import (
     PrCurve,
     average_precision,
     dataset_map,
+    image_maps,
     match_greedy,
     single_image_map,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "average_precision",
     "dataset_map",
     "single_image_map",
+    "image_maps",
     "NmsParams",
     "TuneResult",
     "nms",

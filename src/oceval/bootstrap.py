@@ -51,6 +51,8 @@ class BootstrapConfig:
             raise ConfigError(f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
         if not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not 0 <= self.seed < 2**128:
+            raise ConfigError(f"seed must be in [0, 2**128), got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .coco_io import (
 from .costs import OcCostParams
 from .errors import ConfigError, OcevalError, ParseError, ValidationError
 from .fixtures import FixtureSpec, generate_fixture
-from .map_metric import dataset_map, single_image_map
+from .map_metric import MapParams, build_match_table, image_maps, map_from_table
 from .nms import NmsParams, default_grid, nms, tune
 from .occost import dataset_oc_cost, lambda_sweep
 
@@ -141,11 +141,10 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
 
     per_image_map = None
     if with_map:
-        map_report = dataset_map(inputs)
+        table = build_match_table(inputs, MapParams())
+        map_report = map_from_table(table, range(len(inputs)))
         print(f"mean_ap {map_report.mean_ap:.6f}")
-        per_image_map = {
-            image_id: single_image_map(dets, gts) for image_id, dets, gts in inputs
-        }
+        per_image_map = dict(zip((image_id for image_id, _, _ in inputs), image_maps(table)))
 
     if args.out:
         payload = report_payload(report, per_image_map)

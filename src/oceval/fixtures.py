@@ -59,6 +59,8 @@ class FixtureSpec:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
+        if not 0 <= self.seed < 2**128:
+            raise ConfigError(f"seed must be in [0, 2**128), got {self.seed}")
 
 
 def _cell_box(rng: np.random.Generator, cell_x: float, cell_y: float, cell: float) -> tuple:

@@ -14,6 +14,7 @@ the categories present in that image's detections or ground truths.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -38,6 +39,7 @@ __all__ = [
     "MatchTable",
     "build_match_table",
     "map_from_table",
+    "image_maps",
 ]
 
 COCO_IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
@@ -101,29 +103,57 @@ class MapReport:
     params: MapParams = field(default_factory=MapParams)
 
 
-def _greedy_flags(iou_mat: np.ndarray, iou_threshold: float) -> list[bool]:
-    """True/false-positive flags for rows already ranked by descending score.
+def _greedy_flags(iou_mat: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
+    """True/false-positive flags, shape (rows, thresholds), for rows already
+    ranked by descending score, matched at every IoU threshold in one pass.
 
-    Each row claims the unclaimed column of highest IoU; the claim counts as
-    a true positive when that IoU reaches the threshold. Duplicates of an
-    already-claimed ground truth fall through to worse columns or to false
-    positive. IoU ties resolve to the lowest column index.
+    At each threshold, each row claims the unclaimed column of highest IoU;
+    the claim counts as a true positive when that IoU is positive and
+    reaches the threshold. Duplicates of an already-claimed ground truth
+    fall through to worse columns or to false positive. IoU ties resolve
+    to the lowest column index. A row whose best IoU is below every
+    threshold can claim nothing and is skipped.
     """
-    taken = [False] * iou_mat.shape[1]
-    flags: list[bool] = []
-    for row in iou_mat:
-        best_j = -1
-        best = 0.0
-        for j, value in enumerate(row):
-            if not taken[j] and value > best:
-                best = float(value)
-                best_j = j
-        if best_j >= 0 and best >= iou_threshold:
-            taken[best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
+    thrs = np.asarray(thresholds, dtype=np.float64)
+    flags = np.zeros((iou_mat.shape[0], len(thrs)), dtype=bool)
+    if iou_mat.size == 0:
+        return flags
+    free = np.ones((len(thrs), iou_mat.shape[1]), dtype=bool)
+    levels = np.arange(len(thrs))
+    for i in np.flatnonzero(iou_mat.max(axis=1) >= thrs.min()):
+        state = np.where(free, iou_mat[i], -1.0)
+        best_j = state.argmax(axis=1)
+        best = state[levels, best_j]
+        claim = (best > 0.0) & (best >= thrs)
+        flags[i] = claim
+        free[levels[claim], best_j[claim]] = False
     return flags
+
+
+def _match_image(
+    dets: Sequence[Detection],
+    gts: Sequence[GroundTruthInstance],
+    thresholds: Sequence[float],
+    max_detections: int | None = None,
+) -> dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Greedy matching of one image, per category present in its (capped)
+    detections or its ground truths: (gt count, detection indices ranked by
+    descending score with ties in input order, their scores, their flags
+    per threshold)."""
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    ranked = np.argsort(-scores, kind="stable")[:max_detections]
+    labels = np.array([dets[i].label for i in ranked])
+    gt_labels = np.array([g.label for g in gts])
+    iou = pairwise_iou(
+        boxes_to_array(dets[i].box for i in ranked), boxes_to_array(g.box for g in gts)
+    )
+    matched: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
+    for cat in sorted(set(labels.tolist()) | set(gt_labels.tolist())):
+        rows = np.flatnonzero(labels == cat)
+        cols = np.flatnonzero(gt_labels == cat)
+        flags = _greedy_flags(iou[np.ix_(rows, cols)], thresholds)
+        matched[cat] = (len(cols), ranked[rows], scores[ranked[rows]], flags)
+    return matched
 
 
 def match_greedy(
@@ -137,29 +167,29 @@ def match_greedy(
     Returns (index into ``dets``, is-true-positive) pairs ordered by
     descending score, score ties broken by input order.
     """
-    det_ids = sorted(
-        (i for i, d in enumerate(dets) if d.label == category),
-        key=lambda i: (-dets[i].score, i),
-    )
-    gt_ids = [j for j, g in enumerate(gts) if g.label == category]
-    if not det_ids:
+    entry = _match_image(dets, gts, (iou_threshold,)).get(category)
+    if entry is None:
         return []
-    mat = pairwise_iou(
-        boxes_to_array(dets[i].box for i in det_ids),
-        boxes_to_array(gts[j].box for j in gt_ids),
-    )
-    flags = _greedy_flags(mat, iou_threshold)
-    return list(zip(det_ids, flags))
+    _, det_ids, _, flags = entry
+    return list(zip(det_ids.tolist(), flags[:, 0].tolist()))
 
 
-def _envelope(flags: Sequence[bool], num_gt: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulative recall, precision, and the running-max precision envelope."""
-    tp = np.cumsum(np.asarray(flags, dtype=np.float64))
-    ranks = np.arange(1, len(flags) + 1, dtype=np.float64)
+def _envelope(flags: Sequence[bool] | np.ndarray, num_gt: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cumulative recall, precision, and the running-max precision envelope,
+    down the rows of a flag vector or of a (rows, thresholds) flag array."""
+    tp = np.cumsum(np.asarray(flags, dtype=np.float64), axis=0)
+    ranks = np.arange(1, len(tp) + 1, dtype=np.float64).reshape((-1,) + (1,) * (tp.ndim - 1))
     recall = tp / num_gt
     precision = tp / ranks
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    envelope = np.maximum.accumulate(precision[::-1], axis=0)[::-1]
     return recall, precision, envelope
+
+
+@functools.lru_cache(maxsize=None)
+def _recall_samples(recall_points: int) -> np.ndarray:
+    samples = np.linspace(0.0, 1.0, recall_points)
+    samples.flags.writeable = False
+    return samples
 
 
 def average_precision(
@@ -180,10 +210,23 @@ def average_precision(
     if not len(flags):
         return 0.0
     recall, _, envelope = _envelope(flags, num_gt)
-    samples = np.linspace(0.0, 1.0, recall_points)
-    idx = np.searchsorted(recall, samples, side="left")
+    idx = np.searchsorted(recall, _recall_samples(recall_points), side="left")
     sampled = np.where(idx < len(recall), envelope[np.minimum(idx, len(recall) - 1)], 0.0)
     return float(np.mean(sampled))
+
+
+def _category_ap(flags: np.ndarray, num_gt: int, recall_points: int) -> list[float]:
+    """Interpolated AP of every column of score-ordered (rows, thresholds)
+    flags; column t equals ``average_precision(flags[:, t], num_gt,
+    recall_points)`` for ``num_gt > 0``."""
+    rows, levels = flags.shape
+    if not rows:
+        return [0.0] * levels
+    recall, _, envelope = _envelope(flags, num_gt)
+    samples = _recall_samples(recall_points)
+    idx = np.stack([np.searchsorted(column, samples, side="left") for column in recall.T])
+    sampled = np.where(idx < rows, envelope[np.minimum(idx, rows - 1), np.arange(levels)[:, None]], 0.0)
+    return np.mean(sampled, axis=1).tolist()
 
 
 def pr_curve(
@@ -206,49 +249,31 @@ def pr_curve(
 class MatchTable:
     """Precomputed per-image matching, reusable across resampled subsets.
 
-    ``entries[image_index][category]`` holds (gt_count, det_rows) where each
-    det row is (score, image_index, position, flags-per-threshold). Matching
-    happens within one image, so any multiset of images can be pooled later
-    without re-running the geometry.
+    ``entries[image_index][category]`` holds (gt_count, scores, flags):
+    the scores of that image's detections of the category in rank order
+    (descending score, ties in input order) and their (rows, thresholds)
+    true-positive flags. Matching happens within one image, so any
+    multiset of images can be pooled later without re-running the
+    geometry.
     """
 
-    entries: tuple[dict[int, tuple[int, tuple[tuple[float, int, int, tuple[bool, ...]], ...]]], ...]
+    entries: tuple[dict[int, tuple[int, np.ndarray, np.ndarray]], ...]
     params: MapParams
 
 
 def build_match_table(per_image_inputs: Sequence[ImageInput], params: MapParams) -> MatchTable:
     entries = []
-    for image_index, (_, dets, gts) in enumerate(per_image_inputs):
-        dets = list(dets)
-        if params.max_detections is not None and len(dets) > params.max_detections:
-            keep = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-            keep = sorted(keep[: params.max_detections])
-            dets = [dets[i] for i in keep]
-        cats = sorted({d.label for d in dets} | {g.label for g in gts})
-        image_entry: dict[int, tuple[int, tuple]] = {}
-        for cat in cats:
-            det_ids = sorted(
-                (i for i, d in enumerate(dets) if d.label == cat),
-                key=lambda i: (-dets[i].score, i),
-            )
-            gt_count = sum(1 for g in gts if g.label == cat)
-            rows: list[tuple[float, int, int, tuple[bool, ...]]] = []
-            if det_ids:
-                gt_boxes = boxes_to_array(g.box for g in gts if g.label == cat)
-                mat = pairwise_iou(boxes_to_array(dets[i].box for i in det_ids), gt_boxes)
-                per_thr = [_greedy_flags(mat, thr) for thr in params.iou_thresholds]
-                for pos, det_id in enumerate(det_ids):
-                    rows.append(
-                        (
-                            dets[det_id].score,
-                            image_index,
-                            pos,
-                            tuple(per_thr[t][pos] for t in range(len(params.iou_thresholds))),
-                        )
-                    )
-            image_entry[cat] = (gt_count, tuple(rows))
-        entries.append(image_entry)
+    for _, dets, gts in per_image_inputs:
+        matched = _match_image(dets, gts, params.iou_thresholds, params.max_detections)
+        entries.append(
+            {cat: (gt_count, scores, flags) for cat, (gt_count, _, scores, flags) in matched.items()}
+        )
     return MatchTable(entries=tuple(entries), params=params)
+
+
+def _mean_over_thresholds(flags: np.ndarray, gt_count: int, recall_points: int) -> float:
+    aps = _category_ap(flags, gt_count, recall_points)
+    return math.fsum(aps) / len(aps)
 
 
 def map_from_table(table: MatchTable, image_indices: Sequence[int]) -> MapReport:
@@ -260,31 +285,47 @@ def map_from_table(table: MatchTable, image_indices: Sequence[int]) -> MapReport
     pooled ground truth participate.
     """
     params = table.params
-    gt_counts: dict[int, int] = {}
+    pooled: dict[int, list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
     for idx in image_indices:
-        for cat, (gt_count, _) in table.entries[idx].items():
-            gt_counts[cat] = gt_counts.get(cat, 0) + gt_count
-    categories = sorted(cat for cat, count in gt_counts.items() if count > 0)
-    if not categories:
-        return MapReport(mean_ap=0.0, per_category={}, params=params)
+        for cat, (gt_count, scores, flags) in table.entries[idx].items():
+            pooled.setdefault(cat, []).append((idx, gt_count, scores, flags))
 
     per_category: dict[int, float] = {}
-    for cat in categories:
-        pooled: list[tuple[float, int, int, tuple[bool, ...]]] = []
-        for idx in image_indices:
-            entry = table.entries[idx].get(cat)
-            if entry is not None:
-                pooled.extend(entry[1])
-        pooled.sort(key=lambda row: (-row[0], row[1], row[2]))
-        aps = []
-        for t in range(len(params.iou_thresholds)):
-            flags = [row[3][t] for row in pooled]
-            ap = average_precision(flags, gt_counts[cat], params.recall_points)
-            aps.append(0.0 if ap is None else ap)
-        per_category[cat] = math.fsum(aps) / len(aps)
+    for cat in sorted(pooled):
+        parts = pooled[cat]
+        gt_count = sum(part[1] for part in parts)
+        if gt_count == 0:
+            continue
+        sizes = np.array([len(part[2]) for part in parts])
+        scores = np.concatenate([part[2] for part in parts])
+        image = np.repeat([part[0] for part in parts], sizes)
+        rank = np.arange(len(scores)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        order = np.lexsort((rank, image, -scores))
+        flags = np.concatenate([part[3] for part in parts])[order]
+        per_category[cat] = _mean_over_thresholds(flags, gt_count, params.recall_points)
 
+    if not per_category:
+        return MapReport(mean_ap=0.0, per_category={}, params=params)
     mean_ap = math.fsum(per_category.values()) / len(per_category)
     return MapReport(mean_ap=mean_ap, per_category=per_category, params=params)
+
+
+def image_maps(table: MatchTable) -> list[float]:
+    """mAP of every image of the table, each treated as a one-sample dataset.
+
+    Scored over the categories present in the image's detections or ground
+    truths; categories with detections but no ground truths contribute 0.
+    An image with neither is vacuously perfect and scores 1 (callers may
+    flag it in their output).
+    """
+    values = []
+    for entry in table.entries:
+        per_cat = [
+            _mean_over_thresholds(flags, gt_count, table.params.recall_points) if gt_count else 0.0
+            for gt_count, _, flags in entry.values()
+        ]
+        values.append(math.fsum(per_cat) / len(per_cat) if per_cat else 1.0)
+    return values
 
 
 def dataset_map(per_image_inputs: Sequence[ImageInput], params: MapParams | None = None) -> MapReport:
@@ -301,29 +342,5 @@ def single_image_map(
     gts: Sequence[GroundTruthInstance],
     params: MapParams | None = None,
 ) -> float:
-    """mAP of one image treated as a one-sample dataset.
-
-    Scored over the categories present in this image's detections or ground
-    truths; categories with detections but no ground truths contribute 0.
-    An image with neither is vacuously perfect and scores 1 (callers may
-    flag it in their output).
-    """
-    params = params or MapParams()
-    cats = sorted({d.label for d in dets} | {g.label for g in gts})
-    if not cats:
-        return 1.0
-    table = build_match_table([(None, dets, gts)], params)
-    entry = table.entries[0]
-    per_cat: list[float] = []
-    for cat in cats:
-        gt_count, rows = entry[cat]
-        if gt_count == 0:
-            per_cat.append(0.0)
-            continue
-        aps = []
-        for t in range(len(params.iou_thresholds)):
-            flags = [row[3][t] for row in rows]
-            ap = average_precision(flags, gt_count, params.recall_points)
-            aps.append(0.0 if ap is None else ap)
-        per_cat.append(math.fsum(aps) / len(aps))
-    return math.fsum(per_cat) / len(per_cat)
+    """mAP of one image treated as a one-sample dataset (see :func:`image_maps`)."""
+    return image_maps(build_match_table([(None, dets, gts)], params or MapParams()))[0]

@@ -39,6 +39,10 @@ def test_config_validation():
         BootstrapConfig(sample_fraction=0.0)
     with pytest.raises(ConfigError):
         BootstrapConfig(sample_fraction=1.2)
+    for seed in (-1, 2**128):
+        with pytest.raises(ConfigError):
+            BootstrapConfig(seed=seed)
+    assert len(trial_sample(BootstrapConfig(seed=2**128 - 1), 0, 10)) == 3
     cfg = BootstrapConfig()
     assert cfg.trials == 100
     assert cfg.sample_fraction == 0.3

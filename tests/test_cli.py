@@ -46,6 +46,27 @@ def test_evaluate_with_map_and_report(tmp_path, capsys):
     assert [row["image_id"] for row in doc["per_image"]] == [1, 2, 3, 4]
 
 
+def test_evaluate_with_map_golden(tmp_path):
+    # noise boxes tie the real detections' score, so pooling order matters;
+    # the values are pinned exactly as the two-pass implementation wrote them
+    gt, dt = run_fixture(
+        tmp_path, images=6, gts_per_image=5, categories=3, jitter=0.1,
+        noise_per_image=4, noise_score=0.9, seed=7,
+    )
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--gt", gt, "--dt", dt, "--with-map", "--out", str(out)]) == 0
+    doc = read_report(str(out))
+    assert doc["mean_ap"] == 0.4296929268449361
+    assert [row["map"] for row in doc["per_image"]] == [
+        0.6333333333333333,
+        0.6922442244224424,
+        0.6168316831683168,
+        0.6841584158415842,
+        0.6252475247524752,
+        0.6336633663366337,
+    ]
+
+
 def test_exit_codes(tmp_path):
     gt, dt = run_fixture(tmp_path, images=2, gts_per_image=2)
     # usage: bad lambda value
@@ -201,3 +222,13 @@ def test_gen_fixture_rejects_bad_spec(tmp_path):
          "--dt-out", str(tmp_path / "d.json"), "--jitter", "0.5"]
     )
     assert code == 2
+
+
+def test_out_of_range_seed_is_usage_error(tmp_path):
+    gt, dt = run_fixture(tmp_path, images=3, gts_per_image=2)
+    assert main(["bootstrap", "--gt", gt, "--dt", dt, "--trials", "2", "--seed", "-1"]) == 2
+    assert main(["bootstrap", "--gt", gt, "--dt", dt, "--trials", "2", "--seed", str(2**128)]) == 2
+    assert main(
+        ["gen-fixture", "--gt-out", str(tmp_path / "g.json"),
+         "--dt-out", str(tmp_path / "d.json"), "--seed", "-1"]
+    ) == 2

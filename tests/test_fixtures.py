@@ -12,6 +12,9 @@ def test_spec_validation():
         FixtureSpec(det_score=1.5)
     with pytest.raises(ConfigError):
         FixtureSpec(categories=0)
+    for seed in (-1, 2**128):
+        with pytest.raises(ConfigError):
+            FixtureSpec(seed=seed)
 
 
 def test_deterministic():

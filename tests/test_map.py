@@ -1,4 +1,8 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oceval import (
     BoundingBox,
@@ -11,7 +15,15 @@ from oceval import (
     match_greedy,
     single_image_map,
 )
-from oceval.map_metric import COCO_IOU_THRESHOLDS, build_match_table, map_from_table, pr_curve
+from oceval.geometry import boxes_to_array, pairwise_iou
+from oceval.map_metric import (
+    COCO_IOU_THRESHOLDS,
+    _category_ap,
+    _greedy_flags,
+    build_match_table,
+    map_from_table,
+    pr_curve,
+)
 
 B1 = BoundingBox(0, 0, 10, 10)
 B2 = BoundingBox(100, 0, 110, 10)
@@ -73,6 +85,15 @@ def test_match_greedy_takes_best_iou():
     assert matches == [(0, True)]
 
 
+def test_match_greedy_iou_tie_claims_first_gt():
+    # IoU 1/3 with both ground truths; claiming the first leaves the second
+    # for the exact detection (COCOeval would claim the last, docs/reproducing.md)
+    right = BoundingBox(10, 0, 20, 10)
+    dets = [Detection(BoundingBox(5, 0, 15, 10), 1, 0.9), Detection(right, 1, 0.5)]
+    gts = [GroundTruthInstance(B1, 1), GroundTruthInstance(right, 1)]
+    assert match_greedy(dets, gts, category=1, iou_threshold=0.3) == [(0, True), (1, True)]
+
+
 def test_dataset_map_perfect_and_fp_append():
     gt1 = [GroundTruthInstance(B1, 1)]
     gt2 = [GroundTruthInstance(B2, 1)]
@@ -127,6 +148,14 @@ def test_single_image_conventions():
     assert single_image_map([Detection(B1, 1, 0.9)], [GroundTruthInstance(B1, 1)]) == 1.0
 
 
+def test_single_image_map_scores_only_kept_detections():
+    # the capped-away category-2 detection has no ground truth and is not scored
+    dets = [Detection(B1, 1, 0.9), Detection(B2, 2, 0.2)]
+    gts = [GroundTruthInstance(B1, 1)]
+    assert single_image_map(dets, gts, MapParams(max_detections=1)) == 1.0
+    assert single_image_map(dets, gts) == 0.5
+
+
 def test_match_table_multiset_counting():
     inputs = [
         (1, [Detection(B1, 1, 0.9)], [GroundTruthInstance(B1, 1)]),
@@ -141,6 +170,14 @@ def test_match_table_multiset_counting():
     assert favored.mean_ap > full.mean_ap
 
 
+def test_match_table_repeats_keep_in_image_rank():
+    # equal scores: copies of an image pool as TP, TP, FP, FP, not TP, FP, TP, FP
+    dets = [Detection(B1, 1, 0.9), Detection(B2, 1, 0.9)]
+    table = build_match_table([(1, dets, [GroundTruthInstance(B1, 1)])], MapParams())
+    assert map_from_table(table, [0]).mean_ap == 1.0
+    assert map_from_table(table, [0, 0]).mean_ap == 1.0
+
+
 def test_max_detections_cap():
     dets = [Detection(B1, 1, 0.9), Detection(BoundingBox(50, 50, 60, 60), 1, 0.2)]
     inputs = [(1, dets, [GroundTruthInstance(B1, 1)])]
@@ -152,3 +189,75 @@ def test_pr_curve_points():
     curve = pr_curve([True, False], 2, category=1, iou_threshold=0.5)
     assert curve.points == ((0.5, 1.0), (0.5, 0.5))
     assert curve.ap == pytest.approx(51 / 101)
+
+
+def _scalar_greedy_flags(iou_mat, iou_threshold):
+    """Reference: the one-threshold greedy loop the vectorized kernel replaces."""
+    taken = [False] * iou_mat.shape[1]
+    flags = []
+    for row in iou_mat:
+        best_j = -1
+        best = 0.0
+        for j, value in enumerate(row):
+            if not taken[j] and value > best:
+                best = float(value)
+                best_j = j
+        if best_j >= 0 and best >= iou_threshold:
+            taken[best_j] = True
+            flags.append(True)
+        else:
+            flags.append(False)
+    return flags
+
+
+# IoU values and thresholds share points, so ties and exact-threshold hits occur
+IOU_VALUES = (0.0, 0.0, 0.3, 0.5, 0.55, 0.75, 0.95, 1.0)
+threshold_sets = st.lists(
+    st.sampled_from((0.0, 0.3, 0.5, 0.55, 0.75, 0.9, 0.95, 1.0) + COCO_IOU_THRESHOLDS),
+    min_size=1,
+    max_size=10,
+    unique=True,
+).map(sorted)
+iou_matrices = st.tuples(st.integers(0, 8), st.integers(0, 5)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.sampled_from(IOU_VALUES))
+)
+# corners on a coarse grid: many duplicate and identical detection/gt boxes
+grid_boxes = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(1, 2), st.integers(1, 2)),
+    max_size=7,
+).map(lambda boxes: boxes_to_array(BoundingBox(x, y, x + w, y + h) for x, y, w, h in boxes))
+
+
+def _check_against_scalar(iou, thresholds):
+    flags = _greedy_flags(iou, thresholds)
+    assert flags.shape == (iou.shape[0], len(thresholds))
+    for t, thr in enumerate(thresholds):
+        assert flags[:, t].tolist() == _scalar_greedy_flags(iou, thr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(iou=iou_matrices, thresholds=threshold_sets)
+@example(iou=np.zeros((3, 2)), thresholds=[0.5])
+@example(iou=np.full((3, 2), 1.0), thresholds=[0.5, 1.0])
+@example(iou=np.array([[0.4, 0.2], [0.75, 0.75], [0.75, 0.75]]), thresholds=[0.5, 0.75, 0.8])
+def test_greedy_flags_match_scalar_oracle(iou, thresholds):
+    _check_against_scalar(iou, thresholds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dets=grid_boxes, gts=grid_boxes, thresholds=threshold_sets)
+def test_greedy_flags_on_duplicate_boxes(dets, gts, thresholds):
+    _check_against_scalar(pairwise_iou(dets, gts), thresholds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    flags=st.tuples(st.integers(0, 12), st.integers(1, 10)).flatmap(lambda shape: arrays(bool, shape)),
+    num_gt=st.integers(1, 12),
+    recall_points=st.sampled_from((2, 11, 101)),
+)
+def test_category_ap_columns_match_average_precision(flags, num_gt, recall_points):
+    expected = [
+        average_precision(flags[:, t].tolist(), num_gt, recall_points) for t in range(flags.shape[1])
+    ]
+    assert _category_ap(flags, num_gt, recall_points) == expected
