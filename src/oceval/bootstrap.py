@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Hashable
 
 import numpy as np
 
-from .costs import Detection, GroundTruthInstance, OcCostParams
+from .costs import ImageInput, OcCostParams
 from .errors import ConfigError, ValidationError
 from .map_metric import MapParams, build_match_table, map_from_table
 from .occost import dataset_oc_cost
@@ -28,8 +27,6 @@ __all__ = [
     "trial_sample",
     "run_bootstrap",
 ]
-
-ImageInput = tuple[Hashable, Sequence[Detection], Sequence[GroundTruthInstance]]
 
 PERCENTILE_LEVELS = (5, 25, 50, 75, 95)
 

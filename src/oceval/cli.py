@@ -32,7 +32,7 @@ from .costs import OcCostParams
 from .errors import ConfigError, OcevalError, ParseError, ValidationError
 from .fixtures import FixtureSpec, generate_fixture
 from .map_metric import MapParams, build_match_table, image_maps, map_from_table
-from .nms import NmsParams, default_grid, nms, tune
+from .nms import default_grid, nms, tune
 from .occost import dataset_oc_cost, lambda_sweep
 
 __all__ = ["main", "build_parser"]
@@ -210,17 +210,7 @@ def cmd_tune_nms(args: argparse.Namespace, config: dict[str, str]) -> int:
     iou_thresholds = resolve(args, config, "iou_thresholds", None, "floats")
     _, _, inputs = _load_inputs(args, config, args.dt)
 
-    if score_thresholds is None and iou_thresholds is None:
-        grid = default_grid()
-    else:
-        scores = score_thresholds if score_thresholds is not None else [
-            i / 100.0 for i in range(5, 91, 5)
-        ]
-        ious = iou_thresholds if iou_thresholds is not None else [
-            i / 10.0 for i in range(3, 10)
-        ]
-        grid = [NmsParams(s, t) for s in scores for t in ious]
-
+    grid = default_grid(score_thresholds, iou_thresholds)
     result = tune(inputs, objective, grid, oc_params=params, jobs=jobs)
     print(
         f"best score_threshold {result.best_params.score_threshold:g} "

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import Hashable
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .geometry import BoundingBox, boxes_to_array, giou, pairwise_giou
 __all__ = [
     "Detection",
     "GroundTruthInstance",
+    "ImageInput",
     "OcCostParams",
     "CostMatrix",
     "SupplyDemand",
@@ -52,6 +54,10 @@ class GroundTruthInstance:
 
     box: BoundingBox
     label: int
+
+
+# One image of a dataset: (image id, its detections, its ground truths).
+ImageInput = tuple[Hashable, Sequence[Detection], Sequence[GroundTruthInstance]]
 
 
 @dataclass(frozen=True)

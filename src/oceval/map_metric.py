@@ -18,11 +18,10 @@ import functools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Hashable
 
 import numpy as np
 
-from .costs import Detection, GroundTruthInstance
+from .costs import Detection, GroundTruthInstance, ImageInput
 from .errors import ConfigError
 from .geometry import boxes_to_array, pairwise_iou
 
@@ -39,12 +38,11 @@ __all__ = [
     "MatchTable",
     "build_match_table",
     "map_from_table",
+    "filter_table",
     "image_maps",
 ]
 
 COCO_IOU_THRESHOLDS: tuple[float, ...] = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
-
-ImageInput = tuple[Hashable, Sequence[Detection], Sequence[GroundTruthInstance]]
 
 
 @dataclass(frozen=True)
@@ -274,6 +272,28 @@ def build_match_table(per_image_inputs: Sequence[ImageInput], params: MapParams)
 def _mean_over_thresholds(flags: np.ndarray, gt_count: int, recall_points: int) -> float:
     aps = _category_ap(flags, gt_count, recall_points)
     return math.fsum(aps) / len(aps)
+
+
+def filter_table(table: MatchTable, score_threshold: float) -> MatchTable:
+    """The table of the same inputs with every detection scoring below
+    ``score_threshold`` removed.
+
+    Each entry ranks its detections by descending score and greedy matching
+    reads only higher-ranked rows, so the kept detections are a prefix of
+    every entry and keep their flags; a ``max_detections`` cap keeps the top
+    ranks, so the prefix holds under it as well. Categories left with
+    neither detections nor ground truths are dropped, as building the table
+    from the filtered inputs would.
+    """
+    entries = []
+    for entry in table.entries:
+        kept = {}
+        for cat, (gt_count, scores, flags) in entry.items():
+            rows = int(np.count_nonzero(scores >= score_threshold))
+            if rows or gt_count:
+                kept[cat] = (gt_count, scores[:rows], flags[:rows])
+        entries.append(kept)
+    return MatchTable(entries=tuple(entries), params=table.params)
 
 
 def map_from_table(table: MatchTable, image_indices: Sequence[int]) -> MapReport:

@@ -1,10 +1,20 @@
 """Score filtering, class-wise non-maximum suppression, and grid tuning.
 
-The tuner sweeps a (score threshold, IoU threshold) grid, applies the
-filtering to every image, and scores the surviving detections either by
-mean image-level correction cost (minimized) or by dataset mAP
-(maximized). Exhaustive search over the default 18 x 7 grid is cheap
-compared to the per-point evaluation itself.
+The tuner scores every point of a (score threshold, IoU threshold) grid
+by the detections that survive it, either by mean image-level correction
+cost (minimized) or by dataset mAP (maximized). Its work grows with the
+number of distinct IoU thresholds, not with the number of grid points,
+because the grid nests:
+
+- only higher-scored boxes suppress, so NMS at ``(s, t)`` keeps exactly
+  the ``score >= s`` prefix of what NMS at ``(s0, t)`` keeps for any
+  ``s0 <= s``; one NMS pass per image and IoU threshold, at the lowest
+  score threshold of that column, serves the whole column;
+- greedy mAP matching runs in score order, so one match table per IoU
+  threshold, cut to each score threshold by
+  :func:`~oceval.map_metric.filter_table`, serves the mAP objective;
+- the correction cost of an image is computed once per distinct set of
+  survivors, however many grid points share it.
 """
 
 from __future__ import annotations
@@ -12,15 +22,16 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Hashable
 
-from .costs import Detection, GroundTruthInstance, OcCostParams
+from .costs import Detection, ImageInput, OcCostParams
 from .errors import ConfigError
 from .geometry import boxes_to_array, pairwise_iou
-from .map_metric import MapParams, dataset_map
-from .occost import dataset_oc_cost
+from .map_metric import MapParams, build_match_table, filter_table, map_from_table
+from .occost import image_oc_cost, map_images
 
 __all__ = [
+    "DEFAULT_SCORE_THRESHOLDS",
+    "DEFAULT_IOU_THRESHOLDS",
     "NmsParams",
     "TuneResult",
     "nms",
@@ -28,7 +39,9 @@ __all__ = [
     "tune",
 ]
 
-ImageInput = tuple[Hashable, Sequence[Detection], Sequence[GroundTruthInstance]]
+# 0.05..0.90 step 0.05 and 0.3..0.9 step 0.1
+DEFAULT_SCORE_THRESHOLDS: tuple[float, ...] = tuple(i / 100.0 for i in range(5, 91, 5))
+DEFAULT_IOU_THRESHOLDS: tuple[float, ...] = tuple(i / 10.0 for i in range(3, 10))
 
 
 @dataclass(frozen=True)
@@ -92,18 +105,49 @@ def nms(dets: Sequence[Detection], params: NmsParams) -> list[Detection]:
     return [dets[i] for a, i in enumerate(kept_order) if not suppressed[a]]
 
 
-def default_grid() -> list[NmsParams]:
-    """Score thresholds 0.05..0.90 step 0.05 crossed with IoU thresholds
-    0.3..0.9 step 0.1, in row-major order (score outer, IoU inner)."""
-    scores = [i / 100.0 for i in range(5, 91, 5)]
-    ious = [i / 10.0 for i in range(3, 10)]
+def default_grid(
+    score_thresholds: Sequence[float] | None = None,
+    iou_thresholds: Sequence[float] | None = None,
+) -> list[NmsParams]:
+    """Score thresholds crossed with IoU thresholds, in row-major order
+    (score outer, IoU inner). A missing axis takes its default,
+    ``DEFAULT_SCORE_THRESHOLDS`` or ``DEFAULT_IOU_THRESHOLDS``."""
+    scores = DEFAULT_SCORE_THRESHOLDS if score_thresholds is None else score_thresholds
+    ious = DEFAULT_IOU_THRESHOLDS if iou_thresholds is None else iou_thresholds
     return [NmsParams(s, t) for s in scores for t in ious]
 
 
-def _apply_grid_point(
-    per_image_inputs: Sequence[ImageInput], params: NmsParams
-) -> list[ImageInput]:
-    return [(image_id, nms(dets, params), gts) for image_id, dets, gts in per_image_inputs]
+# One NMS pass and the grid points it serves, as (grid index, score threshold).
+_Pass = tuple[NmsParams, list[tuple[int, float]]]
+
+
+def _passes(grid: Sequence[NmsParams]) -> list[_Pass]:
+    """One pass per distinct IoU threshold of the grid, run at the lowest
+    score threshold among that threshold's points."""
+    columns: dict[float, list[tuple[int, float]]] = {}
+    for index, point in enumerate(grid):
+        columns.setdefault(point.iou_threshold, []).append((index, point.score_threshold))
+    return [
+        (NmsParams(min(s for _, s in points), t), points) for t, points in columns.items()
+    ]
+
+
+def _image_costs(task: tuple[ImageInput, list[_Pass], OcCostParams]) -> list[float]:
+    """One image's correction cost at every grid point, in grid order."""
+    (_, dets, gts), passes, params = task
+    costs = [0.0] * sum(len(points) for _, points in passes)
+    by_survivors: dict[tuple[int, ...], float] = {}
+    for base, points in passes:
+        kept = nms(dets, base)
+        for index, score_threshold in points:
+            survivors = [d for d in kept if d.score >= score_threshold]
+            # survivors are objects of ``dets``: the same ids in the same
+            # order are the same evaluation
+            key = tuple(map(id, survivors))
+            if key not in by_survivors:
+                by_survivors[key] = image_oc_cost(survivors, gts, params).oc_cost
+            costs[index] = by_survivors[key]
+    return costs
 
 
 def tune(
@@ -118,7 +162,9 @@ def tune(
 
     ``objective`` is "oc-cost" (lower is better) or "map" (higher is
     better). Exact ties keep the first point in grid order, so results are
-    reproducible for a fixed grid.
+    reproducible for a fixed grid. Each point's value equals evaluating
+    ``nms`` at that point on every image; ``jobs > 1`` fans the images of
+    the oc-cost objective out over one process pool for the whole grid.
     """
     if objective not in ("oc-cost", "map"):
         raise ConfigError(f"objective must be 'oc-cost' or 'map', got {objective!r}")
@@ -126,15 +172,21 @@ def tune(
     if not candidates:
         raise ConfigError("tuning grid is empty")
     inputs = list(per_image_inputs)
+    passes = _passes(candidates)
 
-    scored: list[tuple[NmsParams, float]] = []
-    for point in candidates:
-        filtered = _apply_grid_point(inputs, point)
-        if objective == "oc-cost":
-            value = dataset_oc_cost(filtered, oc_params or OcCostParams(), jobs=jobs).mean_oc_cost
-        else:
-            value = dataset_map(filtered, map_params).mean_ap
-        scored.append((point, value))
+    if objective == "oc-cost":
+        params = oc_params or OcCostParams()
+        per_image = map_images(_image_costs, [(item, passes, params) for item in inputs], jobs)
+        values = [math.fsum(column) / len(per_image) for column in zip(*per_image)]
+    else:
+        values = [0.0] * len(candidates)
+        for base, points in passes:
+            kept = [(image_id, nms(dets, base), gts) for image_id, dets, gts in inputs]
+            table = build_match_table(kept, map_params or MapParams())
+            for index, score_threshold in points:
+                survivors = filter_table(table, score_threshold)
+                values[index] = map_from_table(survivors, range(len(inputs))).mean_ap
+    scored = list(zip(candidates, values))
 
     if objective == "oc-cost":
         best_index = min(range(len(scored)), key=lambda i: (scored[i][1], i))

@@ -13,14 +13,15 @@ when one side of the image is empty.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, TypeVar
 
 from .costs import (
     Detection,
     GroundTruthInstance,
+    ImageInput,
     OcCostParams,
     build_problem,
     classification_cost,
@@ -38,7 +39,8 @@ __all__ = [
     "lambda_sweep",
 ]
 
-ImageInput = tuple[Hashable, Sequence[Detection], Sequence[GroundTruthInstance]]
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,25 @@ def image_oc_cost(
     )
 
 
+def map_images(fn: Callable[[T], R], tasks: Sequence[T], jobs: int) -> list[R]:
+    """``fn`` applied to one task per image, in input order.
+
+    Images are independent, so ``jobs > 1`` fans the tasks out over one
+    process pool (``fn`` must be a module-level function and the tasks
+    picklable); the results are merged back in input order, so they are
+    identical for any job count.
+    """
+    if not tasks:
+        raise ValidationError("cannot evaluate an empty image sequence")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1 or len(tasks) < 2:
+        return [fn(task) for task in tasks]
+    chunk = max(1, len(tasks) // (jobs * 4))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks, chunksize=chunk))
+
+
 def _eval_image(task: tuple[ImageInput, OcCostParams, bool]) -> ImageEvalResult:
     (image_id, dets, gts), params, with_breakdown = task
     return image_oc_cost(dets, gts, params, image_id=image_id, with_breakdown=with_breakdown)
@@ -185,28 +206,13 @@ def dataset_oc_cost(
 ) -> DatasetReport:
     """Evaluate every image and average the per-image costs.
 
-    Images are independent, so ``jobs > 1`` fans them out over a process
-    pool; results are merged back in input order and the mean uses exact
-    compensated summation, so the report is byte-identical for any job
-    count. Images that are empty on both sides still count, contributing 0.
+    ``jobs > 1`` fans the images out over a process pool (see
+    :func:`map_images`); the mean uses exact compensated summation, so the
+    report is byte-identical for any job count. Images that are empty on
+    both sides still count, contributing 0.
     """
-    inputs = list(per_image_inputs)
-    if not inputs:
-        raise ValidationError("cannot evaluate an empty image sequence")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-
-    if jobs == 1 or len(inputs) < 2:
-        results = [
-            image_oc_cost(dets, gts, params, image_id=image_id, with_breakdown=with_breakdown)
-            for image_id, dets, gts in inputs
-        ]
-    else:
-        tasks = [(item, params, with_breakdown) for item in inputs]
-        chunk = max(1, len(tasks) // (jobs * 4))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_eval_image, tasks, chunksize=chunk))
-
+    tasks = [(item, params, with_breakdown) for item in per_image_inputs]
+    results = map_images(_eval_image, tasks, jobs)
     mean = math.fsum(r.oc_cost for r in results) / len(results)
     return DatasetReport(
         mean_oc_cost=mean,
@@ -216,6 +222,11 @@ def dataset_oc_cost(
     )
 
 
+def _sweep_image(task: tuple[ImageInput, list[OcCostParams]]) -> list[float]:
+    (_, dets, gts), param_list = task
+    return [image_oc_cost(dets, gts, params).oc_cost for params in param_list]
+
+
 def lambda_sweep(
     per_image_inputs: Sequence[ImageInput],
     lambdas: Sequence[float],
@@ -223,13 +234,14 @@ def lambda_sweep(
     *,
     jobs: int = 1,
 ) -> list[tuple[float, float]]:
-    """Dataset mean cost for each localization weight, sharing parsed inputs."""
+    """Dataset mean cost for each localization weight.
+
+    Each image is evaluated at every weight in one task, so ``jobs > 1``
+    starts one process pool for the whole sweep.
+    """
     for lam in lambdas:
         if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
             raise ConfigError(f"localization weight must lie in [0, 1], got {lam!r}")
-    inputs = list(per_image_inputs)
-    out = []
-    for lam in lambdas:
-        report = dataset_oc_cost(inputs, OcCostParams(loc_weight=lam, dummy_cost=beta), jobs=jobs)
-        out.append((lam, report.mean_oc_cost))
-    return out
+    param_list = [OcCostParams(loc_weight=lam, dummy_cost=beta) for lam in lambdas]
+    rows = map_images(_sweep_image, [(item, param_list) for item in per_image_inputs], jobs)
+    return [(lam, math.fsum(column) / len(rows)) for lam, column in zip(lambdas, zip(*rows))]

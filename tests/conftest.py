@@ -1,6 +1,9 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+import oceval.occost
 from oceval import BoundingBox, Detection, GroundTruthInstance
 
 
@@ -29,3 +32,18 @@ def random_scene(rng, max_m=4, max_n=4, categories=3, size=100.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def count_pools(monkeypatch):
+    """Counts the process pools ``oceval.occost`` starts; call it for the
+    number started so far."""
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(oceval.occost, "ProcessPoolExecutor", CountingPool)
+    return lambda: len(started)

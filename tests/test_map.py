@@ -21,6 +21,8 @@ from oceval.map_metric import (
     _category_ap,
     _greedy_flags,
     build_match_table,
+    filter_table,
+    image_maps,
     map_from_table,
     pr_curve,
 )
@@ -261,3 +263,44 @@ def test_category_ap_columns_match_average_precision(flags, num_gt, recall_point
         average_precision(flags[:, t].tolist(), num_gt, recall_points) for t in range(flags.shape[1])
     ]
     assert _category_ap(flags, num_gt, recall_points) == expected
+
+
+# coarse boxes, two labels and a few shared scores: duplicate boxes, score
+# ties and thresholds equal to a detection score all occur
+SCORES = (0.0, 0.25, 0.5, 0.5, 0.75, 1.0)
+coarse_boxes = st.builds(
+    lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+    st.integers(0, 2), st.integers(0, 2), st.integers(1, 2), st.integers(1, 2),
+)
+coarse_dets = st.lists(
+    st.builds(Detection, coarse_boxes, st.integers(1, 2), st.sampled_from(SCORES) | st.floats(0.0, 1.0)),
+    max_size=8,
+)
+coarse_gts = st.lists(st.builds(GroundTruthInstance, coarse_boxes, st.integers(1, 2)), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    images=st.lists(st.tuples(coarse_dets, coarse_gts), min_size=1, max_size=4),
+    max_detections=st.none() | st.integers(1, 4),
+    thresholds=threshold_sets.filter(lambda thrs: thrs[0] > 0.0),
+    data=st.data(),
+)
+def test_filter_table_equals_table_of_filtered_inputs(images, max_detections, thresholds, data):
+    scores = [d.score for dets, _ in images for d in dets]
+    score_threshold = data.draw(st.sampled_from(SCORES + tuple(scores)) | st.floats(0.0, 1.0))
+    params = MapParams(iou_thresholds=tuple(thresholds), max_detections=max_detections)
+    inputs = [(i, dets, gts) for i, (dets, gts) in enumerate(images)]
+    filtered = [(i, [d for d in dets if d.score >= score_threshold], gts) for i, dets, gts in inputs]
+
+    expected = build_match_table(filtered, params)
+    sliced = filter_table(build_match_table(inputs, params), score_threshold)
+    for want, got in zip(expected.entries, sliced.entries, strict=True):
+        assert list(want) == list(got)
+        for (gt_w, scores_w, flags_w), (gt_g, scores_g, flags_g) in zip(want.values(), got.values()):
+            assert gt_w == gt_g
+            assert scores_w.tolist() == scores_g.tolist()
+            assert flags_w.shape == flags_g.shape and (flags_w == flags_g).all()
+    multiset = list(range(len(inputs))) + [0]
+    assert map_from_table(sliced, multiset) == map_from_table(expected, multiset)
+    assert image_maps(sliced) == image_maps(expected)

@@ -1,15 +1,22 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oceval import (
     BoundingBox,
     ConfigError,
     Detection,
     GroundTruthInstance,
+    MapParams,
     NmsParams,
+    OcCostParams,
+    dataset_map,
+    dataset_oc_cost,
     default_grid,
     nms,
     tune,
 )
+from oceval.nms import DEFAULT_IOU_THRESHOLDS, DEFAULT_SCORE_THRESHOLDS
 
 B1 = BoundingBox(0, 0, 10, 10)
 B1_SHIFT = BoundingBox(1, 0, 11, 10)
@@ -72,6 +79,15 @@ def test_default_grid_shape():
     assert grid[7] == NmsParams(0.1, 0.3)
 
 
+def test_default_grid_fills_a_missing_axis():
+    assert default_grid([0.5]) == [NmsParams(0.5, t) for t in DEFAULT_IOU_THRESHOLDS]
+    assert default_grid(None, [0.6]) == [NmsParams(s, 0.6) for s in DEFAULT_SCORE_THRESHOLDS]
+    assert default_grid([0.2, 0.1], [0.7, 0.4]) == [
+        NmsParams(0.2, 0.7), NmsParams(0.2, 0.4), NmsParams(0.1, 0.7), NmsParams(0.1, 0.4)
+    ]
+    assert default_grid([], None) == []
+
+
 def test_tune_single_point_echoes():
     inputs = [(1, [Detection(B1, 1, 0.9)], [GroundTruthInstance(B1, 1)])]
     point = NmsParams(0.5, 0.5)
@@ -116,3 +132,109 @@ def test_tune_tie_breaks_to_first_grid_point():
     grid = [NmsParams(0.2, 0.5), NmsParams(0.3, 0.5)]
     result = tune(inputs, "oc-cost", grid)
     assert result.best_params == grid[0]
+
+
+# Overlapping boxes on a coarse grid, two labels and shared scores: exact
+# duplicates, score ties and thresholds equal to a detection score all occur.
+SCORES = (0.0, 0.2, 0.4, 0.4, 0.6, 0.8, 1.0)
+coarse_dets = st.lists(
+    st.builds(
+        Detection,
+        st.builds(
+            lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+            st.integers(0, 3), st.integers(0, 3), st.integers(2, 4), st.integers(2, 4),
+        ),
+        st.integers(1, 2),
+        st.sampled_from(SCORES) | st.floats(0.0, 1.0),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dets=coarse_dets,
+    iou_threshold=st.sampled_from((0.0, 0.25, 0.5, 1 / 3, 0.75, 1.0)) | st.floats(0.0, 1.0),
+    data=st.data(),
+)
+def test_nms_nests_in_score_threshold(dets, iou_threshold, data):
+    scores = tuple(d.score for d in dets)
+    low = data.draw(st.sampled_from(SCORES + scores) | st.floats(0.0, 1.0))
+    high = data.draw(st.sampled_from([s for s in SCORES + scores if s >= low]) | st.floats(low, 1.0))
+    base = nms(dets, NmsParams(low, iou_threshold))
+    kept = nms(dets, NmsParams(high, iou_threshold))
+    assert [id(d) for d in kept] == [id(d) for d in base if d.score >= high]
+
+
+def _tune_oracle(inputs, objective, grid, oc_params=None, map_params=None):
+    """The per-point loop: NMS and a full evaluation at every grid point,
+    then the first point of the best value."""
+    scored = []
+    for point in grid:
+        filtered = [(image_id, nms(dets, point), gts) for image_id, dets, gts in inputs]
+        if objective == "oc-cost":
+            value = dataset_oc_cost(filtered, oc_params or OcCostParams()).mean_oc_cost
+        else:
+            value = dataset_map(filtered, map_params).mean_ap
+        scored.append((point, value))
+    values = [value for _, value in scored]
+    best = min(values) if objective == "oc-cost" else max(values)
+    return scored[values.index(best)][0], tuple(scored)
+
+
+def _raw_dataset(rng, images=5):
+    """Pre-NMS-like images: jittered copies of each object at tied,
+    decaying scores, some exact duplicates, some wrong labels."""
+    inputs = []
+    for image_id in range(images):
+        gts, dets = [], []
+        for _ in range(int(rng.integers(0, 4))):
+            x, y = rng.uniform(0, 60, size=2)
+            w, h = rng.uniform(8, 30, size=2)
+            label = int(rng.integers(1, 3))
+            gts.append(GroundTruthInstance(BoundingBox(x, y, x + w, y + h), label))
+            for copy in range(int(rng.integers(0, 5))):
+                dx, dy = (0.0, 0.0) if copy == 1 else rng.normal(0, 3, size=2)
+                score = float(rng.choice([0.9, 0.7, 0.5, 0.3, 0.1]))
+                other = rng.uniform() < 0.15
+                dets.append(Detection(BoundingBox(x + dx, y + dy, x + dx + w, y + dy + h),
+                                      3 - label if other else label, score))
+        inputs.append((image_id, dets, gts))
+    return inputs
+
+
+GRIDS = {
+    "unsorted scores": [NmsParams(s, t) for s in (0.5, 0.1, 0.3, 0.0) for t in (0.5, 0.3)],
+    "non-adjacent IoU": [NmsParams(0.3, 0.5), NmsParams(0.2, 0.7), NmsParams(0.1, 0.5), NmsParams(0.4, 0.7)],
+    "duplicates": [NmsParams(0.3, 0.5), NmsParams(0.1, 0.5), NmsParams(0.3, 0.5), NmsParams(0.1, 0.5)],
+    # no score threshold removes anything and IoU 1 suppresses nothing: all tie
+    "ties": [NmsParams(0.05, 1.0), NmsParams(0.0, 1.0), NmsParams(0.1, 1.0), NmsParams(0.0, 1.0)],
+    "scores equal to detection scores": [NmsParams(s, t) for t in (0.6, 0.2) for s in (0.9, 0.3, 0.7, 0.1)],
+}
+
+
+@pytest.mark.parametrize("objective", ["oc-cost", "map"])
+@pytest.mark.parametrize("grid_name", sorted(GRIDS))
+def test_tune_matches_per_point_oracle(rng, objective, grid_name):
+    grid = GRIDS[grid_name]
+    oc_params = OcCostParams(loc_weight=0.7, dummy_cost=0.5)
+    map_params = MapParams(iou_thresholds=(0.3, 0.5, 0.7), max_detections=6)
+    for _ in range(15):
+        inputs = _raw_dataset(rng)
+        result = tune(inputs, objective, grid, oc_params=oc_params, map_params=map_params)
+        best, scored = _tune_oracle(inputs, objective, grid, oc_params, map_params)
+        assert result.grid == scored
+        assert result.best_params == best
+        assert result.objective_value == dict(scored)[best]
+    if grid_name == "ties":
+        assert result.best_params == grid[0]
+
+
+def test_tune_jobs_bit_identical_with_one_pool(rng, count_pools):
+    inputs = _raw_dataset(rng, images=12)
+    grid = GRIDS["unsorted scores"]
+    serial = tune(inputs, "oc-cost", grid, jobs=1)
+    assert count_pools() == 0
+    assert tune(inputs, "oc-cost", grid, jobs=2) == serial
+    assert count_pools() == 1
+    assert tune(inputs, "map", grid, jobs=2) == tune(inputs, "map", grid, jobs=1)

@@ -146,6 +146,18 @@ def test_lambda_sweep_on_mislabeled_scene():
     assert values == pytest.approx([1.0, 0.5, 0.0], abs=1e-12)
 
 
+def test_lambda_sweep_jobs_bit_identical_with_one_pool(rng, count_pools):
+    inputs = [(image_id, *random_scene(rng)) for image_id in range(20)]
+    lambdas = [0.0, 0.3, 0.5, 1.0]
+    serial = lambda_sweep(inputs, lambdas, beta=0.6, jobs=1)
+    assert serial == [
+        (lam, dataset_oc_cost(inputs, OcCostParams(lam, 0.6)).mean_oc_cost) for lam in lambdas
+    ]
+    assert count_pools() == 0
+    assert lambda_sweep(inputs, lambdas, beta=0.6, jobs=2) == serial
+    assert count_pools() == 1
+
+
 def test_lambda_sweep_validation():
     with pytest.raises(ConfigError):
         lambda_sweep([(1, [], [])], [0.5, 1.5], beta=0.6)
