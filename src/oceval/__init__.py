@@ -24,7 +24,6 @@ from .costs import (
     Detection,
     GroundTruthInstance,
     OcCostParams,
-    SupplyDemand,
     build_problem,
     classification_cost,
     localization_cost,
@@ -67,7 +66,6 @@ __all__ = [
     "GroundTruthInstance",
     "OcCostParams",
     "CostMatrix",
-    "SupplyDemand",
     "localization_cost",
     "classification_cost",
     "unit_cost",

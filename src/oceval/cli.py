@@ -28,7 +28,7 @@ from .coco_io import (
     sweep_payload,
     write_report,
 )
-from .costs import OcCostParams
+from .costs import ImageInput, OcCostParams
 from .errors import ConfigError, OcevalError, ParseError, ValidationError
 from .fixtures import FixtureSpec, generate_fixture
 from .map_metric import MapParams, build_match_table, image_maps, map_from_table
@@ -115,12 +115,20 @@ def _cost_params(args: argparse.Namespace, config: dict[str, str]) -> OcCostPara
     )
 
 
-def _load_inputs(args: argparse.Namespace, config: dict[str, str], dt_path: str):
+def _load_inputs(
+    args: argparse.Namespace, config: dict[str, str], dt_paths: Sequence[str]
+) -> list[list[ImageInput]]:
+    """Per-image inputs of each detection file, against one load of the
+    ground truth."""
     strict = resolve(args, config, "strict", True, "bool")
     include_crowd = resolve(args, config, "include_crowd", False, "bool")
     index = load_ground_truth(args.gt, strict=strict)
-    dets = load_detections(dt_path, index, strict=strict)
-    return index, dets, detection_inputs(index, dets, include_crowd=include_crowd)
+    return [
+        detection_inputs(
+            index, load_detections(path, index, strict=strict), include_crowd=include_crowd
+        )
+        for path in dt_paths
+    ]
 
 
 def _output_format(args: argparse.Namespace, config: dict[str, str]) -> str:
@@ -134,7 +142,7 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
     params = _cost_params(args, config)
     jobs = resolve(args, config, "jobs", 1, "int")
     with_map = resolve(args, config, "with_map", False, "bool")
-    _, _, inputs = _load_inputs(args, config, args.dt)
+    (inputs,) = _load_inputs(args, config, [args.dt])
 
     report = dataset_oc_cost(inputs, params, jobs=jobs)
     print(f"mean_oc_cost {report.mean_oc_cost:.6f}")
@@ -158,7 +166,7 @@ def cmd_sweep_lambda(args: argparse.Namespace, config: dict[str, str]) -> int:
     beta = resolve(args, config, "beta", 0.6, "float")
     jobs = resolve(args, config, "jobs", 1, "int")
     lambdas = resolve(args, config, "lambdas", [0.0, 0.25, 0.5, 0.75, 1.0], "floats")
-    _, _, inputs = _load_inputs(args, config, args.dt)
+    (inputs,) = _load_inputs(args, config, [args.dt])
 
     rows = lambda_sweep(inputs, lambdas, beta, jobs=jobs)
     for lam, value in rows:
@@ -179,10 +187,7 @@ def cmd_bootstrap(args: argparse.Namespace, config: dict[str, str]) -> int:
     )
     params = _cost_params(args, config)
 
-    strict = resolve(args, config, "strict", True, "bool")
-    include_crowd = resolve(args, config, "include_crowd", False, "bool")
-    index = load_ground_truth(args.gt, strict=strict)
-    detectors = []
+    names = []
     seen: dict[str, int] = {}
     for path in args.dt:
         name = os.path.splitext(os.path.basename(path))[0]
@@ -191,8 +196,8 @@ def cmd_bootstrap(args: argparse.Namespace, config: dict[str, str]) -> int:
             name = f"{name}_{seen[name]}"
         else:
             seen[name] = 0
-        dets = load_detections(path, index, strict=strict)
-        detectors.append((name, detection_inputs(index, dets, include_crowd=include_crowd)))
+        names.append(name)
+    detectors = list(zip(names, _load_inputs(args, config, args.dt)))
 
     reports = run_bootstrap(detectors, metric, bconfig, oc_params=params, jobs=jobs)
     for rep in reports:
@@ -208,7 +213,7 @@ def cmd_tune_nms(args: argparse.Namespace, config: dict[str, str]) -> int:
     objective = resolve(args, config, "objective", "oc-cost")
     score_thresholds = resolve(args, config, "score_thresholds", None, "floats")
     iou_thresholds = resolve(args, config, "iou_thresholds", None, "floats")
-    _, _, inputs = _load_inputs(args, config, args.dt)
+    (inputs,) = _load_inputs(args, config, [args.dt])
 
     grid = default_grid(score_thresholds, iou_thresholds)
     result = tune(inputs, objective, grid, oc_params=params, jobs=jobs)

@@ -349,8 +349,6 @@ def _payload_for(report: Any) -> dict:
         return _tune_payload(report)
     if isinstance(report, (list, tuple)):
         return _bootstrap_payload(report)
-    if hasattr(report, "values") and hasattr(report, "percentiles"):
-        return _bootstrap_payload([report])
     raise ConfigError(f"cannot serialize report of type {type(report).__name__}")
 
 

@@ -3,10 +3,17 @@
 A unit cost says how much work it takes to turn one detection into one
 ground-truth instance. It blends a localization term (driven by
 generalized IoU) and a classification term (driven by the label match
-and the confidence score), weighted by ``loc_weight``. The full problem
-adds one dummy row and one dummy column priced at ``dummy_cost``, which
-absorb unmatched detections (false positives) and unmatched ground
-truths (false negatives).
+and the confidence score), weighted by ``loc_weight``. A problem is the
+m x n block of these costs for one image's m detections and n ground
+truths, plus ``dummy_cost``: the price of leaving a detection unmatched
+(a false positive) or a ground truth unmatched (a false negative).
+
+The two terms do not depend on ``loc_weight``, so a caller that scores
+one image under several weights (the lambda sweep) computes them once and
+only blends per weight; a caller that scores subsets of one image's
+detections (the NMS tuner) blends once and takes row subsets. Every cell
+depends on its own detection and ground truth only, so a row subset of
+the blend equals the blend of the subset bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ __all__ = [
     "ImageInput",
     "OcCostParams",
     "CostMatrix",
-    "SupplyDemand",
     "localization_cost",
     "classification_cost",
     "unit_cost",
@@ -89,30 +95,28 @@ class OcCostParams:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Dummy-augmented (m+1) x (n+1) unit-cost matrix.
+    """One image's correction problem.
 
-    Row i < m is detection i, column j < n is ground truth j; the last row
-    and column are the dummy legs, every entry priced at the dummy cost.
+    ``entries`` is the m x n block of unit costs, row i for detection i and
+    column j for ground truth j; ``dummy_cost`` is the price of each
+    unmatched detection or ground truth.
     """
 
     entries: np.ndarray
-    m: int
-    n: int
+    dummy_cost: float
+
+    @property
+    def m(self) -> int:
+        return self.entries.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[1]
 
     @property
     def degenerate(self) -> bool:
         """True for the 0-detection, 0-ground-truth problem; callers short-circuit it."""
         return self.m == 0 and self.n == 0
-
-
-@dataclass(frozen=True)
-class SupplyDemand:
-    """Integer capacities: unit supplies/demands for real rows and columns,
-    n for the dummy supplier and m for the dummy demander, so the problem
-    is always balanced at m + n total units."""
-
-    supplies: np.ndarray
-    demands: np.ndarray
 
 
 def localization_cost(a: BoundingBox, b: BoundingBox) -> float:
@@ -140,35 +144,42 @@ def unit_cost(det: Detection, gt: GroundTruthInstance, params: OcCostParams) -> 
     )
 
 
+def _pair_terms(
+    dets: Sequence[Detection], gts: Sequence[GroundTruthInstance]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The weight-independent m x n localization and classification costs."""
+    m, n = len(dets), len(gts)
+    if not (m and n):
+        empty = np.zeros((m, n), dtype=np.float64)
+        return empty, empty
+    det_boxes = boxes_to_array(d.box for d in dets)
+    gt_boxes = boxes_to_array(g.box for g in gts)
+    loc = (1.0 - pairwise_giou(det_boxes, gt_boxes)) / 2.0
+    scores = np.array([d.score for d in dets], dtype=np.float64)[:, None]
+    det_labels = np.array([d.label for d in dets])
+    gt_labels = np.array([g.label for g in gts])
+    cls = np.where(
+        det_labels[:, None] == gt_labels[None, :],
+        (1.0 - scores) / 2.0,
+        (1.0 + scores) / 2.0,
+    )
+    return loc, cls
+
+
+def _blend(loc: np.ndarray, cls: np.ndarray, params: OcCostParams) -> CostMatrix:
+    """The problem of :func:`_pair_terms` output under ``params``."""
+    w = params.loc_weight
+    return CostMatrix(entries=w * loc + (1.0 - w) * cls, dummy_cost=params.dummy_cost)
+
+
 def build_problem(
     dets: Sequence[Detection],
     gts: Sequence[GroundTruthInstance],
     params: OcCostParams,
-) -> tuple[CostMatrix, SupplyDemand]:
-    """Assemble the dummy-augmented cost matrix and its capacities.
+) -> CostMatrix:
+    """Assemble one image's m x n cost block and its dummy cost.
 
-    Entry (i, j) for i < m, j < n is ``unit_cost(dets[i], gts[j], params)``;
-    the dummy row and column (including the corner) carry the dummy cost.
-    Either side may be empty; with both empty the 1 x 1 problem is returned
-    flagged as degenerate for the caller to short-circuit.
+    Entry (i, j) is ``unit_cost(dets[i], gts[j], params)``. Either side may
+    be empty; with both empty the 0 x 0 problem is flagged as degenerate.
     """
-    m, n = len(dets), len(gts)
-    entries = np.full((m + 1, n + 1), params.dummy_cost, dtype=np.float64)
-    if m and n:
-        det_boxes = boxes_to_array(d.box for d in dets)
-        gt_boxes = boxes_to_array(g.box for g in gts)
-        loc = (1.0 - pairwise_giou(det_boxes, gt_boxes)) / 2.0
-        scores = np.array([d.score for d in dets], dtype=np.float64)[:, None]
-        det_labels = np.array([d.label for d in dets])
-        gt_labels = np.array([g.label for g in gts])
-        cls = np.where(
-            det_labels[:, None] == gt_labels[None, :],
-            (1.0 - scores) / 2.0,
-            (1.0 + scores) / 2.0,
-        )
-        entries[:m, :n] = params.loc_weight * loc + (1.0 - params.loc_weight) * cls
-    supplies = np.ones(m + 1, dtype=np.int64)
-    supplies[m] = n
-    demands = np.ones(n + 1, dtype=np.int64)
-    demands[n] = m
-    return CostMatrix(entries=entries, m=m, n=n), SupplyDemand(supplies=supplies, demands=demands)
+    return _blend(*_pair_terms(dets, gts), params)

@@ -14,7 +14,8 @@ because the grid nests:
   threshold, cut to each score threshold by
   :func:`~oceval.map_metric.filter_table`, serves the mAP objective;
 - the correction cost of an image is computed once per distinct set of
-  survivors, however many grid points share it.
+  survivors, however many grid points share it, on the rows of one cost
+  matrix built per image from all its detections.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .costs import Detection, ImageInput, OcCostParams
+from .costs import CostMatrix, Detection, ImageInput, OcCostParams, build_problem
 from .errors import ConfigError
 from .geometry import boxes_to_array, pairwise_iou
 from .map_metric import MapParams, build_match_table, filter_table, map_from_table
-from .occost import image_oc_cost, map_images
+from .occost import _plan_cost, map_images
 
 __all__ = [
     "DEFAULT_SCORE_THRESHOLDS",
@@ -84,6 +85,11 @@ def nms(dets: Sequence[Detection], params: NmsParams) -> list[Detection]:
     Output is sorted by descending score (ties keep input order) and the
     operation is idempotent: feeding the result back returns it unchanged.
     """
+    return [dets[i] for i in _nms_indices(dets, params)]
+
+
+def _nms_indices(dets: Sequence[Detection], params: NmsParams) -> list[int]:
+    """Indices into ``dets`` of what :func:`nms` keeps, in its order."""
     kept_order = sorted(
         (i for i, d in enumerate(dets) if d.score >= params.score_threshold),
         key=lambda i: (-dets[i].score, i),
@@ -102,7 +108,7 @@ def nms(dets: Sequence[Detection], params: NmsParams) -> list[Detection]:
                 continue
             if iou[a, b] > params.iou_threshold:
                 suppressed[b] = True
-    return [dets[i] for a, i in enumerate(kept_order) if not suppressed[a]]
+    return [i for a, i in enumerate(kept_order) if not suppressed[a]]
 
 
 def default_grid(
@@ -135,18 +141,18 @@ def _passes(grid: Sequence[NmsParams]) -> list[_Pass]:
 def _image_costs(task: tuple[ImageInput, list[_Pass], OcCostParams]) -> list[float]:
     """One image's correction cost at every grid point, in grid order."""
     (_, dets, gts), passes, params = task
+    problem = build_problem(dets, gts, params)
     costs = [0.0] * sum(len(points) for _, points in passes)
     by_survivors: dict[tuple[int, ...], float] = {}
     for base, points in passes:
-        kept = nms(dets, base)
+        kept = _nms_indices(dets, base)
         for index, score_threshold in points:
-            survivors = [d for d in kept if d.score >= score_threshold]
-            # survivors are objects of ``dets``: the same ids in the same
-            # order are the same evaluation
-            key = tuple(map(id, survivors))
-            if key not in by_survivors:
-                by_survivors[key] = image_oc_cost(survivors, gts, params).oc_cost
-            costs[index] = by_survivors[key]
+            # the survivors' problem is their rows of the image's, in NMS order
+            rows = tuple(i for i in kept if dets[i].score >= score_threshold)
+            if rows not in by_survivors:
+                subset = CostMatrix(problem.entries[list(rows)], problem.dummy_cost)
+                by_survivors[rows] = _plan_cost(subset)[0]
+            costs[index] = by_survivors[rows]
     return costs
 
 

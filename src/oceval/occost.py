@@ -4,8 +4,9 @@ The per-image value is the average unit cost actually paid by the optimal
 plan, after discarding the dummy-to-dummy corner: that corner moves slack
 between the two artificial nodes and says nothing about detection quality.
 With k matched pairs out of m detections and n ground truths, the plan
-keeps m + n - k paying flows, each of one unit, so the final cost is their
-cost sum divided by m + n - k. It lies in [0, 1] whenever the dummy cost
+keeps m + n - k paying units (the k pairs, the m - k unmatched detections
+and the n - k unmatched ground truths), so the final cost is their cost
+sum divided by m + n - k. It lies in [0, 1] whenever the dummy cost
 does, is 0 exactly for a perfect result, and equals the dummy cost exactly
 when one side of the image is empty.
 """
@@ -19,16 +20,19 @@ from dataclasses import dataclass
 from typing import Hashable, TypeVar
 
 from .costs import (
+    CostMatrix,
     Detection,
     GroundTruthInstance,
     ImageInput,
     OcCostParams,
+    _blend,
+    _pair_terms,
     build_problem,
     classification_cost,
     localization_cost,
 )
 from .errors import ConfigError, ValidationError
-from .transport import solve
+from .transport import TransportPlan, solve
 
 __all__ = [
     "PairCost",
@@ -93,84 +97,57 @@ def image_oc_cost(
 ) -> ImageEvalResult:
     """Evaluate one image.
 
-    Builds the dummy-augmented problem, solves it exactly, zeroes the
-    dummy-to-dummy corner, and averages the remaining flow costs. Empty
-    images (no detections, no ground truths) cost 0; images empty on one
-    side only cost exactly the dummy cost, since every unit then rides a
-    dummy leg.
+    Builds the m x n problem, solves it exactly, and averages the cost of
+    the m + n - k paying units of the plan: the k matched pairs and the
+    unmatched detections and ground truths. Empty images (no detections,
+    no ground truths) cost 0; images empty on one side only cost exactly
+    the dummy cost, since every unit then rides a dummy leg. The breakdown
+    lists the matched pairs by detection, then the unmatched detections,
+    then the unmatched ground truths.
     """
     m, n = len(dets), len(gts)
-    if m == 0 and n == 0:
-        return ImageEvalResult(
-            image_id=image_id,
-            oc_cost=0.0,
-            matched_pairs=0,
-            num_detections=0,
-            num_ground_truths=0,
-            per_pair_breakdown=() if with_breakdown else None,
-        )
-    if m == 0 or n == 0:
-        breakdown: tuple[PairCost, ...] | None = None
-        if with_breakdown:
-            beta = params.dummy_cost
-            if n == 0:
-                breakdown = tuple(PairCost(i, None, beta) for i in range(m))
-            else:
-                breakdown = tuple(PairCost(None, j, beta) for j in range(n))
-        return ImageEvalResult(
-            image_id=image_id,
-            oc_cost=params.dummy_cost,
-            matched_pairs=0,
-            num_detections=m,
-            num_ground_truths=n,
-            per_pair_breakdown=breakdown,
-        )
-
-    cost, sd = build_problem(dets, gts, params)
-    plan = solve(cost, sd)
-    k = plan.matched_pairs
-    mass = m + n - k
-
-    entries = cost.entries
-    flows = plan.flows
-    terms: list[float] = []
-    pairs: list[PairCost] = []
-    for i in range(m):
-        for j in range(n):
-            if flows[i, j]:
-                terms.append(entries[i, j])
-                if with_breakdown:
-                    pairs.append(
-                        PairCost(
-                            det_index=i,
-                            gt_index=j,
-                            cost=float(entries[i, j]),
-                            loc_cost=localization_cost(dets[i].box, gts[j].box),
-                            cls_cost=classification_cost(
-                                dets[i].score, dets[i].label, gts[j].label
-                            ),
-                        )
-                    )
-    for i in range(m):
-        if flows[i, n]:
-            terms.append(entries[i, n])
-            if with_breakdown:
-                pairs.append(PairCost(det_index=i, gt_index=None, cost=float(entries[i, n])))
-    for j in range(n):
-        if flows[m, j]:
-            terms.append(entries[m, j])
-            if with_breakdown:
-                pairs.append(PairCost(det_index=None, gt_index=j, cost=float(entries[m, j])))
-
-    oc = math.fsum(terms) / mass
+    cost = build_problem(dets, gts, params)
+    oc, plan = _plan_cost(cost)
+    breakdown: tuple[PairCost, ...] | None = None
+    if with_breakdown:
+        rows, cols = plan.det_indices.tolist(), plan.gt_indices.tolist()
+        beta = params.dummy_cost
+        pairs = [
+            PairCost(
+                det_index=i,
+                gt_index=j,
+                cost=float(cost.entries[i, j]),
+                loc_cost=localization_cost(dets[i].box, gts[j].box),
+                cls_cost=classification_cost(dets[i].score, dets[i].label, gts[j].label),
+            )
+            for i, j in zip(rows, cols)
+        ]
+        pairs += [PairCost(i, None, beta) for i in _unmatched(m, rows)]
+        pairs += [PairCost(None, j, beta) for j in _unmatched(n, cols)]
+        breakdown = tuple(pairs)
     return ImageEvalResult(
         image_id=image_id,
         oc_cost=oc,
-        matched_pairs=k,
+        matched_pairs=plan.matched_pairs,
         num_detections=m,
         num_ground_truths=n,
-        per_pair_breakdown=tuple(pairs) if with_breakdown else None,
+        per_pair_breakdown=breakdown,
     )
+
+
+def _unmatched(size: int, matched: list[int]) -> list[int]:
+    taken = set(matched)
+    return [i for i in range(size) if i not in taken]
+
+
+def _plan_cost(cost: CostMatrix) -> tuple[float, TransportPlan]:
+    """The correction cost of one image's problem, and its optimal plan."""
+    plan = solve(cost)
+    m, n, k = cost.m, cost.n, plan.matched_pairs
+    if m == 0 or n == 0:
+        return (cost.dummy_cost if m or n else 0.0), plan
+    terms = cost.entries[plan.det_indices, plan.gt_indices].tolist()
+    return math.fsum(terms + [cost.dummy_cost] * (m + n - 2 * k)) / (m + n - k), plan
 
 
 def map_images(fn: Callable[[T], R], tasks: Sequence[T], jobs: int) -> list[R]:
@@ -224,7 +201,8 @@ def dataset_oc_cost(
 
 def _sweep_image(task: tuple[ImageInput, list[OcCostParams]]) -> list[float]:
     (_, dets, gts), param_list = task
-    return [image_oc_cost(dets, gts, params).oc_cost for params in param_list]
+    loc, cls = _pair_terms(dets, gts)
+    return [_plan_cost(_blend(loc, cls, params))[0] for params in param_list]
 
 
 def lambda_sweep(
@@ -236,7 +214,8 @@ def lambda_sweep(
 ) -> list[tuple[float, float]]:
     """Dataset mean cost for each localization weight.
 
-    Each image is evaluated at every weight in one task, so ``jobs > 1``
+    Each image is evaluated at every weight in one task, from one
+    computation of its weight-independent cost terms, so ``jobs > 1``
     starts one process pool for the whole sweep.
     """
     for lam in lambdas:

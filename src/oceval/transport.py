@@ -1,19 +1,47 @@
-"""Exact solver for the balanced detection-correction transportation problem.
+"""Exact solver for one image's detection-correction problem.
 
-The problem always has unit supplies on real rows, unit demands on real
-columns, and a dummy row/column holding the slack, so it reduces to a
-square assignment problem: split the dummy supplier into n unit rows and
-the dummy demander into m unit columns, solve the (m+n) x (m+n)
-assignment exactly, and fold the dummy copies back together. Assignment
-vertices map one-to-one onto integral transportation vertices, so the
-result is an exact integral optimum, not an approximation.
+Every detection and every ground truth is one unit. A unit is either
+matched to one unit of the other side at the pair's cost c_ij, or left
+unmatched at the dummy cost β (a deletion or an insertion). With k
+matched pairs out of m detections and n ground truths, the transport
+objective with a dummy row and column (the dummy-to-dummy corner priced
+at β and carrying k units) is
 
-Plan selection among equal-cost optima matters downstream (the
-normalization mass depends on how many real pairs the plan matches), so
-the solver deterministically prefers plans with the maximum number of
-matched real pairs. It does so by solving with real-pair costs nudged
-down by a tiny epsilon; the reported objective is always computed from
-the unperturbed costs of the selected plan.
+    (m + n) * β + Σ_matched (c_ij - β),
+
+so an optimal plan is a partial injective matching that minimises the
+sum of the gains c_ij - β of its pairs. ``solve`` finds it with one
+rectangular assignment (``scipy.optimize.linear_sum_assignment``) on the
+m x n block of gains clipped at 0, then drops the pairs whose gain is not
+negative: a clipped cell only pads the assignment to min(m, n) pairs and
+changes nothing. The plan is an integral optimum, not an approximation.
+
+Tie rule and its tolerance (the contract the tests fuzz with pair costs
+at β + δ for δ near ε). Among optimal plans the normalization mass
+m + n - k depends on k, so the solver prefers more matches. It credits
+every matched pair with ``_TIE_EPSILON`` = ε = 1e-7: it minimises the
+credited objective, the sum of the gains (c_ij - ε) - β of the matched
+pairs computed in float64, and keeps a pair only if its gain is negative.
+Hence:
+
+- among plans of equal objective it returns one with the most matches,
+  and a pair costing exactly β is matched unless a better pair competes
+  for its detection or ground truth;
+- a pair costing less than β + ε may be matched, so the reported
+  objective may exceed the exact minimum by ε per match beyond those of
+  an exact optimum, never by more than ε per matched pair;
+- it never matches fewer pairs than an exact optimum with the most
+  matches, and never a pair costing ε or more above β (up to the
+  rounding of its gain);
+- plans whose credited objectives tie to rounding (their objectives then
+  differ by exactly ε per extra match, which takes costs placed within a
+  few ε of β) are all acceptable, and which one is returned depends on
+  the rounding of the assignment; the enumeration below may pick another.
+
+``brute_force_solve`` enumerates every partial matching under the same
+rule and is the oracle for ``solve``. The reported objective is always the
+exactly rounded (``math.fsum``) cost of the plan under the unperturbed
+costs.
 """
 
 from __future__ import annotations
@@ -25,13 +53,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .costs import CostMatrix, SupplyDemand
+from .costs import CostMatrix
 from .errors import ConfigError, ValidationError
 
 __all__ = ["TransportPlan", "solve", "brute_force_solve", "MAX_BRUTE_FORCE_SIDE"]
 
-# Bias toward more matched real pairs among equal-cost plans. Far smaller
-# than any meaningful cost gap, far larger than accumulated rounding.
+# Credit per matched pair: far smaller than any meaningful cost gap, far
+# larger than accumulated rounding.
 _TIE_EPSILON = 1e-7
 
 MAX_BRUTE_FORCE_SIDE = 6
@@ -39,131 +67,92 @@ MAX_BRUTE_FORCE_SIDE = 6
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """An integral optimal plan: flows[i][j] units moved from row i to column j.
-
-    Row sums equal supplies and column sums equal demands exactly; real-to-real
-    cells carry 0 or 1 unit. ``objective`` is the plan's total cost under the
-    unperturbed cost matrix (the dummy-to-dummy corner included).
+    """An optimal partial matching: detection ``det_indices[p]`` is matched
+    to ground truth ``gt_indices[p]``, ordered by detection index; every
+    other detection and ground truth is unmatched. ``objective`` is the
+    plan's total cost under the unperturbed costs, the dummy-to-dummy
+    corner included: the matched costs plus (m + n - k) * dummy cost.
     """
 
-    flows: np.ndarray
+    det_indices: np.ndarray
+    gt_indices: np.ndarray
     objective: float
 
     @property
     def matched_pairs(self) -> int:
-        """Number of real detection / real ground-truth unit flows."""
-        return int(self.flows[:-1, :-1].sum())
+        """Number of matched detection / ground-truth pairs."""
+        return len(self.det_indices)
 
 
-def _validate_problem(cost: CostMatrix, sd: SupplyDemand) -> None:
-    m, n = cost.m, cost.n
+def _validate_problem(cost: CostMatrix) -> None:
     entries = cost.entries
-    if entries.shape != (m + 1, n + 1):
-        raise ConfigError(
-            f"cost matrix shape {entries.shape} does not match declared sizes m={m}, n={n}"
-        )
-    if np.isnan(entries).any():
-        raise ValidationError("cost matrix contains NaN entries")
-    if (entries < 0).any():
+    if entries.ndim != 2:
+        raise ConfigError(f"cost matrix must be 2-D (m x n), got shape {entries.shape}")
+    if not (np.isfinite(entries).all() and math.isfinite(cost.dummy_cost)):
+        raise ValidationError("cost matrix contains NaN or infinite entries")
+    if (entries < 0).any() or cost.dummy_cost < 0:
         raise ValidationError("cost matrix contains negative entries")
-    if not np.isfinite(entries).all():
-        raise ValidationError("cost matrix contains non-finite entries")
-    supplies, demands = sd.supplies, sd.demands
-    if supplies.shape != (m + 1,) or demands.shape != (n + 1,):
-        raise ConfigError("supply/demand vectors do not match the cost matrix shape")
-    if supplies.sum() != demands.sum():
-        raise ConfigError(
-            f"unbalanced problem: total supply {int(supplies.sum())} != "
-            f"total demand {int(demands.sum())}"
-        )
-    if not ((supplies[:m] == 1).all() and supplies[m] == n):
-        raise ConfigError("supplies must be unit for real rows with the slack on the dummy row")
-    if not ((demands[:n] == 1).all() and demands[n] == m):
-        raise ConfigError("demands must be unit for real columns with the slack on the dummy column")
 
 
-def _plan_objective(entries: np.ndarray, flows: np.ndarray) -> float:
-    rows, cols = np.nonzero(flows)
-    return math.fsum(
-        entries[i, j] * flows[i, j] for i, j in zip(rows.tolist(), cols.tolist())
-    )
+def _gains(cost: CostMatrix) -> np.ndarray:
+    """Credited gain of every pair; only negative gains are worth matching."""
+    return (cost.entries - _TIE_EPSILON) - cost.dummy_cost
 
 
-def solve(cost: CostMatrix, sd: SupplyDemand) -> TransportPlan:
-    """Solve the transportation problem exactly.
+def _plan(cost: CostMatrix, rows: np.ndarray, cols: np.ndarray) -> TransportPlan:
+    m, n = cost.entries.shape
+    paying = [cost.dummy_cost] * (m + n - len(rows))
+    objective = math.fsum(cost.entries[rows, cols].tolist() + paying)
+    return TransportPlan(det_indices=rows, gt_indices=cols, objective=objective)
 
-    Returns an integral plan whose objective attains the linear-programming
-    minimum; among optimal plans, one with the maximum number of matched
-    real pairs is selected deterministically.
+
+def solve(cost: CostMatrix) -> TransportPlan:
+    """Solve the correction problem exactly.
+
+    Returns a partial matching that minimises the credited objective of
+    the module docstring, so among plans of equal objective one with the
+    most matched pairs.
     """
-    _validate_problem(cost, sd)
-    m, n = cost.m, cost.n
-    if m == 0 and n == 0:
-        return TransportPlan(flows=np.zeros((1, 1), dtype=np.int64), objective=0.0)
-
-    size = m + n
-    entries = cost.entries
-    stacked = np.empty((size, size), dtype=np.float64)
-    stacked[:m, :n] = entries[:m, :n] - _TIE_EPSILON
-    stacked[:m, n:] = entries[:m, n][:, None]
-    stacked[m:, :n] = entries[m, :n][None, :]
-    stacked[m:, n:] = entries[m, n]
-
-    rows, cols = linear_sum_assignment(stacked)
-    flows = np.zeros((m + 1, n + 1), dtype=np.int64)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        flows[r if r < m else m, c if c < n else n] += 1
-    return TransportPlan(flows=flows, objective=_plan_objective(entries, flows))
+    _validate_problem(cost)
+    if cost.m == 0 or cost.n == 0:
+        none = np.zeros(0, dtype=np.intp)
+        return _plan(cost, none, none)
+    gains = np.minimum(_gains(cost), 0.0)
+    rows, cols = linear_sum_assignment(gains)
+    keep = gains[rows, cols] < 0
+    return _plan(cost, rows[keep], cols[keep])
 
 
-def brute_force_solve(cost: CostMatrix, sd: SupplyDemand) -> TransportPlan:
-    """Exhaustively enumerate every integral plan; verification oracle for ``solve``.
+def brute_force_solve(cost: CostMatrix) -> TransportPlan:
+    """Exhaustively enumerate every partial matching; verification oracle for ``solve``.
 
-    Every integral vertex of this problem is a partial injective matching
-    between real rows and real columns: k matched pairs force m - k flows to
-    the dummy column, n - k flows from the dummy row, and k dummy-to-dummy
-    units. Enumeration is bounded to small instances by design.
+    Selects the plan with the least exact sum of credited gains among those
+    matching only pairs of negative gain, preferring more matches on ties.
+    Enumeration is bounded to small instances by design.
     """
-    _validate_problem(cost, sd)
+    _validate_problem(cost)
     m, n = cost.m, cost.n
     if m > MAX_BRUTE_FORCE_SIDE or n > MAX_BRUTE_FORCE_SIDE:
         raise ConfigError(
             f"brute-force enumeration is limited to {MAX_BRUTE_FORCE_SIDE} boxes per side, "
             f"got m={m}, n={n}"
         )
-    entries = cost.entries
+    gains = _gains(cost)
 
-    best_obj: float | None = None
-    best_k = -1
+    best_key: tuple[float, int] | None = None
     best_match: tuple[tuple[int, int], ...] = ()
     for k in range(min(m, n) + 1):
         for det_sel in itertools.combinations(range(m), k):
-            det_unmatched = [i for i in range(m) if i not in det_sel]
             for gt_sel in itertools.permutations(range(n), k):
-                gt_unmatched = [j for j in range(n) if j not in gt_sel]
-                terms = [entries[i, j] for i, j in zip(det_sel, gt_sel)]
-                terms += [entries[i, n] for i in det_unmatched]
-                terms += [entries[m, j] for j in gt_unmatched]
-                terms += [entries[m, n]] * k
-                obj = math.fsum(terms)
-                if best_obj is None or obj < best_obj or (obj == best_obj and k > best_k):
-                    best_obj = obj
-                    best_k = k
-                    best_match = tuple(zip(det_sel, gt_sel))
+                match = tuple(zip(det_sel, gt_sel))
+                pair_gains = [gains[i, j] for i, j in match]
+                if any(g >= 0 for g in pair_gains):
+                    continue
+                key = (math.fsum(pair_gains), -k)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_match = match
 
-    flows = np.zeros((m + 1, n + 1), dtype=np.int64)
-    matched_dets = set()
-    matched_gts = set()
-    for i, j in best_match:
-        flows[i, j] = 1
-        matched_dets.add(i)
-        matched_gts.add(j)
-    for i in range(m):
-        if i not in matched_dets:
-            flows[i, n] = 1
-    for j in range(n):
-        if j not in matched_gts:
-            flows[m, j] = 1
-    flows[m, n] = best_k
-    assert best_obj is not None
-    return TransportPlan(flows=flows, objective=best_obj)
+    rows = np.array([i for i, _ in best_match], dtype=np.intp)
+    cols = np.array([j for _, j in best_match], dtype=np.intp)
+    return _plan(cost, rows, cols)

@@ -57,9 +57,9 @@ def test_criterion_1_solver_matches_oracle():
         for lam in (0.0, 0.25, 0.5, 1.0):
             for beta in (0.3, 0.6, 1.0):
                 params = OcCostParams(lam, beta)
-                cm, sd = build_problem(dets, gts, params)
-                plan = solve(cm, sd)
-                oracle = brute_force_solve(cm, sd)
+                cm = build_problem(dets, gts, params)
+                plan = solve(cm)
+                oracle = brute_force_solve(cm)
                 assert abs(plan.objective - oracle.objective) <= 1e-9
                 if m == 0 and n == 0:
                     expected = 0.0

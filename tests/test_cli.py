@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from oceval import read_report
+import oceval.cli
+from oceval import OcevalError, read_report
 from oceval.cli import main, read_config
 
 
@@ -87,6 +88,25 @@ def test_exit_codes(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "exc, message",
+    [(OcevalError("solver gave up"), "error: solver gave up"),
+     (RuntimeError("boom"), "internal error: RuntimeError('boom')")],
+)
+def test_exit_code_5(tmp_path, capsys, monkeypatch, exc, message):
+    # an oceval error that is not a usage, parse or validation error, and
+    # any other exception, both exit 5 with their own message
+    gt, dt = run_fixture(tmp_path, images=2, gts_per_image=2)
+    capsys.readouterr()
+
+    def failing(args, config):
+        raise exc
+
+    monkeypatch.setattr(oceval.cli, "cmd_evaluate", failing)
+    assert main(["evaluate", "--gt", gt, "--dt", dt]) == 5
+    assert capsys.readouterr().err.strip() == message
+
+
 def test_lenient_mode_flag(tmp_path, capsys):
     gt, dt = run_fixture(tmp_path, images=2, gts_per_image=2)
     doc = json.loads((tmp_path / "gt.json").read_text())
@@ -166,8 +186,17 @@ def test_bootstrap_cli_deterministic(tmp_path, capsys):
     assert doc["detectors"][0]["config"]["seed"] == 21
 
 
-def test_bootstrap_cli_multiple_detectors(tmp_path):
+def test_bootstrap_cli_multiple_detectors(tmp_path, monkeypatch):
     gt, dt = run_fixture(tmp_path, images=5, gts_per_image=2, jitter=0, det_score=1)
+    # the ground truth is loaded once for any number of detection files
+    calls = []
+    load = oceval.cli.load_ground_truth
+
+    def counting_load(path, **kwargs):
+        calls.append(path)
+        return load(path, **kwargs)
+
+    monkeypatch.setattr(oceval.cli, "load_ground_truth", counting_load)
     worse = tmp_path / "worse.json"
     dets = json.loads((tmp_path / "dt.json").read_text())
     for det in dets:
@@ -181,6 +210,7 @@ def test_bootstrap_cli_multiple_detectors(tmp_path):
     doc = read_report(str(out))
     names = [d["detector"] for d in doc["detectors"]]
     assert names == ["dt", "worse"]
+    assert calls == [gt]
     a, b = doc["detectors"]
     assert all(x < y for x, y in zip(a["values"], b["values"]))
 

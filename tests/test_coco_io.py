@@ -3,6 +3,7 @@ import json
 import pytest
 
 from oceval import (
+    BootstrapConfig,
     BoundingBox,
     ConfigError,
     Detection,
@@ -16,6 +17,7 @@ from oceval import (
     load_detections,
     load_ground_truth,
     read_report,
+    run_bootstrap,
     write_report,
 )
 from oceval.coco_io import report_payload, sweep_payload
@@ -221,6 +223,19 @@ def test_sweep_csv(tmp_path):
     assert lines[0] == "lambda,mean_oc_cost"
     assert lines[1] == "0,0.123457"
     assert lines[2] == "1,0.5"
+
+
+def test_bootstrap_reports_are_written_as_a_list(tmp_path):
+    box = BoundingBox(0, 0, 10, 10)
+    inputs = [(i, [Detection(box, 1, 0.7)], [GroundTruthInstance(box, 1)]) for i in range(4)]
+    reports = run_bootstrap([("a", inputs)], config=BootstrapConfig(trials=3, seed=1))
+    out = tmp_path / "boot.json"
+    write_report(reports, str(out), "json")
+    doc = read_report(str(out))
+    assert doc["kind"] == "bootstrap"
+    assert [d["detector"] for d in doc["detectors"]] == ["a"]
+    with pytest.raises(ConfigError):
+        write_report(reports[0], str(out), "json")
 
 
 def test_unknown_format_rejected(tmp_path):

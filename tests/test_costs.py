@@ -12,6 +12,7 @@ from oceval import (
     localization_cost,
     unit_cost,
 )
+from oceval.costs import _blend, _pair_terms
 
 BOX = BoundingBox(0, 0, 10, 10)
 
@@ -63,30 +64,28 @@ def test_unit_cost_blends():
 def test_build_problem_perfect_single():
     det = Detection(BOX, 1, 1.0)
     gt = GroundTruthInstance(BOX, 1)
-    cm, sd = build_problem([det], [gt], OcCostParams(0.5, 0.6))
-    assert cm.entries.shape == (2, 2)
-    np.testing.assert_array_equal(cm.entries, [[0.0, 0.6], [0.6, 0.6]])
-    np.testing.assert_array_equal(sd.supplies, [1, 1])
-    np.testing.assert_array_equal(sd.demands, [1, 1])
+    cm = build_problem([det], [gt], OcCostParams(0.5, 0.6))
+    # one unit per detection and per ground truth: the capacities are (m, n)
+    assert (cm.m, cm.n) == (1, 1)
+    np.testing.assert_array_equal(cm.entries, [[0.0]])
+    assert cm.dummy_cost == 0.6
 
 
 def test_build_problem_no_detections():
     gts = [GroundTruthInstance(BOX, 1), GroundTruthInstance(BoundingBox(20, 0, 30, 10), 2)]
-    cm, sd = build_problem([], gts, OcCostParams(0.5, 0.6))
-    assert cm.entries.shape == (1, 3)
-    assert (cm.entries == 0.6).all()
-    np.testing.assert_array_equal(sd.supplies, [2])
-    np.testing.assert_array_equal(sd.demands, [1, 1, 0])
+    cm = build_problem([], gts, OcCostParams(0.5, 0.6))
+    assert cm.entries.shape == (0, 2)
+    assert (cm.m, cm.n) == (0, 2)
+    assert cm.dummy_cost == 0.6
 
 
 def test_build_problem_duplicate_detections():
     det = Detection(BOX, 1, 1.0)
     gt = GroundTruthInstance(BOX, 1)
-    cm, sd = build_problem([det, det], [gt], OcCostParams(0.5, 0.6))
-    assert cm.entries.shape == (3, 2)
-    np.testing.assert_array_equal(cm.entries, [[0.0, 0.6], [0.0, 0.6], [0.6, 0.6]])
-    np.testing.assert_array_equal(sd.supplies, [1, 1, 1])
-    np.testing.assert_array_equal(sd.demands, [1, 2])
+    cm = build_problem([det, det], [gt], OcCostParams(0.5, 0.6))
+    assert (cm.m, cm.n) == (2, 1)
+    np.testing.assert_array_equal(cm.entries, [[0.0], [0.0]])
+    assert cm.dummy_cost == 0.6
 
 
 def test_build_problem_matches_scalar_unit_cost(rng):
@@ -94,13 +93,34 @@ def test_build_problem_matches_scalar_unit_cost(rng):
 
     dets, gts = random_scene(rng, max_m=4, max_n=4)
     params = OcCostParams(0.25, 0.6)
-    cm, _ = build_problem(dets, gts, params)
+    cm = build_problem(dets, gts, params)
+    assert cm.entries.shape == (len(dets), len(gts))
     for i, det in enumerate(dets):
         for j, gt in enumerate(gts):
             assert cm.entries[i, j] == unit_cost(det, gt, params)
 
 
+def test_build_problem_is_the_blend_of_one_precompute(rng):
+    # the weight-independent terms blended under any weight, and any row
+    # subset of the blend, equal building the problem directly, bit for bit
+    from conftest import random_scene
+
+    for _ in range(50):
+        dets, gts = random_scene(rng, max_m=6, max_n=4)
+        loc, cls = _pair_terms(dets, gts)
+        for lam in (0.0, 0.3, 0.5, 1.0):
+            params = OcCostParams(lam, 0.6)
+            blended = _blend(loc, cls, params)
+            direct = build_problem(dets, gts, params)
+            np.testing.assert_array_equal(blended.entries, direct.entries)
+            assert blended.dummy_cost == direct.dummy_cost
+            rows = [i for i in range(len(dets)) if rng.uniform() < 0.5][::-1]
+            subset = build_problem([dets[i] for i in rows], gts, params)
+            np.testing.assert_array_equal(direct.entries[rows].reshape(subset.entries.shape), subset.entries)
+
+
 def test_degenerate_flag():
-    cm, _ = build_problem([], [], OcCostParams())
+    cm = build_problem([], [], OcCostParams())
     assert cm.degenerate
-    assert cm.entries.shape == (1, 1)
+    assert cm.entries.shape == (0, 0)
+    assert not build_problem([], [GroundTruthInstance(BOX, 1)], OcCostParams()).degenerate

@@ -76,6 +76,30 @@ def test_breakdown_sums_to_cost(rng):
         assert result.oc_cost == pytest.approx(total / mass, abs=1e-12)
 
 
+def test_breakdown_lists_every_unit_once_in_order(rng):
+    # matched pairs by detection, then unmatched detections, then unmatched
+    # ground truths: m + n - k entries naming each box once
+    def group(p):
+        if p.gt_index is None:
+            return (1, p.det_index)
+        if p.det_index is None:
+            return (2, p.gt_index)
+        return (0, p.det_index)
+
+    for _ in range(200):
+        dets, gts = random_scene(rng, max_m=6, max_n=6)
+        result = image_oc_cost(dets, gts, OcCostParams(0.5, 0.6), with_breakdown=True)
+        breakdown = list(result.per_pair_breakdown)
+        k = result.matched_pairs
+        assert len(breakdown) == len(dets) + len(gts) - k
+        assert breakdown == sorted(breakdown, key=group)
+        assert sum(group(p)[0] == 0 for p in breakdown) == k
+        named_dets = sorted(p.det_index for p in breakdown if p.det_index is not None)
+        named_gts = sorted(p.gt_index for p in breakdown if p.gt_index is not None)
+        assert named_dets == list(range(len(dets)))
+        assert named_gts == list(range(len(gts)))
+
+
 def test_range_and_permutation_invariance(rng):
     for _ in range(200):
         dets, gts = random_scene(rng)
@@ -156,6 +180,27 @@ def test_lambda_sweep_jobs_bit_identical_with_one_pool(rng, count_pools):
     assert count_pools() == 0
     assert lambda_sweep(inputs, lambdas, beta=0.6, jobs=2) == serial
     assert count_pools() == 1
+
+
+def test_lambda_sweep_equals_per_lambda_image_cost(rng):
+    # one precompute per image, blended per weight, gives the same value as
+    # evaluating each image at each weight, including images with an empty side
+    inputs = [(image_id, *random_scene(rng, max_m=6, max_n=5)) for image_id in range(60)]
+    dets, gts = random_scene(rng, max_m=3, max_n=3)
+    inputs += [(60, [], []), (61, [], gts or [GroundTruthInstance(BOX, 1)])]
+    inputs += [(62, dets or [Detection(BOX, 1, 0.5)], [])]
+    lambdas = [0.0, 0.2, 0.5, 0.9, 1.0]
+    for beta in (0.0, 0.3, 0.6, 1.0):
+        per_image = [
+            [image_oc_cost(d, g, OcCostParams(lam, beta)).oc_cost for lam in lambdas]
+            for _, d, g in inputs
+        ]
+        for item, expected in zip(inputs, per_image):
+            assert [v for _, v in lambda_sweep([item], lambdas, beta)] == expected
+        rows = lambda_sweep(inputs, lambdas, beta)
+        assert rows == [
+            (lam, math.fsum(column) / len(inputs)) for lam, column in zip(lambdas, zip(*per_image))
+        ]
 
 
 def test_lambda_sweep_validation():
