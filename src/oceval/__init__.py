@@ -35,7 +35,6 @@ from .geometry import BoundingBox, area, giou, iou, pairwise_giou, pairwise_iou
 from .map_metric import (
     MapParams,
     MapReport,
-    PrCurve,
     average_precision,
     dataset_map,
     image_maps,
@@ -81,7 +80,6 @@ __all__ = [
     "lambda_sweep",
     "MapParams",
     "MapReport",
-    "PrCurve",
     "match_greedy",
     "average_precision",
     "dataset_map",

@@ -4,9 +4,10 @@ Subcommands: evaluate, bootstrap, sweep-lambda, tune-nms, gen-fixture.
 
 Settings resolve in precedence order: command-line flag, then
 environment variable (OCEVAL_<NAME>), then config file key (--config,
-flat key=value lines), then built-in default. File paths are flags
-only. Exit codes: 0 success, 2 usage error, 3 parse error, 4 validation
-error, 5 internal error.
+flat key=value lines), then the library's default: a setting that none
+of them sets is not passed on. File paths are flags only. Exit codes: 0
+success, 2 usage error, 3 parse error, 4 validation error, 5 internal
+error.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import json
 import os
 import sys
 from collections.abc import Callable, Sequence
-from typing import Any
+from dataclasses import fields
+from typing import Any, get_type_hints
 
 from .bootstrap import BootstrapConfig, run_bootstrap
 from .coco_io import (
@@ -36,6 +38,9 @@ from .nms import default_grid, nms, tune
 from .occost import dataset_oc_cost, lambda_sweep
 
 __all__ = ["main", "build_parser"]
+
+# The localization weights sweep-lambda scores when none are given.
+SWEEP_LAMBDAS: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
@@ -60,59 +65,71 @@ def read_config(path: str) -> dict[str, str]:
     return settings
 
 
-def _parse_scalar(text: str, kind: str, source: str) -> Any:
-    try:
-        if kind == "float":
-            return float(text)
-        if kind == "int":
-            return int(text)
-        if kind == "floats":
-            return [float(part) for part in text.split(",") if part.strip() != ""]
-        if kind == "bool":
-            word = text.strip().lower()
-            if word in _TRUE_WORDS:
-                return True
-            if word in _FALSE_WORDS:
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
-        return text
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+def _boolean(text: str) -> bool:
+    word = text.strip().lower()
+    if word in _TRUE_WORDS:
+        return True
+    if word in _FALSE_WORDS:
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
 
 
-def resolve(
-    args: argparse.Namespace,
-    config: dict[str, str],
-    name: str,
-    default: Any,
-    kind: str = "str",
-) -> Any:
-    """Flag > OCEVAL_ environment variable > config file > default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    key = name.rstrip("_")
-    env_key = "OCEVAL_" + key.upper()
-    env = os.environ.get(env_key)
-    if env is not None:
-        return _parse_scalar(env, kind, f"environment variable {env_key}")
-    if key in config:
-        return _parse_scalar(config[key], kind, f"config file key {key}")
-    return default
-
-
-def _floats_arg(text: str) -> list[float]:
+def _floats(text: str) -> list[float]:
+    """Comma-separated floats; empty parts are skipped."""
     try:
         return [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
+        # argparse shows an ArgumentTypeError's own message
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+# Every setting's parse function, which reads its flag's value, its
+# OCEVAL_<NAME> environment variable and its config-file key alike.
+# gen-fixture's settings are FixtureSpec's fields, seed among them.
+_PARSE: dict[str, Callable[[str], Any]] = {
+    **get_type_hints(FixtureSpec),
+    **dict.fromkeys(["lambda", "beta", "sample_fraction"], float),
+    **dict.fromkeys(["jobs", "trials"], int),
+    **dict.fromkeys(["format", "metric", "objective"], str),
+    **dict.fromkeys(["strict", "include_crowd", "with_map", "with_replacement"], _boolean),
+    **dict.fromkeys(["lambdas", "score_thresholds", "iou_thresholds"], _floats),
+}
+
+
+def resolve(args: argparse.Namespace, config: dict[str, str], name: str) -> Any:
+    """Setting ``name`` from its flag, else its OCEVAL_ environment
+    variable, else its config-file key. None when none of them sets it, or
+    when the subcommand has no flag for it."""
+    if not hasattr(args, name):
+        return None
+    value = getattr(args, name)
+    if value is not None:
+        return value
+    env_key = "OCEVAL_" + name.upper()
+    if env_key in os.environ:
+        text, source = os.environ[env_key], f"environment variable {env_key}"
+    elif name in config:
+        text, source = config[name], f"config file key {name}"
+    else:
+        return None
+    try:
+        return _PARSE[name](text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+
+
+def _given(
+    args: argparse.Namespace, config: dict[str, str], *names: str, **renamed: str
+) -> dict[str, Any]:
+    """The settings that are set, as keyword arguments: each of ``names``
+    under its own name, and each value of ``renamed`` under its key."""
+    keywords = [(name, name) for name in names] + list(renamed.items())
+    values = [(keyword, resolve(args, config, name)) for keyword, name in keywords]
+    return {keyword: value for keyword, value in values if value is not None}
+
+
 def _cost_params(args: argparse.Namespace, config: dict[str, str]) -> OcCostParams:
-    return OcCostParams(
-        loc_weight=resolve(args, config, "lambda_", 0.5, "float"),
-        dummy_cost=resolve(args, config, "beta", 0.6, "float"),
-    )
+    return OcCostParams(**_given(args, config, loc_weight="lambda", dummy_cost="beta"))
 
 
 def _load_inputs(
@@ -120,31 +137,23 @@ def _load_inputs(
 ) -> list[list[ImageInput]]:
     """Per-image inputs of each detection file, against one load of the
     ground truth."""
-    strict = resolve(args, config, "strict", True, "bool")
-    include_crowd = resolve(args, config, "include_crowd", False, "bool")
-    index = load_ground_truth(args.gt, strict=strict)
+    load = _given(args, config, "strict")
+    join = _given(args, config, "include_crowd")
+    index = load_ground_truth(args.gt, **load)
     return [
-        detection_inputs(
-            index, load_detections(path, index, strict=strict), include_crowd=include_crowd
-        )
+        detection_inputs(index, load_detections(path, index, **load), **join)
         for path in dt_paths
     ]
 
 
-def _output_format(args: argparse.Namespace, config: dict[str, str]) -> str:
-    fmt = resolve(args, config, "format", "json")
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"format must be 'json' or 'csv', got {fmt!r}")
-    return fmt
-
-
 def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
     params = _cost_params(args, config)
-    jobs = resolve(args, config, "jobs", 1, "int")
-    with_map = resolve(args, config, "with_map", False, "bool")
+    run = _given(args, config, "jobs")
+    with_map = resolve(args, config, "with_map")
+    output = _given(args, config, "format")
     (inputs,) = _load_inputs(args, config, [args.dt])
 
-    report = dataset_oc_cost(inputs, params, jobs=jobs)
+    report = dataset_oc_cost(inputs, params, **run)
     print(f"mean_oc_cost {report.mean_oc_cost:.6f}")
 
     per_image_map = None
@@ -158,34 +167,32 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
         payload = report_payload(report, per_image_map)
         if with_map:
             payload["mean_ap"] = map_report.mean_ap
-        write_report(payload, args.out, _output_format(args, config))
+        write_report(payload, args.out, **output)
     return 0
 
 
 def cmd_sweep_lambda(args: argparse.Namespace, config: dict[str, str]) -> int:
-    beta = resolve(args, config, "beta", 0.6, "float")
-    jobs = resolve(args, config, "jobs", 1, "int")
-    lambdas = resolve(args, config, "lambdas", [0.0, 0.25, 0.5, 0.75, 1.0], "floats")
+    beta = _cost_params(args, config).dummy_cost
+    run = _given(args, config, "jobs")
+    lambdas = resolve(args, config, "lambdas")
+    output = _given(args, config, "format")
     (inputs,) = _load_inputs(args, config, [args.dt])
 
-    rows = lambda_sweep(inputs, lambdas, beta, jobs=jobs)
+    rows = lambda_sweep(inputs, SWEEP_LAMBDAS if lambdas is None else lambdas, beta, **run)
     for lam, value in rows:
         print(f"lambda {lam:g} mean_oc_cost {value:.6f}")
     if args.out:
-        write_report(sweep_payload(rows, beta), args.out, _output_format(args, config))
+        write_report(sweep_payload(rows, beta), args.out, **output)
     return 0
 
 
 def cmd_bootstrap(args: argparse.Namespace, config: dict[str, str]) -> int:
-    jobs = resolve(args, config, "jobs", 1, "int")
-    metric = resolve(args, config, "metric", "oc-cost")
+    run = _given(args, config, "jobs", "metric")
     bconfig = BootstrapConfig(
-        trials=resolve(args, config, "trials", 100, "int"),
-        sample_fraction=resolve(args, config, "sample_fraction", 0.3, "float"),
-        with_replacement=resolve(args, config, "with_replacement", True, "bool"),
-        seed=resolve(args, config, "seed", 0, "int"),
+        **_given(args, config, "trials", "sample_fraction", "with_replacement", "seed")
     )
     params = _cost_params(args, config)
+    output = _given(args, config, "format")
 
     names = []
     seen: dict[str, int] = {}
@@ -199,31 +206,29 @@ def cmd_bootstrap(args: argparse.Namespace, config: dict[str, str]) -> int:
         names.append(name)
     detectors = list(zip(names, _load_inputs(args, config, args.dt)))
 
-    reports = run_bootstrap(detectors, metric, bconfig, oc_params=params, jobs=jobs)
+    reports = run_bootstrap(detectors, config=bconfig, oc_params=params, **run)
     for rep in reports:
         print(f"detector {rep.detector} mean {rep.mean:.6f} std {rep.std:.6f}")
     if args.out:
-        write_report(reports, args.out, _output_format(args, config))
+        write_report(reports, args.out, **output)
     return 0
 
 
 def cmd_tune_nms(args: argparse.Namespace, config: dict[str, str]) -> int:
     params = _cost_params(args, config)
-    jobs = resolve(args, config, "jobs", 1, "int")
-    objective = resolve(args, config, "objective", "oc-cost")
-    score_thresholds = resolve(args, config, "score_thresholds", None, "floats")
-    iou_thresholds = resolve(args, config, "iou_thresholds", None, "floats")
+    run = _given(args, config, "jobs", "objective")
+    axes = _given(args, config, "score_thresholds", "iou_thresholds")
+    output = _given(args, config, "format")
     (inputs,) = _load_inputs(args, config, [args.dt])
 
-    grid = default_grid(score_thresholds, iou_thresholds)
-    result = tune(inputs, objective, grid, oc_params=params, jobs=jobs)
+    result = tune(inputs, grid=default_grid(**axes), oc_params=params, **run)
     print(
         f"best score_threshold {result.best_params.score_threshold:g} "
         f"iou_threshold {result.best_params.iou_threshold:g} "
         f"{result.objective_kind} {result.objective_value:.6f}"
     )
     if args.out:
-        write_report(result, args.out, _output_format(args, config))
+        write_report(result, args.out, **output)
 
     if args.emit_count_histogram:
         gt_counts = [len(gts) for _, _, gts in inputs]
@@ -231,22 +236,12 @@ def cmd_tune_nms(args: argparse.Namespace, config: dict[str, str]) -> int:
         after = [len(nms(dets, result.best_params)) for _, dets, _ in inputs]
         payload = histogram_payload(gt_counts, before, after)
         print(f"gt_count_mean {payload['gt_mean']:.6f}")
-        write_report(payload, args.emit_count_histogram, _output_format(args, config))
+        write_report(payload, args.emit_count_histogram, **output)
     return 0
 
 
 def cmd_gen_fixture(args: argparse.Namespace, config: dict[str, str]) -> int:
-    spec = FixtureSpec(
-        images=resolve(args, config, "images", 10, "int"),
-        gts_per_image=resolve(args, config, "gts_per_image", 7, "int"),
-        categories=resolve(args, config, "categories", 3, "int"),
-        image_size=resolve(args, config, "image_size", 640, "int"),
-        det_score=resolve(args, config, "det_score", 0.9, "float"),
-        jitter=resolve(args, config, "jitter", 0.05, "float"),
-        noise_per_image=resolve(args, config, "noise_per_image", 0, "int"),
-        noise_score=resolve(args, config, "noise_score", 0.1, "float"),
-        seed=resolve(args, config, "seed", 0, "int"),
-    )
+    spec = FixtureSpec(**_given(args, config, *(field.name for field in fields(FixtureSpec))))
     gt_doc, det_records = generate_fixture(spec)
     try:
         with open(args.gt_out, "w", encoding="utf-8") as handle:
@@ -262,32 +257,35 @@ def cmd_gen_fixture(args: argparse.Namespace, config: dict[str, str]) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", help="report output path")
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--config", help="key=value settings file")
+def _flag(parser: Any, name: str, **kwargs: Any) -> None:
+    """Add the flag of setting ``name``: ``--name``, dashes for underscores.
+    A flag that takes a value reads it with the setting's parse function."""
+    if "action" not in kwargs:
+        kwargs["type"] = _PARSE[name]
+    parser.add_argument("--" + name.replace("_", "-"), dest=name, default=None, **kwargs)
 
 
 def _add_data(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gt", required=True, help="COCO instances JSON")
     strictness = parser.add_mutually_exclusive_group()
-    strictness.add_argument("--strict", dest="strict", action="store_true", default=None)
+    _flag(strictness, "strict", action="store_true")
     strictness.add_argument("--lenient", dest="strict", action="store_false")
-    parser.add_argument(
-        "--include-crowd", dest="include_crowd", action="store_true", default=None
-    )
+    _flag(parser, "include_crowd", action="store_true")
 
 
-def _add_cost(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--lambda", dest="lambda_", metavar="WEIGHT", type=float, default=None,
-        help="localization weight in the unit cost",
-    )
-    parser.add_argument(
-        "--beta", type=float, default=None, help="dummy correction cost"
-    )
+def _add_cost(parser: argparse.ArgumentParser, with_lambda: bool = True) -> None:
+    if with_lambda:
+        _flag(parser, "lambda", metavar="WEIGHT", help="localization weight in the unit cost")
+    _flag(parser, "beta", help="dummy correction cost")
+
+
+def _add_run(parser: argparse.ArgumentParser, *settings: str) -> None:
+    """Report output, job count, the given settings, and the config file."""
+    parser.add_argument("--out", help="report output path")
+    _flag(parser, "format", choices=("json", "csv"))
+    for name in ("jobs", *settings):
+        _flag(parser, name)
+    parser.add_argument("--config", help="key=value settings file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,63 +298,52 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="mean OC-cost of one detector")
     _add_data(p)
     _add_cost(p)
-    _add_common(p)
+    _add_run(p)
     p.add_argument("--dt", required=True, help="COCO results JSON")
-    p.add_argument("--with-map", dest="with_map", action="store_true", default=None)
+    _flag(p, "with_map", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bootstrap", help="resampled metric distributions per detector")
     _add_data(p)
     _add_cost(p)
-    _add_common(p)
+    _add_run(p, "seed")
     p.add_argument("--dt", action="append", required=True, help="one per detector")
-    p.add_argument("--metric", choices=("oc-cost", "map"), default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--sample-fraction", dest="sample_fraction", type=float, default=None)
+    _flag(p, "metric", choices=("oc-cost", "map"))
+    _flag(p, "trials")
+    _flag(p, "sample_fraction")
     replacement = p.add_mutually_exclusive_group()
-    replacement.add_argument(
-        "--with-replacement", dest="with_replacement", action="store_true", default=None
-    )
-    replacement.add_argument(
-        "--no-replacement", dest="with_replacement", action="store_false"
-    )
+    _flag(replacement, "with_replacement", action="store_true")
+    replacement.add_argument("--no-replacement", dest="with_replacement", action="store_false")
     p.set_defaults(func=cmd_bootstrap)
 
-    p = sub.add_parser("sweep-lambda", help="mean OC-cost over localization weights")
+    # without abbreviations, a stray --lambda is an error, not --lambdas
+    p = sub.add_parser(
+        "sweep-lambda", help="mean OC-cost over localization weights", allow_abbrev=False
+    )
     _add_data(p)
-    _add_cost(p)
-    _add_common(p)
+    _add_cost(p, with_lambda=False)
+    _add_run(p)
     p.add_argument("--dt", required=True)
-    p.add_argument("--lambdas", type=_floats_arg, default=None)
+    _flag(p, "lambdas")
     p.set_defaults(func=cmd_sweep_lambda)
 
     p = sub.add_parser("tune-nms", help="grid-search NMS thresholds")
     _add_data(p)
     _add_cost(p)
-    _add_common(p)
+    _add_run(p)
     p.add_argument("--dt", required=True)
-    p.add_argument("--objective", choices=("oc-cost", "map"), default=None)
-    p.add_argument(
-        "--score-thresholds", dest="score_thresholds", type=_floats_arg, default=None
-    )
-    p.add_argument(
-        "--iou-thresholds", dest="iou_thresholds", type=_floats_arg, default=None
-    )
+    _flag(p, "objective", choices=("oc-cost", "map"))
+    _flag(p, "score_thresholds")
+    _flag(p, "iou_thresholds")
     p.add_argument("--emit-count-histogram", help="write detection-count histogram here")
     p.set_defaults(func=cmd_tune_nms)
 
     p = sub.add_parser("gen-fixture", help="generate a synthetic COCO dataset")
-    _add_common(p)
+    p.add_argument("--config", help="key=value settings file")
     p.add_argument("--gt-out", required=True)
     p.add_argument("--dt-out", required=True)
-    p.add_argument("--images", type=int, default=None)
-    p.add_argument("--gts-per-image", dest="gts_per_image", type=int, default=None)
-    p.add_argument("--categories", type=int, default=None)
-    p.add_argument("--image-size", dest="image_size", type=int, default=None)
-    p.add_argument("--det-score", dest="det_score", type=float, default=None)
-    p.add_argument("--jitter", type=float, default=None)
-    p.add_argument("--noise-per-image", dest="noise_per_image", type=int, default=None)
-    p.add_argument("--noise-score", dest="noise_score", type=float, default=None)
+    for field in fields(FixtureSpec):
+        _flag(p, field.name)
     p.set_defaults(func=cmd_gen_fixture)
 
     return parser

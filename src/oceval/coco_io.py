@@ -110,7 +110,9 @@ def _corner_box(bbox: Any, record: str, path: str) -> tuple[BoundingBox | None, 
     """Convert [x, y, w, h] to a corner-form box, or explain why not.
 
     Malformed shape is structural (raises); non-positive sides are a value
-    problem reported to the caller for strict/lenient handling.
+    problem reported to the caller for strict/lenient handling, and so are
+    positive sides that vanish or overflow in the corners ``x + w``,
+    ``y + h``.
     """
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
         raise ParseError(f"{path}: {record}: bbox must be a list of 4 numbers, got {bbox!r}")
@@ -120,7 +122,13 @@ def _corner_box(bbox: Any, record: str, path: str) -> tuple[BoundingBox | None, 
     x, y, w, h = nums
     if w <= 0 or h <= 0:
         return None, f"{record}: box width/height must be positive, got w={w:g} h={h:g}"
-    return BoundingBox(x, y, x + w, y + h), None
+    x2, y2 = x + w, y + h
+    if not (x < x2 < math.inf and y < y2 < math.inf):
+        return None, (
+            f"{record}: box corners x + w, y + h must be finite and exceed x, y, "
+            f"got x={x:g} y={y:g} w={w:g} h={h:g}"
+        )
+    return BoundingBox(x, y, x2, y2), None
 
 
 def _handle_bad_records(problems: list[str], path: str, strict: bool) -> None:

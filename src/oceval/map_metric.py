@@ -28,11 +28,9 @@ from .geometry import boxes_to_array, pairwise_iou
 __all__ = [
     "COCO_IOU_THRESHOLDS",
     "MapParams",
-    "PrCurve",
     "MapReport",
     "match_greedy",
     "average_precision",
-    "pr_curve",
     "dataset_map",
     "single_image_map",
     "MatchTable",
@@ -52,12 +50,11 @@ class MapParams:
     ``iou_thresholds`` must be sorted ascending, unique, inside (0, 1].
     ``max_detections`` optionally caps detections per image by score rank
     before matching (off by default). Detections are always ranked by
-    descending score; ``score_ordering`` exists to state that contract.
+    descending score.
     """
 
     iou_thresholds: tuple[float, ...] = COCO_IOU_THRESHOLDS
     recall_points: int = 101
-    score_ordering: str = "descending"
     max_detections: int | None = None
 
     def __post_init__(self) -> None:
@@ -71,8 +68,6 @@ class MapParams:
             raise ConfigError(f"IoU thresholds must lie in (0, 1], got {thrs}")
         if self.recall_points < 2:
             raise ConfigError(f"recall_points must be >= 2, got {self.recall_points}")
-        if self.score_ordering != "descending":
-            raise ConfigError("detections are ranked by descending score only")
         if self.max_detections is not None and self.max_detections < 1:
             raise ConfigError(f"max_detections must be >= 1, got {self.max_detections}")
 
@@ -80,16 +75,6 @@ class MapParams:
     def voc(cls) -> "MapParams":
         """Single-threshold 11-point protocol."""
         return cls(iou_thresholds=(0.5,), recall_points=11)
-
-
-@dataclass(frozen=True)
-class PrCurve:
-    """Raw precision/recall points for one category at one IoU threshold."""
-
-    category: int
-    iou_threshold: float
-    points: tuple[tuple[float, float], ...]
-    ap: float
 
 
 @dataclass(frozen=True)
@@ -172,15 +157,15 @@ def match_greedy(
     return list(zip(det_ids.tolist(), flags[:, 0].tolist()))
 
 
-def _envelope(flags: Sequence[bool] | np.ndarray, num_gt: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulative recall, precision, and the running-max precision envelope,
-    down the rows of a flag vector or of a (rows, thresholds) flag array."""
+def _envelope(flags: Sequence[bool] | np.ndarray, num_gt: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative recall and the running-max precision envelope, down the
+    rows of a flag vector or of a (rows, thresholds) flag array."""
     tp = np.cumsum(np.asarray(flags, dtype=np.float64), axis=0)
     ranks = np.arange(1, len(tp) + 1, dtype=np.float64).reshape((-1,) + (1,) * (tp.ndim - 1))
     recall = tp / num_gt
     precision = tp / ranks
     envelope = np.maximum.accumulate(precision[::-1], axis=0)[::-1]
-    return recall, precision, envelope
+    return recall, envelope
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,7 +192,7 @@ def average_precision(
         return 0.0 if len(flags) else None
     if not len(flags):
         return 0.0
-    recall, _, envelope = _envelope(flags, num_gt)
+    recall, envelope = _envelope(flags, num_gt)
     idx = np.searchsorted(recall, _recall_samples(recall_points), side="left")
     sampled = np.where(idx < len(recall), envelope[np.minimum(idx, len(recall) - 1)], 0.0)
     return float(np.mean(sampled))
@@ -220,27 +205,11 @@ def _category_ap(flags: np.ndarray, num_gt: int, recall_points: int) -> list[flo
     rows, levels = flags.shape
     if not rows:
         return [0.0] * levels
-    recall, _, envelope = _envelope(flags, num_gt)
+    recall, envelope = _envelope(flags, num_gt)
     samples = _recall_samples(recall_points)
     idx = np.stack([np.searchsorted(column, samples, side="left") for column in recall.T])
     sampled = np.where(idx < rows, envelope[np.minimum(idx, rows - 1), np.arange(levels)[:, None]], 0.0)
     return np.mean(sampled, axis=1).tolist()
-
-
-def pr_curve(
-    flags: Sequence[bool],
-    num_gt: int,
-    category: int,
-    iou_threshold: float,
-    recall_points: int = 101,
-) -> PrCurve:
-    """Raw cumulative precision/recall points plus the interpolated AP."""
-    ap = average_precision(flags, num_gt, recall_points)
-    if num_gt == 0 or not len(flags):
-        return PrCurve(category, iou_threshold, (), 0.0 if ap is None else ap)
-    recall, precision, _ = _envelope(flags, num_gt)
-    points = tuple(zip(recall.tolist(), precision.tolist()))
-    return PrCurve(category, iou_threshold, points, float(ap))
 
 
 @dataclass(frozen=True)

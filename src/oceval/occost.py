@@ -74,7 +74,6 @@ class ImageEvalResult:
     num_detections: int
     num_ground_truths: int
     per_pair_breakdown: tuple[PairCost, ...] | None = None
-    map_score: float | None = None
 
 
 @dataclass(frozen=True)
@@ -218,6 +217,8 @@ def lambda_sweep(
     computation of its weight-independent cost terms, so ``jobs > 1``
     starts one process pool for the whole sweep.
     """
+    if len(lambdas) == 0:
+        raise ConfigError("lambda list is empty")
     for lam in lambdas:
         if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
             raise ConfigError(f"localization weight must lie in [0, 1], got {lam!r}")

@@ -1,10 +1,13 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 import oceval.cli
-from oceval import OcevalError, read_report
-from oceval.cli import main, read_config
+from oceval import BootstrapConfig, FixtureSpec, OcCostParams, OcevalError, read_report
+from oceval.cli import build_parser, main, read_config
 
 
 def run_fixture(tmp_path, **kwargs):
@@ -168,8 +171,9 @@ def test_sweep_lambda_output(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "lambda,mean_oc_cost"
     assert len(lines) == 4
-    # bad lambda is a usage error
+    # a bad or an empty lambda list is a usage error
     assert main(["sweep-lambda", "--gt", gt, "--dt", dt, "--lambdas", "0,2"]) == 2
+    assert main(["sweep-lambda", "--gt", gt, "--dt", dt, "--lambdas", ""]) == 2
 
 
 def test_bootstrap_cli_deterministic(tmp_path, capsys):
@@ -262,3 +266,136 @@ def test_out_of_range_seed_is_usage_error(tmp_path):
         ["gen-fixture", "--gt-out", str(tmp_path / "g.json"),
          "--dt-out", str(tmp_path / "d.json"), "--seed", "-1"]
     ) == 2
+
+
+def _exit_code(argv):
+    """main's exit code, including argparse's own exit on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# Per subcommand: the extra arguments of a run that succeeds, a bad flag
+# value, a bad environment variable and a bad config-file line.
+SUBCOMMANDS = {
+    "evaluate": ([], ["--beta", "2"], ("OCEVAL_JOBS", "many"), "with-map = maybe"),
+    "bootstrap": (
+        ["--trials", "3"], ["--sample-fraction", "0"], ("OCEVAL_SEED", "-1"),
+        "sample_fraction = lots",
+    ),
+    "sweep-lambda": (["--lambdas", "0,1"], ["--beta", "x"], ("OCEVAL_JOBS", "0"), "beta = 7"),
+    "tune-nms": (
+        ["--score-thresholds", "0.5", "--iou-thresholds", "0.5"], ["--objective", "best"],
+        ("OCEVAL_LAMBDA", "-1"), "jobs = none",
+    ),
+    "gen-fixture": ([], ["--images", "0"], ("OCEVAL_JITTER", "0.5"), "categories = 0"),
+}
+READERS = ["evaluate", "bootstrap", "sweep-lambda", "tune-nms"]
+
+
+@pytest.mark.parametrize(
+    "command, case, expected",
+    [(command, case, code) for command in SUBCOMMANDS
+     for case, code in [("ok", 0), ("flag", 2), ("env", 2), ("config", 2)]]
+    + [(command, "not json", 3) for command in READERS]
+    + [(command, "dangling", 4) for command in READERS]
+    + [("gen-fixture", "unwritable", 3)],
+)
+def test_exit_code_per_subcommand(tmp_path, monkeypatch, capsys, command, case, expected):
+    gt, dt = run_fixture(tmp_path, images=3, gts_per_image=2)
+    extra, bad_flag, (env_key, env_value), bad_config = SUBCOMMANDS[command]
+    if command == "gen-fixture":
+        out = tmp_path / "missing" if case == "unwritable" else tmp_path
+        argv = [command, "--gt-out", str(out / "g.json"), "--dt-out", str(tmp_path / "d.json")]
+    else:
+        if case == "not json":
+            gt = str(tmp_path / "bad.json")
+            Path(gt).write_text("nope")
+        if case == "dangling":
+            doc = json.loads(Path(gt).read_text())
+            doc["annotations"][0]["image_id"] = 999
+            gt = str(tmp_path / "dangle.json")
+            Path(gt).write_text(json.dumps(doc))
+        argv = [command, "--gt", gt, "--dt", dt, *extra]
+    if case == "flag":
+        argv += bad_flag
+    if case == "env":
+        monkeypatch.setenv(env_key, env_value)
+    if case == "config":
+        cfg = tmp_path / "oceval.cfg"
+        cfg.write_text(bad_config + "\n")
+        argv += ["--config", str(cfg)]
+    assert _exit_code(argv) == expected
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("evaluate", ["--seed", "1"]), ("sweep-lambda", ["--seed", "1"]),
+     ("tune-nms", ["--seed", "1"]), ("sweep-lambda", ["--lambda", "0.5"]),
+     ("gen-fixture", ["--out", "r.json"]), ("gen-fixture", ["--format", "csv"]),
+     ("gen-fixture", ["--jobs", "2"])],
+)
+def test_flags_a_subcommand_would_ignore_are_rejected(tmp_path, capsys, command, flag):
+    gt, dt = run_fixture(tmp_path, images=2, gts_per_image=2)
+    if command == "gen-fixture":
+        argv = [command, "--gt-out", str(tmp_path / "g.json"), "--dt-out", str(tmp_path / "d.json")]
+    else:
+        argv = [command, "--gt", gt, "--dt", dt]
+    assert _exit_code(argv + flag) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_unset_settings_take_library_defaults(tmp_path, capsys, monkeypatch):
+    gt, dt = run_fixture(tmp_path, images=3, gts_per_image=2)
+    out = tmp_path / "sweep.json"
+    # a variable of a setting sweep-lambda does not have is not read
+    monkeypatch.setenv("OCEVAL_LAMBDA", "5")
+    assert main(["sweep-lambda", "--gt", gt, "--dt", dt, "--out", str(out)]) == 0
+    doc = read_report(str(out))
+    assert doc["beta"] == OcCostParams().dummy_cost
+    assert [row["lambda"] for row in doc["rows"]] == list(oceval.cli.SWEEP_LAMBDAS)
+    monkeypatch.delenv("OCEVAL_LAMBDA")
+
+    out = tmp_path / "boot.json"
+    assert main(["bootstrap", "--gt", gt, "--dt", dt, "--out", str(out)]) == 0
+    config = read_report(str(out))["detectors"][0]["config"]
+    assert config == vars(BootstrapConfig())
+
+    capsys.readouterr()
+    run_fixture(tmp_path)
+    assert capsys.readouterr().out.startswith(f"images {FixtureSpec().images} ")
+
+
+CONFIG_DOC = Path(__file__).resolve().parent.parent / "docs" / "config.md"
+
+
+def _parser_settings(doc):
+    """Each subcommand's settings: the dests of its flags, less --help and
+    the file-path flags that the config doc lists."""
+    paths_sentence = doc[doc.index("File paths"):doc.index("are flags only")]
+    paths = {flag[2:].replace("-", "_") for flag in re.findall(r"`(--[\w-]+)`", paths_sentence)}
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        command: {a.dest for a in parser._actions if a.option_strings} - paths - {"help"}
+        for command, parser in subparsers.choices.items()
+    }
+
+
+def test_config_doc_environment_table_matches_the_parsers():
+    doc = CONFIG_DOC.read_text()
+    settings = _parser_settings(doc)
+    documented = {}
+    for line in doc.splitlines():
+        if line.startswith("| `OCEVAL_"):
+            variables, _, used_by = line.strip("|").split("|")
+            commands = {word.strip() for word in used_by.split(",")}
+            for name in re.findall(r"`OCEVAL_(\w+)`", variables):
+                documented[name.lower()] = commands
+    for name, commands in documented.items():
+        users = {command for command, names in settings.items() if name in names}
+        assert commands == users, name
+    assert set(documented) == set().union(*settings.values())

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -87,6 +88,35 @@ def test_nonpositive_box_sides(tmp_path):
     with pytest.warns(SkippedRecordWarning):
         index = load_ground_truth(path, strict=False)
     assert index.ground_truths[1] == ()
+
+
+@pytest.mark.parametrize("bbox", [[1e308, 0, 1e308, 5], [1e9, 0, 1e-8, 5], [0, 1e9, 5, 1e-8]])
+@pytest.mark.parametrize("which", ["ground truth", "detections"])
+def test_box_corners_that_overflow_or_vanish(tmp_path, bbox, which):
+    # every side is finite and positive, but x + w overflows or rounds back to x
+    good = [0, 0, 5, 5]
+    if which == "ground truth":
+        path = minimal_gt(
+            tmp_path,
+            annotations=[
+                {"id": 1, "image_id": 1, "category_id": 1, "bbox": good},
+                {"id": 2, "image_id": 1, "category_id": 1, "bbox": bbox},
+            ],
+        )
+        load, record = load_ground_truth, "annotations[1] (id 2)"
+    else:
+        index = load_ground_truth(minimal_gt(tmp_path))
+        path = write_json(
+            tmp_path / "dt.json",
+            [{"image_id": 1, "category_id": 1, "bbox": b, "score": 0.5} for b in (good, bbox)],
+        )
+        load, record = (lambda p, **kw: load_detections(p, index, **kw)), "[1]"
+    with pytest.raises(ValidationError, match=rf"1 invalid record\(s\): {re.escape(record)}: box corners"):
+        load(path)
+    with pytest.warns(SkippedRecordWarning, match=re.escape(f"skipped {record}: box corners")):
+        loaded = load(path, strict=False)
+    kept = loaded.ground_truths[1] if which == "ground truth" else loaded.detections[1]
+    assert [item.box for item in kept] == [BoundingBox(0, 0, 5, 5)]
 
 
 def test_structural_problems_are_parse_errors(tmp_path):

@@ -24,7 +24,6 @@ from oceval.map_metric import (
     filter_table,
     image_maps,
     map_from_table,
-    pr_curve,
 )
 
 B1 = BoundingBox(0, 0, 10, 10)
@@ -41,8 +40,6 @@ def test_params_validation():
         MapParams(iou_thresholds=(0.0, 0.5))
     with pytest.raises(ConfigError):
         MapParams(recall_points=1)
-    with pytest.raises(ConfigError):
-        MapParams(score_ordering="ascending")
     assert MapParams().iou_thresholds == COCO_IOU_THRESHOLDS
     assert MapParams.voc().iou_thresholds == (0.5,)
     assert MapParams.voc().recall_points == 11
@@ -185,12 +182,6 @@ def test_max_detections_cap():
     inputs = [(1, dets, [GroundTruthInstance(B1, 1)])]
     capped = dataset_map(inputs, MapParams(max_detections=1))
     assert capped.mean_ap == pytest.approx(1.0)
-
-
-def test_pr_curve_points():
-    curve = pr_curve([True, False], 2, category=1, iou_threshold=0.5)
-    assert curve.points == ((0.5, 1.0), (0.5, 0.5))
-    assert curve.ap == pytest.approx(51 / 101)
 
 
 def _scalar_greedy_flags(iou_mat, iou_threshold):

@@ -206,6 +206,8 @@ def test_lambda_sweep_equals_per_lambda_image_cost(rng):
 def test_lambda_sweep_validation():
     with pytest.raises(ConfigError):
         lambda_sweep([(1, [], [])], [0.5, 1.5], beta=0.6)
+    with pytest.raises(ConfigError, match="lambda list is empty"):
+        lambda_sweep([(1, [], [])], [], beta=0.6)
 
 
 def test_mass_normalization_example():
