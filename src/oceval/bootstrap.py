@@ -19,7 +19,7 @@ import numpy as np
 from .costs import ImageInput, OcCostParams
 from .errors import ConfigError, ValidationError
 from .map_metric import MapParams, build_match_table, map_from_table
-from .occost import dataset_oc_cost
+from .occost import check_jobs, dataset_oc_cost
 
 __all__ = [
     "BootstrapConfig",
@@ -121,10 +121,12 @@ def run_bootstrap(
 
     ``detectors`` pairs a name with per-image inputs; all detectors must
     cover the same images in the same order. ``jobs`` parallelizes the
-    one-time per-image precomputation and never changes any output value.
+    one-time per-image OC-cost precomputation (the mAP metric runs in one
+    process) and never changes any output value.
     """
     if metric not in ("oc-cost", "map"):
         raise ConfigError(f"metric must be 'oc-cost' or 'map', got {metric!r}")
+    check_jobs(jobs)
     config = config or BootstrapConfig()
     if not detectors:
         raise ValidationError("at least one detector is required")

@@ -22,12 +22,14 @@ from typing import Any, get_type_hints
 
 from .bootstrap import BootstrapConfig, run_bootstrap
 from .coco_io import (
+    bootstrap_payload,
     detection_inputs,
     histogram_payload,
     load_detections,
     load_ground_truth,
     report_payload,
     sweep_payload,
+    tune_payload,
     write_report,
 )
 from .costs import ImageInput, OcCostParams
@@ -156,18 +158,15 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
     report = dataset_oc_cost(inputs, params, **run)
     print(f"mean_oc_cost {report.mean_oc_cost:.6f}")
 
-    per_image_map = None
+    per_image_map = mean_ap = None
     if with_map:
         table = build_match_table(inputs, MapParams())
-        map_report = map_from_table(table, range(len(inputs)))
-        print(f"mean_ap {map_report.mean_ap:.6f}")
+        mean_ap = map_from_table(table, range(len(inputs))).mean_ap
+        print(f"mean_ap {mean_ap:.6f}")
         per_image_map = dict(zip((image_id for image_id, _, _ in inputs), image_maps(table)))
 
     if args.out:
-        payload = report_payload(report, per_image_map)
-        if with_map:
-            payload["mean_ap"] = map_report.mean_ap
-        write_report(payload, args.out, **output)
+        write_report(report_payload(report, per_image_map, mean_ap), args.out, **output)
     return 0
 
 
@@ -194,15 +193,14 @@ def cmd_bootstrap(args: argparse.Namespace, config: dict[str, str]) -> int:
     params = _cost_params(args, config)
     output = _given(args, config, "format")
 
-    names = []
-    seen: dict[str, int] = {}
+    # a file stem another detector has taken becomes the first free stem_1, stem_2, ...
+    names: list[str] = []
     for path in args.dt:
-        name = os.path.splitext(os.path.basename(path))[0]
-        if name in seen:
-            seen[name] += 1
-            name = f"{name}_{seen[name]}"
-        else:
-            seen[name] = 0
+        stem = os.path.splitext(os.path.basename(path))[0]
+        name, suffix = stem, 0
+        while name in names:
+            suffix += 1
+            name = f"{stem}_{suffix}"
         names.append(name)
     detectors = list(zip(names, _load_inputs(args, config, args.dt)))
 
@@ -210,7 +208,7 @@ def cmd_bootstrap(args: argparse.Namespace, config: dict[str, str]) -> int:
     for rep in reports:
         print(f"detector {rep.detector} mean {rep.mean:.6f} std {rep.std:.6f}")
     if args.out:
-        write_report(reports, args.out, **output)
+        write_report(bootstrap_payload(reports), args.out, **output)
     return 0
 
 
@@ -228,7 +226,7 @@ def cmd_tune_nms(args: argparse.Namespace, config: dict[str, str]) -> int:
         f"{result.objective_kind} {result.objective_value:.6f}"
     )
     if args.out:
-        write_report(result, args.out, **output)
+        write_report(tune_payload(result), args.out, **output)
 
     if args.emit_count_histogram:
         gt_counts = [len(gts) for _, _, gts in inputs]
@@ -283,7 +281,9 @@ def _add_run(parser: argparse.ArgumentParser, *settings: str) -> None:
     """Report output, job count, the given settings, and the config file."""
     parser.add_argument("--out", help="report output path")
     _flag(parser, "format", choices=("json", "csv"))
-    for name in ("jobs", *settings):
+    _flag(parser, "jobs", help="worker processes for the OC-cost per-image stage only; "
+          "more than 1 is currently slower (see docs/config.md)")
+    for name in settings:
         _flag(parser, name)
     parser.add_argument("--config", help="key=value settings file")
 

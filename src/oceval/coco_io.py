@@ -12,8 +12,8 @@ records in strict mode, or skip those records with a warning in lenient
 mode. Strict is the default: silently dropping records would corrupt
 metric comparisons.
 
-Report writing emits versioned JSON (raw doubles) or CSV (header row,
-values at 6 significant digits, per-image rows sorted by image id).
+Each report kind has one payload builder; write_report emits a payload as
+versioned JSON (raw doubles) or CSV (its row table, 6 significant digits).
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ import csv
 import json
 import math
 import warnings
+from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
+from .bootstrap import BootstrapReport
 from .costs import Detection, GroundTruthInstance
 from .errors import ConfigError, ParseError, ValidationError
 from .geometry import BoundingBox
@@ -41,6 +43,8 @@ __all__ = [
     "sweep_payload",
     "histogram_payload",
     "report_payload",
+    "tune_payload",
+    "bootstrap_payload",
     "write_report",
     "read_report",
     "detection_inputs",
@@ -247,8 +251,13 @@ def load_detections(path: str, index: DatasetIndex, strict: bool = True) -> Dete
     return DetectionSet(detections={i: tuple(v) for i, v in grouped.items()})
 
 
-def report_payload(report: DatasetReport, per_image_map: Mapping[Any, float] | None = None) -> dict:
-    """Canonical dict form of an evaluation report."""
+def report_payload(
+    report: DatasetReport,
+    per_image_map: Mapping[Any, float] | None = None,
+    mean_ap: float | None = None,
+) -> dict:
+    """Canonical dict form of an evaluation report; ``per_image_map`` adds
+    a per-image ``map`` column and ``mean_ap`` the dataset mAP."""
     rows = []
     for item in sorted(report.per_image, key=lambda r: r.image_id):
         row: dict[str, Any] = {
@@ -269,10 +278,13 @@ def report_payload(report: DatasetReport, per_image_map: Mapping[Any, float] | N
         "mean_oc_cost": report.mean_oc_cost,
         "per_image": rows,
     }
+    if mean_ap is not None:
+        payload["mean_ap"] = mean_ap
     return payload
 
 
 def sweep_payload(rows: Sequence[tuple[float, float]], beta: float) -> dict:
+    """Dict form of a ``lambda_sweep`` result run at dummy cost ``beta``."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "sweep-lambda",
@@ -286,16 +298,11 @@ def histogram_payload(
 ) -> dict:
     """Detection-count histograms per image: ground truth, raw, and tuned."""
     top = max([0, *gt_counts, *before_counts, *after_counts])
-    bins = []
-    for count in range(top + 1):
-        bins.append(
-            {
-                "count": count,
-                "gt": sum(1 for c in gt_counts if c == count),
-                "before": sum(1 for c in before_counts if c == count),
-                "after": sum(1 for c in after_counts if c == count),
-            }
-        )
+    gt, before, after = Counter(gt_counts), Counter(before_counts), Counter(after_counts)
+    bins = [
+        {"count": count, "gt": gt[count], "before": before[count], "after": after[count]}
+        for count in range(top + 1)
+    ]
     gt_mean = math.fsum(gt_counts) / len(gt_counts) if gt_counts else 0.0
     return {
         "schema_version": SCHEMA_VERSION,
@@ -305,7 +312,8 @@ def histogram_payload(
     }
 
 
-def _tune_payload(result: TuneResult) -> dict:
+def tune_payload(result: TuneResult) -> dict:
+    """Dict form of an NMS tuning result."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "tune-nms",
@@ -326,68 +334,45 @@ def _tune_payload(result: TuneResult) -> dict:
     }
 
 
-def _bootstrap_payload(reports: Sequence[Any]) -> dict:
-    detectors = []
-    for rep in reports:
-        detectors.append(
-            {
-                "detector": rep.detector,
-                "metric": rep.metric,
-                "config": {
-                    "trials": rep.config.trials,
-                    "sample_fraction": rep.config.sample_fraction,
-                    "with_replacement": rep.config.with_replacement,
-                    "seed": rep.config.seed,
-                },
-                "values": list(rep.values),
-                "mean": rep.mean,
-                "std": rep.std,
-                "percentiles": {str(k): v for k, v in rep.percentiles.items()},
-            }
-        )
+def bootstrap_payload(reports: Sequence[BootstrapReport]) -> dict:
+    """Dict form of the per-detector reports of one bootstrap run."""
+    detectors = [
+        {
+            "detector": rep.detector,
+            "metric": rep.metric,
+            "config": asdict(rep.config),
+            "values": list(rep.values),
+            "mean": rep.mean,
+            "std": rep.std,
+            "percentiles": {str(k): v for k, v in rep.percentiles.items()},
+        }
+        for rep in reports
+    ]
     return {"schema_version": SCHEMA_VERSION, "kind": "bootstrap", "detectors": detectors}
 
 
-def _payload_for(report: Any) -> dict:
-    if isinstance(report, dict):
-        return report
-    if isinstance(report, DatasetReport):
-        return report_payload(report)
-    if isinstance(report, TuneResult):
-        return _tune_payload(report)
-    if isinstance(report, (list, tuple)):
-        return _bootstrap_payload(report)
-    raise ConfigError(f"cannot serialize report of type {type(report).__name__}")
+# The row table of each report kind, which is its CSV form under a header
+# of its first row's keys. A bootstrap report's table is derived: one row
+# per detector and trial.
+_TABLES = {"evaluate": "per_image", "sweep-lambda": "rows", "tune-nms": "grid",
+           "count-histogram": "bins"}
 
 
-def _csv_rows(payload: dict) -> tuple[list[str], list[list[Any]]]:
+def _csv_table(payload: dict) -> list[dict[str, Any]]:
     kind = payload.get("kind")
-    if kind == "evaluate":
-        header = ["image_id", "oc_cost", "matched_pairs", "num_detections", "num_ground_truths"]
-        rows = payload["per_image"]
-        if rows and "map" in rows[0]:
-            header.append("map")
-        return header, [[row.get(col) for col in header] for row in rows]
-    if kind == "sweep-lambda":
-        return ["lambda", "mean_oc_cost"], [
-            [row["lambda"], row["mean_oc_cost"]] for row in payload["rows"]
-        ]
-    if kind == "tune-nms":
-        return ["score_threshold", "iou_threshold", "value"], [
-            [row["score_threshold"], row["iou_threshold"], row["value"]]
-            for row in payload["grid"]
-        ]
     if kind == "bootstrap":
-        rows = []
-        for det in payload["detectors"]:
-            for trial, value in enumerate(det["values"]):
-                rows.append([det["detector"], trial, value])
-        return ["detector", "trial", "value"], rows
-    if kind == "count-histogram":
-        return ["count", "gt", "before", "after"], [
-            [b["count"], b["gt"], b["before"], b["after"]] for b in payload["bins"]
+        table = [
+            {"detector": det["detector"], "trial": trial, "value": value}
+            for det in payload["detectors"]
+            for trial, value in enumerate(det["values"])
         ]
-    raise ConfigError(f"no CSV layout for report kind {kind!r}")
+    elif kind in _TABLES:
+        table = payload[_TABLES[kind]]
+    else:
+        raise ConfigError(f"no CSV layout for report kind {kind!r}")
+    if not table:
+        raise ValidationError(f"{kind} report has no rows to write as CSV")
+    return table
 
 
 def _csv_cell(value: Any) -> str:
@@ -398,23 +383,26 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
-def write_report(report: Any, path: str, format: str = "json") -> None:
-    """Serialize a report to ``path`` as versioned JSON or CSV."""
+def write_report(payload: dict, path: str, format: str = "json") -> None:
+    """Serialize a report payload, as built by ``report_payload``,
+    ``sweep_payload``, ``histogram_payload``, ``tune_payload`` or
+    ``bootstrap_payload``, to ``path`` as versioned JSON or CSV."""
     if format not in ("json", "csv"):
         raise ConfigError(f"format must be 'json' or 'csv', got {format!r}")
-    payload = _payload_for(report)
+    if not isinstance(payload, dict):
+        raise ConfigError(f"cannot serialize report of type {type(payload).__name__}")
     try:
         if format == "json":
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, indent=2)
                 handle.write("\n")
         else:
-            header, rows = _csv_rows(payload)
+            table = _csv_table(payload)
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 writer = csv.writer(handle)
-                writer.writerow(header)
-                for row in rows:
-                    writer.writerow([_csv_cell(v) for v in row])
+                writer.writerow(table[0])
+                for row in table:
+                    writer.writerow([_csv_cell(row.get(col)) for col in table[0]])
     except OSError as exc:
         raise ParseError(f"{path}: cannot write report: {exc}") from exc
 

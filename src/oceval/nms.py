@@ -28,7 +28,7 @@ from .costs import CostMatrix, Detection, ImageInput, OcCostParams, build_proble
 from .errors import ConfigError
 from .geometry import boxes_to_array, pairwise_iou
 from .map_metric import MapParams, build_match_table, filter_table, map_from_table
-from .occost import _plan_cost, map_images
+from .occost import _plan_cost, check_jobs, map_images
 
 __all__ = [
     "DEFAULT_SCORE_THRESHOLDS",
@@ -170,10 +170,12 @@ def tune(
     better). Exact ties keep the first point in grid order, so results are
     reproducible for a fixed grid. Each point's value equals evaluating
     ``nms`` at that point on every image; ``jobs > 1`` fans the images of
-    the oc-cost objective out over one process pool for the whole grid.
+    the oc-cost objective out over one process pool for the whole grid (the
+    map objective runs in one process).
     """
     if objective not in ("oc-cost", "map"):
         raise ConfigError(f"objective must be 'oc-cost' or 'map', got {objective!r}")
+    check_jobs(jobs)
     candidates = list(default_grid() if grid is None else grid)
     if not candidates:
         raise ConfigError("tuning grid is empty")

@@ -149,6 +149,12 @@ def _plan_cost(cost: CostMatrix) -> tuple[float, TransportPlan]:
     return math.fsum(terms + [cost.dummy_cost] * (m + n - 2 * k)) / (m + n - k), plan
 
 
+def check_jobs(jobs: int) -> None:
+    """Reject a worker process count below 1."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+
+
 def map_images(fn: Callable[[T], R], tasks: Sequence[T], jobs: int) -> list[R]:
     """``fn`` applied to one task per image, in input order.
 
@@ -159,8 +165,7 @@ def map_images(fn: Callable[[T], R], tasks: Sequence[T], jobs: int) -> list[R]:
     """
     if not tasks:
         raise ValidationError("cannot evaluate an empty image sequence")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    check_jobs(jobs)
     if jobs == 1 or len(tasks) < 2:
         return [fn(task) for task in tasks]
     chunk = max(1, len(tasks) // (jobs * 4))

@@ -98,16 +98,22 @@ def test_exit_codes(tmp_path):
 )
 def test_exit_code_5(tmp_path, capsys, monkeypatch, exc, message):
     # an oceval error that is not a usage, parse or validation error, and
-    # any other exception, both exit 5 with their own message
+    # any other exception, both exit 5 with their own message on every
+    # subcommand
     gt, dt = run_fixture(tmp_path, images=2, gts_per_image=2)
     capsys.readouterr()
 
     def failing(args, config):
         raise exc
 
-    monkeypatch.setattr(oceval.cli, "cmd_evaluate", failing)
-    assert main(["evaluate", "--gt", gt, "--dt", dt]) == 5
-    assert capsys.readouterr().err.strip() == message
+    for command in ["evaluate", "bootstrap", "sweep-lambda", "tune-nms", "gen-fixture"]:
+        monkeypatch.setattr(oceval.cli, "cmd_" + command.replace("-", "_"), failing)
+        if command == "gen-fixture":
+            argv = [command, "--gt-out", str(tmp_path / "g.json"), "--dt-out", str(tmp_path / "d.json")]
+        else:
+            argv = [command, "--gt", gt, "--dt", dt]
+        assert main(argv) == 5, command
+        assert capsys.readouterr().err.strip() == message, command
 
 
 def test_lenient_mode_flag(tmp_path, capsys):
@@ -217,6 +223,31 @@ def test_bootstrap_cli_multiple_detectors(tmp_path, monkeypatch):
     assert calls == [gt]
     a, b = doc["detectors"]
     assert all(x < y for x, y in zip(a["values"], b["values"]))
+
+
+def test_bootstrap_cli_names_each_detector_once(tmp_path, capsys):
+    gt, dt = run_fixture(tmp_path, images=3, gts_per_image=2)
+    argv = ["bootstrap", "--gt", gt, "--trials", "2"]
+    # a taken file stem gets the first free name among stem_1, stem_2, ...
+    for folder, stem in [("x", "a"), ("y", "a"), ("z", "a_1"), ("w", "a")]:
+        (tmp_path / folder).mkdir()
+        path = tmp_path / folder / f"{stem}.json"
+        path.write_text(Path(dt).read_text())
+        argv += ["--dt", str(path)]
+    out = tmp_path / "boot.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    names = [d["detector"] for d in read_report(str(out))["detectors"]]
+    assert names == ["a", "a_1", "a_1_1", "a_2"]
+
+
+@pytest.mark.parametrize(
+    "command", [["bootstrap", "--metric", "map"], ["tune-nms", "--objective", "map"]]
+)
+def test_jobs_below_one_is_a_usage_error_on_map_paths(tmp_path, capsys, command):
+    gt, dt = run_fixture(tmp_path, images=3, gts_per_image=2)
+    capsys.readouterr()
+    assert main([*command, "--gt", gt, "--dt", dt, "--jobs", "0"]) == 2
+    assert capsys.readouterr().err.strip() == "usage error: jobs must be >= 1, got 0"
 
 
 def test_tune_nms_cli(tmp_path, capsys):

@@ -15,13 +15,21 @@ from oceval import (
     ValidationError,
     dataset_oc_cost,
     detection_inputs,
+    lambda_sweep,
     load_detections,
     load_ground_truth,
     read_report,
     run_bootstrap,
+    tune,
     write_report,
 )
-from oceval.coco_io import report_payload, sweep_payload
+from oceval.coco_io import (
+    bootstrap_payload,
+    histogram_payload,
+    report_payload,
+    sweep_payload,
+    tune_payload,
+)
 
 
 def write_json(path, doc):
@@ -214,7 +222,7 @@ def test_report_json_round_trip(tmp_path):
     ]
     report = dataset_oc_cost(inputs, OcCostParams())
     out = tmp_path / "report.json"
-    write_report(report, str(out), "json")
+    write_report(report_payload(report), str(out), "json")
     doc = read_report(str(out))
     assert doc["schema_version"] == 1
     assert doc["kind"] == "evaluate"
@@ -234,7 +242,7 @@ def test_report_csv_layout(tmp_path):
     ]
     report = dataset_oc_cost(inputs, OcCostParams())
     out = tmp_path / "report.csv"
-    write_report(report, str(out), "csv")
+    write_report(report_payload(report), str(out), "csv")
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "image_id,oc_cost,matched_pairs,num_detections,num_ground_truths"
     assert len(lines) == 3
@@ -260,12 +268,51 @@ def test_bootstrap_reports_are_written_as_a_list(tmp_path):
     inputs = [(i, [Detection(box, 1, 0.7)], [GroundTruthInstance(box, 1)]) for i in range(4)]
     reports = run_bootstrap([("a", inputs)], config=BootstrapConfig(trials=3, seed=1))
     out = tmp_path / "boot.json"
-    write_report(reports, str(out), "json")
+    write_report(bootstrap_payload(reports), str(out), "json")
     doc = read_report(str(out))
     assert doc["kind"] == "bootstrap"
     assert [d["detector"] for d in doc["detectors"]] == ["a"]
     with pytest.raises(ConfigError):
         write_report(reports[0], str(out), "json")
+
+
+def test_write_report_takes_only_a_payload(tmp_path):
+    box = BoundingBox(0, 0, 10, 10)
+    inputs = [(i, [Detection(box, 1, 0.7)], [GroundTruthInstance(box, 1)]) for i in range(2)]
+    results = [
+        lambda_sweep(inputs, [0.0, 1.0], beta=0.6),
+        [],
+        dataset_oc_cost(inputs, OcCostParams()),
+        run_bootstrap([("a", inputs)], config=BootstrapConfig(trials=2))[0],
+    ]
+    out = tmp_path / "report.json"
+    for result in results:
+        with pytest.raises(ConfigError, match="cannot serialize report of type"):
+            write_report(result, str(out), "json")
+    assert not out.exists()
+
+
+def test_csv_report_is_the_json_row_table(tmp_path):
+    box = BoundingBox(0, 0, 10, 10)
+    inputs = [(i, [Detection(box, 1, 0.7)], [GroundTruthInstance(box, 1)]) for i in (2, 1)]
+    boot = run_bootstrap([("a", inputs), ("b", inputs)], config=BootstrapConfig(trials=3))
+    payloads = [
+        (report_payload(dataset_oc_cost(inputs, OcCostParams()), {1: 1.0}, 1.0),
+         "image_id,oc_cost,matched_pairs,num_detections,num_ground_truths,map", 2),
+        (tune_payload(tune(inputs)), "score_threshold,iou_threshold,value", 18 * 7),
+        (bootstrap_payload(boot), "detector,trial,value", 6),
+        (histogram_payload([1, 1], [1, 2], [1, 1]), "count,gt,before,after", 3),
+    ]
+    for payload, header, rows in payloads:
+        out = tmp_path / f"{payload['kind']}.csv"
+        write_report(payload, str(out), "csv")
+        lines = out.read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + rows
+    assert lines[1:] == ["0,0,0,0", "1,2,1,2", "2,0,1,0"]
+    # a table with no rows has no header to write
+    with pytest.raises(ValidationError):
+        write_report(sweep_payload([], beta=0.6), str(tmp_path / "empty.csv"), "csv")
 
 
 def test_unknown_format_rejected(tmp_path):
