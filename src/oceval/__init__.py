@@ -22,6 +22,8 @@ from .coco_io import (
 from .costs import (
     CostMatrix,
     Detection,
+    DetectionArrays,
+    GroundTruthArrays,
     GroundTruthInstance,
     OcCostParams,
     build_problem,
@@ -63,6 +65,8 @@ __all__ = [
     "pairwise_giou",
     "Detection",
     "GroundTruthInstance",
+    "DetectionArrays",
+    "GroundTruthArrays",
     "OcCostParams",
     "CostMatrix",
     "localization_cost",

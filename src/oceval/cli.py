@@ -36,7 +36,7 @@ from .costs import ImageInput, OcCostParams
 from .errors import ConfigError, OcevalError, ParseError, ValidationError
 from .fixtures import FixtureSpec, generate_fixture
 from .map_metric import MapParams, build_match_table, image_maps, map_from_table
-from .nms import default_grid, nms, tune
+from .nms import default_grid, tune
 from .occost import dataset_oc_cost, lambda_sweep
 
 __all__ = ["main", "build_parser"]
@@ -231,8 +231,7 @@ def cmd_tune_nms(args: argparse.Namespace, config: dict[str, str]) -> int:
     if args.emit_count_histogram:
         gt_counts = [len(gts) for _, _, gts in inputs]
         before = [len(dets) for _, dets, _ in inputs]
-        after = [len(nms(dets, result.best_params)) for _, dets, _ in inputs]
-        payload = histogram_payload(gt_counts, before, after)
+        payload = histogram_payload(gt_counts, before, result.survivor_counts)
         print(f"gt_count_mean {payload['gt_mean']:.6f}")
         write_report(payload, args.emit_count_histogram, **output)
     return 0

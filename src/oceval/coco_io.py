@@ -5,12 +5,20 @@ Ground truth follows the COCO instances layout (``images``,
 layout (a flat list of image_id/category_id/bbox/score records). Boxes
 arrive as [x, y, w, h] and are converted to corner form on load.
 
+Each image's detections and ground truths load as columns
+(:class:`~oceval.costs.DetectionArrays`,
+:class:`~oceval.costs.GroundTruthArrays`) in file order, without a
+per-box object: the loader reads each field of every record into one
+list, checks the types of a whole list at once and the values with array
+masks. Messages are built record by record, only for the records that
+fail a check.
+
 Structural problems (wrong types, missing keys) raise ParseError naming
-the file. Value problems (non-positive box sides, scores outside [0, 1],
-references to unknown ids) raise ValidationError listing the offending
-records in strict mode, or skip those records with a warning in lenient
-mode. Strict is the default: silently dropping records would corrupt
-metric comparisons.
+the file and the first malformed record. Value problems (non-positive box
+sides, scores outside [0, 1], references to unknown ids) raise
+ValidationError listing the offending records in strict mode, or skip
+those records with a warning in lenient mode. Strict is the default:
+silently dropping records would corrupt metric comparisons.
 
 Each report kind has one payload builder; write_report emits a payload as
 versioned JSON (raw doubles) or CSV (its row table, 6 significant digits).
@@ -23,14 +31,16 @@ import json
 import math
 import warnings
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass
+from itertools import chain, compress
 from typing import Any
 
+import numpy as np
+
 from .bootstrap import BootstrapReport
-from .costs import Detection, GroundTruthInstance
+from .costs import DetectionArrays, GroundTruthArrays, detection_arrays, id_array
 from .errors import ConfigError, ParseError, ValidationError
-from .geometry import BoundingBox
 from .nms import TuneResult
 from .occost import DatasetReport
 
@@ -59,32 +69,35 @@ class SkippedRecordWarning(UserWarning):
 
 @dataclass(frozen=True)
 class DatasetIndex:
-    """Parsed ground truth: image sizes, per-image instances in file order,
-    category names, and the crowd flag of every annotation."""
+    """Parsed ground truth: image sizes, category names, and every image's
+    instances in file order as one :class:`~oceval.costs.GroundTruthArrays`
+    whose ``crowd`` column flags the crowd regions."""
 
     images: Mapping[int, tuple[int, int]]
-    ground_truths: Mapping[int, tuple[GroundTruthInstance, ...]]
-    crowd_flags: Mapping[int, tuple[bool, ...]]
+    ground_truths: Mapping[int, GroundTruthArrays]
     categories: Mapping[int, str]
 
-    def instances(self, include_crowd: bool = False) -> dict[int, list[GroundTruthInstance]]:
+    @property
+    def crowd_flags(self) -> dict[int, tuple[bool, ...]]:
+        """The crowd flag of every annotation, per image in file order."""
+        return {i: tuple(gts.crowd.tolist()) for i, gts in self.ground_truths.items()}
+
+    def instances(self, include_crowd: bool = False) -> dict[int, GroundTruthArrays]:
         """Per-image ground truths, excluding crowd regions unless asked."""
-        out: dict[int, list[GroundTruthInstance]] = {}
+        out: dict[int, GroundTruthArrays] = {}
         for image_id in self.images:
-            gts = self.ground_truths.get(image_id, ())
-            flags = self.crowd_flags.get(image_id, ())
-            if include_crowd:
-                out[image_id] = list(gts)
-            else:
-                out[image_id] = [g for g, crowd in zip(gts, flags) if not crowd]
+            gts = self.ground_truths[image_id]
+            out[image_id] = gts if include_crowd or not gts.crowd.any() else gts.take(~gts.crowd)
         return out
 
 
 @dataclass(frozen=True)
 class DetectionSet:
-    """Per-image detections in file order; every indexed image has an entry."""
+    """Per-image detections in file order, one
+    :class:`~oceval.costs.DetectionArrays` per image; every indexed image
+    has an entry."""
 
-    detections: Mapping[int, tuple[Detection, ...]]
+    detections: Mapping[int, DetectionArrays]
 
 
 def _load_json(path: str) -> Any:
@@ -106,12 +119,15 @@ def _require_int(value: Any, what: str, path: str) -> int:
 def _number(value: Any) -> float | None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
     return value if math.isfinite(value) else None
 
 
-def _corner_box(bbox: Any, record: str, path: str) -> tuple[BoundingBox | None, str | None]:
-    """Convert [x, y, w, h] to a corner-form box, or explain why not.
+def _xywh(bbox: Any, record: str, path: str) -> tuple[list[float], str | None]:
+    """``bbox`` as [x, y, w, h] floats, and why its box is invalid, if it is.
 
     Malformed shape is structural (raises); non-positive sides are a value
     problem reported to the caller for strict/lenient handling, and so are
@@ -125,14 +141,59 @@ def _corner_box(bbox: Any, record: str, path: str) -> tuple[BoundingBox | None, 
         raise ParseError(f"{path}: {record}: bbox must be a list of 4 numbers, got {bbox!r}")
     x, y, w, h = nums
     if w <= 0 or h <= 0:
-        return None, f"{record}: box width/height must be positive, got w={w:g} h={h:g}"
-    x2, y2 = x + w, y + h
-    if not (x < x2 < math.inf and y < y2 < math.inf):
-        return None, (
+        return nums, f"{record}: box width/height must be positive, got w={w:g} h={h:g}"
+    if not (x < x + w < math.inf and y < y + h < math.inf):
+        return nums, (
             f"{record}: box corners x + w, y + h must be finite and exceed x, y, "
             f"got x={x:g} y={y:g} w={w:g} h={h:g}"
         )
-    return BoundingBox(x, y, x2, y2), None
+    return nums, None
+
+
+def _annotation_record(
+    i: int, rec: Any, images: Mapping[int, Any], categories: Mapping[int, str], path: str
+) -> tuple[tuple[int, int, list[float], Any], str | None]:
+    """Annotation ``i`` as (image id, category id, [x, y, w, h], iscrowd),
+    and the value problem that drops it, if any. A structural problem
+    raises ParseError; so does a bad ``iscrowd`` on a record kept."""
+    if not isinstance(rec, dict):
+        raise ParseError(f"{path}: annotations[{i}] must be an object")
+    label = f"annotations[{i}]" + (f" (id {rec['id']})" if "id" in rec else "")
+    image_id = _require_int(rec.get("image_id"), f"{label}.image_id", path)
+    cat_id = _require_int(rec.get("category_id"), f"{label}.category_id", path)
+    xywh, problem = _xywh(rec.get("bbox"), label, path)
+    if problem is None and image_id not in images:
+        problem = f"{label}: unknown image_id {image_id}"
+    if problem is None and cat_id not in categories:
+        problem = f"{label}: unknown category_id {cat_id}"
+    crowd = rec.get("iscrowd", 0)
+    if problem is None and crowd not in (0, 1, True, False):
+        raise ParseError(f"{path}: {label}.iscrowd must be 0 or 1")
+    return (image_id, cat_id, xywh, crowd), problem
+
+
+def _detection_record(
+    i: int, rec: Any, index: DatasetIndex, path: str
+) -> tuple[tuple[int, int, list[float], float], str | None]:
+    """Detection ``i`` as (image id, category id, [x, y, w, h], score), and
+    the value problem that drops it, if any. A structural problem raises
+    ParseError."""
+    if not isinstance(rec, dict):
+        raise ParseError(f"{path}: [{i}] must be an object")
+    label = f"[{i}]"
+    image_id = _require_int(rec.get("image_id"), f"{label}.image_id", path)
+    cat_id = _require_int(rec.get("category_id"), f"{label}.category_id", path)
+    score = _number(rec.get("score"))
+    if score is None:
+        raise ParseError(f"{path}: {label}.score must be a number")
+    xywh, problem = _xywh(rec.get("bbox"), label, path)
+    if problem is None and not 0.0 <= score <= 1.0:
+        problem = f"{label}: score must be in [0, 1], got {score:g}"
+    if problem is None and image_id not in index.images:
+        problem = f"{label}: unknown image_id {image_id}"
+    if problem is None and cat_id not in index.categories:
+        problem = f"{label}: unknown category_id {cat_id}"
+    return (image_id, cat_id, xywh, score), problem
 
 
 def _handle_bad_records(problems: list[str], path: str, strict: bool) -> None:
@@ -144,6 +205,86 @@ def _handle_bad_records(problems: list[str], path: str, strict: bool) -> None:
         raise ValidationError(f"{path}: {len(problems)} invalid record(s): {shown}{more}")
     for problem in problems:
         warnings.warn(f"{path}: skipped {problem}", SkippedRecordWarning, stacklevel=3)
+
+
+def _typed(values: Iterable[Any], types: set[type]) -> bool:
+    """Whether every value's exact type is in ``types`` (a bool is no int)."""
+    return set(map(type, values)) <= types
+
+
+def _finite(values: Any) -> np.ndarray | None:
+    """Numbers, or lists of numbers, as a float64 array; None when one is
+    infinite, NaN or an integer beyond the float range."""
+    try:
+        array = np.array(values, dtype=np.float64)
+    except OverflowError:
+        return None
+    return array if np.isfinite(array).all() else None
+
+
+def _columns(records: list[Any], *numbers: str, **others: Any) -> tuple[Any, ...] | None:
+    """Every record's ``image_id`` and ``category_id`` (lists of ints), its
+    ``bbox`` (a (k, 4) array of [x, y, w, h]) and each key of ``numbers``
+    (an array), all finite; then the list of each key of ``others``, its
+    value the default. None when a record is not an object or one of
+    these values does not have its type."""
+    if not _typed(records, {dict}):
+        return None
+    image_ids, cat_ids, bboxes, *values = (
+        [rec.get(key) for rec in records] for key in ("image_id", "category_id", "bbox", *numbers)
+    )
+    if not (_typed(image_ids, {int}) and _typed(cat_ids, {int}) and _typed(bboxes, {list})):
+        return None
+    coords = list(chain.from_iterable(bboxes))
+    if not (set(map(len, bboxes)) <= {4} and _typed(chain(coords, *values), {int, float})):
+        return None
+    arrays = [_finite(coords), *map(_finite, values)]
+    if any(array is None for array in arrays):
+        return None
+    return (image_ids, cat_ids, arrays[0].reshape(-1, 4), *arrays[1:],
+            *([rec.get(key, default) for rec in records] for key, default in others.items()))
+
+
+def _transpose(rows: Iterable[tuple[int, int, list[float], Any]]) -> tuple[Any, ...]:
+    """Parsed records as the columns that :func:`_columns` gives."""
+    image_ids, cat_ids, xywh, extra = (list(column) for column in zip(*rows))
+    return image_ids, cat_ids, np.array(xywh, dtype=np.float64).reshape(-1, 4), extra
+
+
+def _corners(xywh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Corner-form boxes of [x, y, w, h] rows, and the mask of the rows
+    that :func:`_xywh` finds no problem with."""
+    x, y, w, h = xywh.T
+    with np.errstate(over="ignore"):  # an overflowing corner is a problem reported here
+        x2, y2 = x + w, y + h
+    valid = (w > 0) & (h > 0) & (x < x2) & (x2 < math.inf) & (y < y2) & (y2 < math.inf)
+    return np.column_stack([x, y, x2, y2]), valid
+
+
+def _slots(ids: Sequence[int], table: Mapping[int, Any]) -> np.ndarray:
+    """The position of each id among the keys of ``table``, -1 if absent."""
+    position = {key: k for k, key in enumerate(table)}
+    if position.keys() >= set(ids):
+        return np.fromiter(map(position.__getitem__, ids), dtype=np.intp, count=len(ids))
+    return np.array([position.get(i, -1) for i in ids], dtype=np.intp)
+
+
+def _per_image(
+    slots: np.ndarray, images: Mapping[int, Any], *columns: np.ndarray
+) -> dict[int, list[np.ndarray]]:
+    """The rows of ``columns`` of each of ``images``, in file order
+    (``slots`` holds each row's image position)."""
+    order = np.argsort(slots, kind="stable")
+    ends = np.cumsum(np.bincount(slots, minlength=len(images))).tolist()
+    columns = tuple(column[order] for column in columns)
+    return {
+        image_id: [column[start:end] for column in columns]
+        for image_id, start, end in zip(images, [0, *ends], ends)
+    }
+
+
+def _kept(values: list[Any], keep: np.ndarray) -> list[Any]:
+    return values if keep.all() else list(compress(values, keep.tolist()))
 
 
 def load_ground_truth(path: str, strict: bool = True) -> DatasetIndex:
@@ -186,34 +327,30 @@ def load_ground_truth(path: str, strict: bool = True) -> DatasetIndex:
             raise ValidationError(f"{path}: duplicate category id {cat_id}")
         categories[cat_id] = name
 
-    ground_truths: dict[int, list[GroundTruthInstance]] = {i: [] for i in images}
-    crowd_flags: dict[int, list[bool]] = {i: [] for i in images}
-    problems: list[str] = []
-    for i, rec in enumerate(doc["annotations"]):
-        if not isinstance(rec, dict):
-            raise ParseError(f"{path}: annotations[{i}] must be an object")
-        label = f"annotations[{i}]" + (f" (id {rec['id']})" if "id" in rec else "")
-        image_id = _require_int(rec.get("image_id"), f"{label}.image_id", path)
-        cat_id = _require_int(rec.get("category_id"), f"{label}.category_id", path)
-        box, problem = _corner_box(rec.get("bbox"), label, path)
-        if problem is None and image_id not in images:
-            problem = f"{label}: unknown image_id {image_id}"
-        if problem is None and cat_id not in categories:
-            problem = f"{label}: unknown category_id {cat_id}"
-        if problem is not None:
-            problems.append(problem)
-            continue
-        crowd = rec.get("iscrowd", 0)
-        if crowd not in (0, 1, True, False):
-            raise ParseError(f"{path}: {label}.iscrowd must be 0 or 1")
-        ground_truths[image_id].append(GroundTruthInstance(box=box, label=cat_id))
-        crowd_flags[image_id].append(bool(crowd))
+    records = doc["annotations"]
+    columns = _columns(records, iscrowd=0)
+    if columns is None:
+        # some record is malformed: parsing record by record raises at the first
+        columns = _transpose(
+            _annotation_record(i, rec, images, categories, path)[0] for i, rec in enumerate(records)
+        )
+    image_ids, cat_ids, xywh, crowd = columns
+    boxes, keep = _corners(xywh)
+    slots = _slots(image_ids, images)
+    keep &= (slots >= 0) & (_slots(cat_ids, categories) >= 0)
+    # a bad iscrowd is structural, but only on a record that is kept
+    bad_crowd = np.array([c not in (0, 1) for c in crowd], dtype=bool)
+    problems = [
+        _annotation_record(i, records[i], images, categories, path)[1]
+        for i in np.flatnonzero(~keep | bad_crowd).tolist()
+    ]
     _handle_bad_records(problems, path, strict)
 
+    labels, flags = id_array(_kept(cat_ids, keep)), np.array(_kept(crowd, keep), dtype=bool)
+    per_image = _per_image(slots[keep], images, boxes[keep], labels, flags)
     return DatasetIndex(
         images=images,
-        ground_truths={i: tuple(v) for i, v in ground_truths.items()},
-        crowd_flags={i: tuple(v) for i, v in crowd_flags.items()},
+        ground_truths={i: GroundTruthArrays(*columns) for i, columns in per_image.items()},
         categories=categories,
     )
 
@@ -224,31 +361,24 @@ def load_detections(path: str, index: DatasetIndex, strict: bool = True) -> Dete
     if not isinstance(doc, list):
         raise ParseError(f"{path}: top level must be a list of detection records")
 
-    grouped: dict[int, list[Detection]] = {i: [] for i in index.images}
-    problems: list[str] = []
-    for i, rec in enumerate(doc):
-        if not isinstance(rec, dict):
-            raise ParseError(f"{path}: [{i}] must be an object")
-        label = f"[{i}]"
-        image_id = _require_int(rec.get("image_id"), f"{label}.image_id", path)
-        cat_id = _require_int(rec.get("category_id"), f"{label}.category_id", path)
-        score = _number(rec.get("score"))
-        if score is None:
-            raise ParseError(f"{path}: {label}.score must be a number")
-        box, problem = _corner_box(rec.get("bbox"), label, path)
-        if problem is None and not 0.0 <= score <= 1.0:
-            problem = f"{label}: score must be in [0, 1], got {score:g}"
-        if problem is None and image_id not in index.images:
-            problem = f"{label}: unknown image_id {image_id}"
-        if problem is None and cat_id not in index.categories:
-            problem = f"{label}: unknown category_id {cat_id}"
-        if problem is not None:
-            problems.append(problem)
-            continue
-        grouped[image_id].append(Detection(box=box, label=cat_id, score=score))
+    columns = _columns(doc, "score")
+    if columns is None:
+        # some record is malformed: parsing record by record raises at the first
+        columns = _transpose(_detection_record(i, rec, index, path)[0] for i, rec in enumerate(doc))
+    image_ids, cat_ids, xywh, scores = columns
+    scores = np.asarray(scores, dtype=np.float64)
+    boxes, keep = _corners(xywh)
+    slots = _slots(image_ids, index.images)
+    keep &= (0.0 <= scores) & (scores <= 1.0) & (slots >= 0)
+    keep &= _slots(cat_ids, index.categories) >= 0
+    problems = [
+        _detection_record(i, doc[i], index, path)[1] for i in np.flatnonzero(~keep).tolist()
+    ]
     _handle_bad_records(problems, path, strict)
 
-    return DetectionSet(detections={i: tuple(v) for i, v in grouped.items()})
+    labels = id_array(_kept(cat_ids, keep))
+    per_image = _per_image(slots[keep], index.images, boxes[keep], labels, scores[keep])
+    return DetectionSet({i: DetectionArrays(*columns) for i, columns in per_image.items()})
 
 
 def report_payload(
@@ -417,11 +547,11 @@ def read_report(path: str) -> dict:
 
 def detection_inputs(
     index: DatasetIndex, dets: DetectionSet, include_crowd: bool = False
-) -> list[tuple[int, tuple[Detection, ...], list[GroundTruthInstance]]]:
+) -> list[tuple[int, DetectionArrays, GroundTruthArrays]]:
     """Join an index with detections into per-image evaluation inputs,
     sorted by image id."""
     instances = index.instances(include_crowd=include_crowd)
     return [
-        (image_id, dets.detections.get(image_id, ()), instances[image_id])
+        (image_id, detection_arrays(dets.detections.get(image_id, ())), instances[image_id])
         for image_id in sorted(index.images)
     ]

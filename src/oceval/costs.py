@@ -14,14 +14,19 @@ only blends per weight; a caller that scores subsets of one image's
 detections (the NMS tuner) blends once and takes row subsets. Every cell
 depends on its own detection and ground truth only, so a row subset of
 the blend equals the blend of the subset bit for bit.
+
+Every kernel reads one image's detections and ground truths as columns
+(:class:`DetectionArrays`, :class:`GroundTruthArrays`): the COCO loader
+builds them directly, and sequences of :class:`Detection` and
+:class:`GroundTruthInstance` are converted once where they enter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from collections.abc import Sequence
-from typing import Hashable
+from dataclasses import dataclass
+from typing import Any, Hashable
 
 import numpy as np
 
@@ -31,6 +36,8 @@ from .geometry import BoundingBox, boxes_to_array, giou, pairwise_giou
 __all__ = [
     "Detection",
     "GroundTruthInstance",
+    "DetectionArrays",
+    "GroundTruthArrays",
     "ImageInput",
     "OcCostParams",
     "CostMatrix",
@@ -62,8 +69,99 @@ class GroundTruthInstance:
     label: int
 
 
+def id_array(ids: Sequence[Any]) -> np.ndarray:
+    """Labels as an int64 array, or an object array when one is no int64."""
+    try:
+        return np.array(ids, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
+        return np.array(ids, dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionArrays(Sequence[Detection]):
+    """One image's detections as columns: row i of ``boxes`` (corner form,
+    float64), ``labels`` and ``scores`` is detection i.
+
+    Rows obey the rules of :class:`Detection` and
+    :class:`~oceval.geometry.BoundingBox`: the loader checks them and
+    :func:`detection_arrays` copies checked objects, but the constructor
+    checks nothing. As a sequence it yields :class:`Detection` objects,
+    built on access.
+    """
+
+    boxes: np.ndarray
+    labels: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, i: int) -> Detection:  # type: ignore[override]
+        box = BoundingBox(*self.boxes[i].tolist())
+        return Detection(box, self.labels.item(i), self.scores.item(i))
+
+    def take(self, rows: np.ndarray) -> "DetectionArrays":
+        """The detections at ``rows`` (indices or a mask), in that order."""
+        return DetectionArrays(self.boxes[rows], self.labels[rows], self.scores[rows])
+
+
+@dataclass(frozen=True, eq=False)
+class GroundTruthArrays(Sequence[GroundTruthInstance]):
+    """One image's ground truths as columns: ``boxes`` (corner form,
+    float64), ``labels`` and the COCO ``crowd`` flag of each row.
+
+    Kernels read boxes and labels only; which rows reach them, crowd ones
+    included or not, is the caller's choice. As a sequence it yields
+    :class:`GroundTruthInstance` objects, built on access.
+    """
+
+    boxes: np.ndarray
+    labels: np.ndarray
+    crowd: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i: int) -> GroundTruthInstance:  # type: ignore[override]
+        return GroundTruthInstance(BoundingBox(*self.boxes[i].tolist()), self.labels.item(i))
+
+    def take(self, rows: np.ndarray) -> "GroundTruthArrays":
+        """The ground truths at ``rows`` (indices or a mask), in that order."""
+        return GroundTruthArrays(self.boxes[rows], self.labels[rows], self.crowd[rows])
+
+
+def detection_arrays(dets: Sequence[Detection]) -> DetectionArrays:
+    """The columnar form of ``dets``, which is returned as is when it
+    already is one."""
+    if isinstance(dets, DetectionArrays):
+        return dets
+    return DetectionArrays(
+        boxes_to_array(d.box for d in dets),
+        id_array([d.label for d in dets]),
+        np.array([d.score for d in dets], dtype=np.float64),
+    )
+
+
+def ground_truth_arrays(gts: Sequence[GroundTruthInstance]) -> GroundTruthArrays:
+    """The columnar form of ``gts`` (no crowd rows), which is returned as
+    is when it already is one."""
+    if isinstance(gts, GroundTruthArrays):
+        return gts
+    return GroundTruthArrays(
+        boxes_to_array(g.box for g in gts),
+        id_array([g.label for g in gts]),
+        np.zeros(len(gts), dtype=bool),
+    )
+
+
 # One image of a dataset: (image id, its detections, its ground truths).
 ImageInput = tuple[Hashable, Sequence[Detection], Sequence[GroundTruthInstance]]
+
+
+def image_arrays(item: ImageInput) -> tuple[Hashable, DetectionArrays, GroundTruthArrays]:
+    """One image's input with both sides in columnar form."""
+    image_id, dets, gts = item
+    return image_id, detection_arrays(dets), ground_truth_arrays(gts)
 
 
 @dataclass(frozen=True)
@@ -152,14 +250,11 @@ def _pair_terms(
     if not (m and n):
         empty = np.zeros((m, n), dtype=np.float64)
         return empty, empty
-    det_boxes = boxes_to_array(d.box for d in dets)
-    gt_boxes = boxes_to_array(g.box for g in gts)
-    loc = (1.0 - pairwise_giou(det_boxes, gt_boxes)) / 2.0
-    scores = np.array([d.score for d in dets], dtype=np.float64)[:, None]
-    det_labels = np.array([d.label for d in dets])
-    gt_labels = np.array([g.label for g in gts])
+    dets, gts = detection_arrays(dets), ground_truth_arrays(gts)
+    loc = (1.0 - pairwise_giou(dets.boxes, gts.boxes)) / 2.0
+    scores = dets.scores[:, None]
     cls = np.where(
-        det_labels[:, None] == gt_labels[None, :],
+        dets.labels[:, None] == gts.labels[None, :],
         (1.0 - scores) / 2.0,
         (1.0 + scores) / 2.0,
     )

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import Detection, GroundTruthInstance, ImageInput
+from .costs import Detection, GroundTruthInstance, ImageInput, detection_arrays, ground_truth_arrays
 from .errors import ConfigError
-from .geometry import boxes_to_array, pairwise_iou
+from .geometry import pairwise_iou
 
 __all__ = [
     "COCO_IOU_THRESHOLDS",
@@ -123,13 +123,12 @@ def _match_image(
     detections or its ground truths: (gt count, detection indices ranked by
     descending score with ties in input order, their scores, their flags
     per threshold)."""
-    scores = np.array([d.score for d in dets], dtype=np.float64)
+    dets, gts = detection_arrays(dets), ground_truth_arrays(gts)
+    scores = dets.scores
     ranked = np.argsort(-scores, kind="stable")[:max_detections]
-    labels = np.array([dets[i].label for i in ranked])
-    gt_labels = np.array([g.label for g in gts])
-    iou = pairwise_iou(
-        boxes_to_array(dets[i].box for i in ranked), boxes_to_array(g.box for g in gts)
-    )
+    labels = dets.labels[ranked]
+    gt_labels = gts.labels
+    iou = pairwise_iou(dets.boxes[ranked], gts.boxes)
     matched: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
     for cat in sorted(set(labels.tolist()) | set(gt_labels.tolist())):
         rows = np.flatnonzero(labels == cat)

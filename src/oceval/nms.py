@@ -24,9 +24,20 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .costs import CostMatrix, Detection, ImageInput, OcCostParams, build_problem
+import numpy as np
+
+from .costs import (
+    CostMatrix,
+    Detection,
+    DetectionArrays,
+    ImageInput,
+    OcCostParams,
+    build_problem,
+    detection_arrays,
+    image_arrays,
+)
 from .errors import ConfigError
-from .geometry import boxes_to_array, pairwise_iou
+from .geometry import pairwise_iou
 from .map_metric import MapParams, build_match_table, filter_table, map_from_table
 from .occost import _plan_cost, check_jobs, map_images
 
@@ -70,45 +81,46 @@ class TuneResult:
 
     ``grid`` maps each candidate to its objective value; ``objective_kind``
     is "minimize-oc-cost" or "maximize-map". Ties keep the earliest grid
-    point.
+    point. ``survivor_counts`` holds each image's detection count after
+    NMS at the best point, in input order.
     """
 
     best_params: NmsParams
     objective_value: float
     grid: tuple[tuple[NmsParams, float], ...]
     objective_kind: str
+    survivor_counts: tuple[int, ...]
 
 
-def nms(dets: Sequence[Detection], params: NmsParams) -> list[Detection]:
+def nms(dets: Sequence[Detection], params: NmsParams) -> Sequence[Detection]:
     """Filter and suppress one image's detections.
 
     Output is sorted by descending score (ties keep input order) and the
     operation is idempotent: feeding the result back returns it unchanged.
+    A :class:`~oceval.costs.DetectionArrays` input gives its kept rows as
+    one; any other sequence gives a list of its kept items.
     """
-    return [dets[i] for i in _nms_indices(dets, params)]
+    kept = _nms_indices(detection_arrays(dets), params)
+    if isinstance(dets, DetectionArrays):
+        return dets.take(kept)
+    return [dets[i] for i in kept.tolist()]
 
 
-def _nms_indices(dets: Sequence[Detection], params: NmsParams) -> list[int]:
+def _nms_indices(dets: DetectionArrays, params: NmsParams) -> np.ndarray:
     """Indices into ``dets`` of what :func:`nms` keeps, in its order."""
-    kept_order = sorted(
-        (i for i, d in enumerate(dets) if d.score >= params.score_threshold),
-        key=lambda i: (-dets[i].score, i),
+    candidates = np.flatnonzero(dets.scores >= params.score_threshold)
+    order = candidates[np.argsort(-dets.scores[candidates], kind="stable")]
+    labels = dets.labels[order]
+    boxes = dets.boxes[order]
+    # overlap[a, b]: box a would suppress box b, were a kept and ranked above b
+    overlap = (pairwise_iou(boxes, boxes) > params.iou_threshold) & (
+        labels[:, None] == labels[None, :]
     )
-    if not kept_order:
-        return []
-    boxes = boxes_to_array(dets[i].box for i in kept_order)
-    iou = pairwise_iou(boxes, boxes)
-    suppressed = [False] * len(kept_order)
-    for a in range(len(kept_order)):
-        if suppressed[a]:
-            continue
-        label = dets[kept_order[a]].label
-        for b in range(a + 1, len(kept_order)):
-            if suppressed[b] or dets[kept_order[b]].label != label:
-                continue
-            if iou[a, b] > params.iou_threshold:
-                suppressed[b] = True
-    return [i for a, i in enumerate(kept_order) if not suppressed[a]]
+    suppressed = np.zeros(len(order), dtype=bool)
+    for a in range(len(order)):
+        if not suppressed[a]:
+            suppressed[a + 1 :] |= overlap[a, a + 1 :]
+    return order[~suppressed]
 
 
 def default_grid(
@@ -138,22 +150,27 @@ def _passes(grid: Sequence[NmsParams]) -> list[_Pass]:
     ]
 
 
-def _image_costs(task: tuple[ImageInput, list[_Pass], OcCostParams]) -> list[float]:
-    """One image's correction cost at every grid point, in grid order."""
+def _image_costs(
+    task: tuple[ImageInput, list[_Pass], OcCostParams]
+) -> tuple[list[float], list[int]]:
+    """One image's correction cost and survivor count at every grid point,
+    in grid order."""
     (_, dets, gts), passes, params = task
     problem = build_problem(dets, gts, params)
-    costs = [0.0] * sum(len(points) for _, points in passes)
-    by_survivors: dict[tuple[int, ...], float] = {}
+    size = sum(len(points) for _, points in passes)
+    costs, counts = [0.0] * size, [0] * size
+    by_survivors: dict[bytes, float] = {}
     for base, points in passes:
         kept = _nms_indices(dets, base)
         for index, score_threshold in points:
             # the survivors' problem is their rows of the image's, in NMS order
-            rows = tuple(i for i in kept if dets[i].score >= score_threshold)
-            if rows not in by_survivors:
-                subset = CostMatrix(problem.entries[list(rows)], problem.dummy_cost)
-                by_survivors[rows] = _plan_cost(subset)[0]
-            costs[index] = by_survivors[rows]
-    return costs
+            rows = kept[dets.scores[kept] >= score_threshold]
+            key = rows.tobytes()
+            if key not in by_survivors:
+                subset = CostMatrix(problem.entries[rows], problem.dummy_cost)
+                by_survivors[key] = _plan_cost(subset)[0]
+            costs[index], counts[index] = by_survivors[key], len(rows)
+    return costs, counts
 
 
 def tune(
@@ -179,21 +196,25 @@ def tune(
     candidates = list(default_grid() if grid is None else grid)
     if not candidates:
         raise ConfigError("tuning grid is empty")
-    inputs = list(per_image_inputs)
+    inputs = [image_arrays(item) for item in per_image_inputs]
     passes = _passes(candidates)
 
     if objective == "oc-cost":
         params = oc_params or OcCostParams()
         per_image = map_images(_image_costs, [(item, passes, params) for item in inputs], jobs)
-        values = [math.fsum(column) / len(per_image) for column in zip(*per_image)]
+        values = [math.fsum(column) / len(per_image) for column in zip(*(c for c, _ in per_image))]
+        counts = list(zip(*(n for _, n in per_image)))
     else:
-        values = [0.0] * len(candidates)
+        values, counts = [0.0] * len(candidates), [()] * len(candidates)
         for base, points in passes:
             kept = [(image_id, nms(dets, base), gts) for image_id, dets, gts in inputs]
             table = build_match_table(kept, map_params or MapParams())
+            scores = np.concatenate([np.zeros(0), *(dets.scores for _, dets, _ in kept)])
+            image = np.repeat(np.arange(len(kept)), [len(dets) for _, dets, _ in kept])
             for index, score_threshold in points:
                 survivors = filter_table(table, score_threshold)
                 values[index] = map_from_table(survivors, range(len(inputs))).mean_ap
+                counts[index] = np.bincount(image[scores >= score_threshold], minlength=len(kept))
     scored = list(zip(candidates, values))
 
     if objective == "oc-cost":
@@ -208,4 +229,5 @@ def tune(
         objective_value=best_value,
         grid=tuple(scored),
         objective_kind=kind,
+        survivor_counts=tuple(int(n) for n in counts[best_index]),
     )

@@ -28,8 +28,9 @@ from .costs import (
     _blend,
     _pair_terms,
     build_problem,
-    classification_cost,
-    localization_cost,
+    detection_arrays,
+    ground_truth_arrays,
+    image_arrays,
 )
 from .errors import ConfigError, ValidationError
 from .transport import TransportPlan, solve
@@ -104,6 +105,7 @@ def image_oc_cost(
     lists the matched pairs by detection, then the unmatched detections,
     then the unmatched ground truths.
     """
+    dets, gts = detection_arrays(dets), ground_truth_arrays(gts)
     m, n = len(dets), len(gts)
     cost = build_problem(dets, gts, params)
     oc, plan = _plan_cost(cost)
@@ -111,13 +113,14 @@ def image_oc_cost(
     if with_breakdown:
         rows, cols = plan.det_indices.tolist(), plan.gt_indices.tolist()
         beta = params.dummy_cost
+        loc, cls = _pair_terms(dets, gts)
         pairs = [
             PairCost(
                 det_index=i,
                 gt_index=j,
                 cost=float(cost.entries[i, j]),
-                loc_cost=localization_cost(dets[i].box, gts[j].box),
-                cls_cost=classification_cost(dets[i].score, dets[i].label, gts[j].label),
+                loc_cost=float(loc[i, j]),
+                cls_cost=float(cls[i, j]),
             )
             for i, j in zip(rows, cols)
         ]
@@ -192,7 +195,7 @@ def dataset_oc_cost(
     report is byte-identical for any job count. Images that are empty on
     both sides still count, contributing 0.
     """
-    tasks = [(item, params, with_breakdown) for item in per_image_inputs]
+    tasks = [(image_arrays(item), params, with_breakdown) for item in per_image_inputs]
     results = map_images(_eval_image, tasks, jobs)
     mean = math.fsum(r.oc_cost for r in results) / len(results)
     return DatasetReport(
@@ -228,5 +231,6 @@ def lambda_sweep(
         if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
             raise ConfigError(f"localization weight must lie in [0, 1], got {lam!r}")
     param_list = [OcCostParams(loc_weight=lam, dummy_cost=beta) for lam in lambdas]
-    rows = map_images(_sweep_image, [(item, param_list) for item in per_image_inputs], jobs)
+    tasks = [(image_arrays(item), param_list) for item in per_image_inputs]
+    rows = map_images(_sweep_image, tasks, jobs)
     return [(lam, math.fsum(column) / len(rows)) for lam, column in zip(lambdas, zip(*rows))]

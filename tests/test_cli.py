@@ -1,12 +1,26 @@
 import argparse
+import importlib
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oceval.cli
-from oceval import BootstrapConfig, FixtureSpec, OcCostParams, OcevalError, read_report
+from oceval import (
+    BootstrapConfig,
+    FixtureSpec,
+    NmsParams,
+    OcCostParams,
+    OcevalError,
+    detection_inputs,
+    load_detections,
+    load_ground_truth,
+    nms,
+    read_report,
+)
 from oceval.cli import build_parser, main, read_config
 
 
@@ -270,6 +284,50 @@ def test_tune_nms_cli(tmp_path, capsys):
     # after tuning, the count histogram collapses onto the gt histogram
     for row in hist_doc["bins"]:
         assert row["after"] == row["gt"]
+
+
+@pytest.mark.parametrize("objective", ["oc-cost", "map"])
+def test_count_histogram_reuses_the_tuning_passes(tmp_path, capsys, monkeypatch, objective):
+    # pre-NMS output: two to four overlapping copies of each object at decaying scores
+    rng = np.random.default_rng(5)
+    images, annotations, dets = [], [], []
+    for image_id in range(1, 9):
+        images.append({"id": image_id, "width": 200, "height": 200})
+        for _ in range(int(rng.integers(0, 4))):
+            x, y, w, h = (float(v) for v in rng.uniform([0, 0, 20, 20], [150, 150, 50, 50]))
+            label = int(rng.integers(1, 3))
+            annotations.append({"id": len(annotations) + 1, "image_id": image_id,
+                                "category_id": label, "bbox": [x, y, w, h]})
+            for copy in range(int(rng.integers(2, 5))):
+                dx, dy = (float(v) for v in rng.normal(0, 4, size=2))
+                dets.append({"image_id": image_id, "category_id": label,
+                             "bbox": [x + dx, y + dy, w, h], "score": 0.9 * 0.7**copy})
+    gt, dt = tmp_path / "gt.json", tmp_path / "dt.json"
+    gt.write_text(json.dumps({"images": images, "annotations": annotations,
+                              "categories": [{"id": 1, "name": "a"}, {"id": 2, "name": "b"}]}))
+    dt.write_text(json.dumps(dets))
+
+    passes = []
+    nms_module = importlib.import_module("oceval.nms")  # the package's ``nms`` is the function
+    original = nms_module._nms_indices
+    monkeypatch.setattr(nms_module, "_nms_indices", lambda *args: passes.append(1) or original(*args))
+    hist = tmp_path / "hist.json"
+    argv = ["tune-nms", "--gt", str(gt), "--dt", str(dt), "--objective", objective,
+            "--score-thresholds", "0.05,0.3,0.5", "--iou-thresholds", "0.3,0.6",
+            "--out", str(tmp_path / "tune.json"), "--emit-count-histogram", str(hist)]
+    assert main(argv) == 0
+    assert len(passes) == len(images) * 2  # one pass per image and IoU threshold
+
+    # the histogram's "after" column counts what NMS keeps at the best point
+    best = read_report(str(tmp_path / "tune.json"))["best"]
+    index = load_ground_truth(str(gt))
+    kept = [len(nms(image_dets, NmsParams(best["score_threshold"], best["iou_threshold"])))
+            for _, image_dets, _ in detection_inputs(index, load_detections(str(dt), index))]
+    after = Counter(kept)
+    assert [row["after"] for row in read_report(str(hist))["bins"]] == [
+        after[count] for count in range(len(read_report(str(hist))["bins"]))
+    ]
+    assert 0 < sum(kept) < len(dets)
 
 
 def test_tune_nms_single_point_grid(tmp_path, capsys):

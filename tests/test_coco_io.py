@@ -1,7 +1,13 @@
 import json
+import math
 import re
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oceval import (
     BootstrapConfig,
@@ -23,6 +29,7 @@ from oceval import (
     tune,
     write_report,
 )
+from oceval.geometry import boxes_to_array
 from oceval.coco_io import (
     bootstrap_payload,
     histogram_payload,
@@ -69,7 +76,7 @@ def test_unknown_image_reference(tmp_path):
         load_ground_truth(path)
     with pytest.warns(SkippedRecordWarning):
         index = load_ground_truth(path, strict=False)
-    assert index.ground_truths[1] == ()
+    assert len(index.ground_truths[1]) == 0
 
 
 def test_crowd_annotations_flagged_and_excluded(tmp_path):
@@ -95,7 +102,7 @@ def test_nonpositive_box_sides(tmp_path):
         load_ground_truth(path)
     with pytest.warns(SkippedRecordWarning):
         index = load_ground_truth(path, strict=False)
-    assert index.ground_truths[1] == ()
+    assert len(index.ground_truths[1]) == 0
 
 
 @pytest.mark.parametrize("bbox", [[1e308, 0, 1e308, 5], [1e9, 0, 1e-8, 5], [0, 1e9, 5, 1e-8]])
@@ -180,13 +187,13 @@ def test_load_detections_grouping(tmp_path):
     dets = load_detections(dt_path, index)
     assert len(dets.detections[1]) == 2
     assert len(dets.detections[2]) == 1
-    assert dets.detections[3] == ()
+    assert len(dets.detections[3]) == 0
 
 
 def test_empty_detections_file(tmp_path):
     index = load_ground_truth(minimal_gt(tmp_path))
     dets = load_detections(write_json(tmp_path / "dt.json", []), index)
-    assert dets.detections[1] == ()
+    assert len(dets.detections[1]) == 0
 
 
 def test_detection_score_out_of_range(tmp_path):
@@ -199,7 +206,7 @@ def test_detection_score_out_of_range(tmp_path):
         load_detections(dt_path, index)
     with pytest.warns(SkippedRecordWarning):
         dets = load_detections(dt_path, index, strict=False)
-    assert dets.detections[1] == ()
+    assert len(dets.detections[1]) == 0
 
 
 def test_detection_unknown_image(tmp_path):
@@ -344,3 +351,270 @@ def test_report_payload_includes_map_column():
     report = dataset_oc_cost([(1, [Detection(box, 1, 0.9)], [GroundTruthInstance(box, 1)])], OcCostParams())
     payload = report_payload(report, {1: 1.0})
     assert payload["per_image"][0]["map"] == 1.0
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize(
+    "which, field, value, message",
+    [
+        ("detections", "bbox", [0, 0, 10**400, 5], "[1]: bbox must be a list of 4 numbers"),
+        ("detections", "score", 10**400, "[1].score must be a number"),
+        ("ground truth", "bbox", [0, 0, 5, 10**400], "annotations[1] (id 2): bbox must be a list of 4 numbers"),
+        ("ground truth", "width", 10**400, "images[0] needs positive width and height"),
+    ],
+    ids=["detection-bbox", "detection-score", "annotation-bbox", "image-width"],
+)
+def test_integers_beyond_the_float_range_are_parse_errors(tmp_path, strict, which, field, value, message):
+    # as 1e999 already is, on every path: not an OverflowError from float()
+    good = {"image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5], "score": 0.5}
+    bad = {**good, field: value}
+    if field == "width":
+        images = [{"id": 1, "width": value, "height": 480}]
+        load = lambda: load_ground_truth(minimal_gt(tmp_path, images=images), strict=strict)
+    elif which == "ground truth":
+        records = [{"id": k + 1, **{key: rec[key] for key in ("image_id", "category_id", "bbox")}}
+                   for k, rec in enumerate((good, bad))]
+        load = lambda: load_ground_truth(minimal_gt(tmp_path, annotations=records), strict=strict)
+    else:
+        index = load_ground_truth(minimal_gt(tmp_path))
+        path = write_json(tmp_path / "dt.json", [good, bad])
+        load = lambda: load_detections(path, index, strict=strict)
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load()
+
+
+# The record-by-record loaders as they were before the columnar loader,
+# with integers beyond the float range read as non-numbers: the oracle for
+# every value, error and warning of the loader.
+
+def _oracle_number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _oracle_int(value, what, path):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{path}: {what} must be an integer, got {value!r}")
+    return value
+
+
+def _oracle_box(bbox, record, path):
+    if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
+        raise ParseError(f"{path}: {record}: bbox must be a list of 4 numbers, got {bbox!r}")
+    nums = [_oracle_number(v) for v in bbox]
+    if any(v is None for v in nums):
+        raise ParseError(f"{path}: {record}: bbox must be a list of 4 numbers, got {bbox!r}")
+    x, y, w, h = nums
+    if w <= 0 or h <= 0:
+        return None, f"{record}: box width/height must be positive, got w={w:g} h={h:g}"
+    x2, y2 = x + w, y + h
+    if not (x < x2 < math.inf and y < y2 < math.inf):
+        return None, (
+            f"{record}: box corners x + w, y + h must be finite and exceed x, y, "
+            f"got x={x:g} y={y:g} w={w:g} h={h:g}"
+        )
+    return BoundingBox(x, y, x2, y2), None
+
+
+def _oracle_problems(problems, path, strict):
+    if not problems:
+        return
+    if strict:
+        shown = "; ".join(problems[:20])
+        more = f" (and {len(problems) - 20} more)" if len(problems) > 20 else ""
+        raise ValidationError(f"{path}: {len(problems)} invalid record(s): {shown}{more}")
+    for problem in problems:
+        warnings.warn(f"{path}: skipped {problem}", SkippedRecordWarning)
+
+
+def _oracle_annotations(path, images, categories, strict):
+    """Per image: the kept annotations as (box, label, crowd) in file order."""
+    annotations = json.loads(Path(path).read_text())["annotations"]
+    grouped = {i: [] for i in images}
+    problems = []
+    for i, rec in enumerate(annotations):
+        if not isinstance(rec, dict):
+            raise ParseError(f"{path}: annotations[{i}] must be an object")
+        label = f"annotations[{i}]" + (f" (id {rec['id']})" if "id" in rec else "")
+        image_id = _oracle_int(rec.get("image_id"), f"{label}.image_id", path)
+        cat_id = _oracle_int(rec.get("category_id"), f"{label}.category_id", path)
+        box, problem = _oracle_box(rec.get("bbox"), label, path)
+        if problem is None and image_id not in images:
+            problem = f"{label}: unknown image_id {image_id}"
+        if problem is None and cat_id not in categories:
+            problem = f"{label}: unknown category_id {cat_id}"
+        if problem is not None:
+            problems.append(problem)
+            continue
+        crowd = rec.get("iscrowd", 0)
+        if crowd not in (0, 1, True, False):
+            raise ParseError(f"{path}: {label}.iscrowd must be 0 or 1")
+        grouped[image_id].append((box, cat_id, bool(crowd)))
+    _oracle_problems(problems, path, strict)
+    return grouped
+
+
+def _oracle_detections(path, index, strict):
+    """Per image: the kept detections in file order."""
+    doc = json.loads(Path(path).read_text())
+    grouped = {i: [] for i in index.images}
+    problems = []
+    for i, rec in enumerate(doc):
+        if not isinstance(rec, dict):
+            raise ParseError(f"{path}: [{i}] must be an object")
+        label = f"[{i}]"
+        image_id = _oracle_int(rec.get("image_id"), f"{label}.image_id", path)
+        cat_id = _oracle_int(rec.get("category_id"), f"{label}.category_id", path)
+        score = _oracle_number(rec.get("score"))
+        if score is None:
+            raise ParseError(f"{path}: {label}.score must be a number")
+        box, problem = _oracle_box(rec.get("bbox"), label, path)
+        if problem is None and not 0.0 <= score <= 1.0:
+            problem = f"{label}: score must be in [0, 1], got {score:g}"
+        if problem is None and image_id not in index.images:
+            problem = f"{label}: unknown image_id {image_id}"
+        if problem is None and cat_id not in index.categories:
+            problem = f"{label}: unknown category_id {cat_id}"
+        if problem is not None:
+            problems.append(problem)
+            continue
+        grouped[image_id].append(Detection(box=box, label=cat_id, score=score))
+    _oracle_problems(problems, path, strict)
+    return grouped
+
+
+MISSING = object()
+ORACLE_IMAGES = [{"id": i, "width": 100, "height": 100} for i in (3, 1, 2)]
+# one category id beyond int64, so labels of that category cannot be int64
+ORACLE_CATEGORIES = [{"id": 1, "name": "a"}, {"id": 2, "name": "b"}, {"id": 2**70, "name": "huge"}]
+
+good_ids = st.sampled_from([1, 2, 3])
+value_ids = good_ids | st.sampled_from([0, 7, -1, 2**63, 2**70])  # unknown or beyond int64
+bad_ids = st.sampled_from([True, False, "1", 1.0, None, [1], MISSING])
+good_coord = st.integers(0, 60) | st.floats(0, 60, allow_nan=False)
+good_bbox = st.tuples(good_coord, good_coord, st.floats(0.5, 40), st.integers(1, 40)).map(list)
+value_bbox = good_bbox | st.sampled_from([
+    [0, 0, 0, 5], [1, 2, -3, 4], [0, 0, 5, -0.0],  # non-positive sides
+    [1e308, 0, 1e308, 5], [0, 1e308, 5, 1e308],  # corners that overflow
+    [1e9, 0, 1e-8, 5], [0, 1e9, 5, 1e-8],  # corners that round back
+])
+bad_bbox = st.sampled_from([
+    [0, 0, 5], [0, 0, 5, 5, 5], [], "0,0,5,5", None, {"x": 0}, MISSING,
+    [0, 0, True, 5], [0, "0", 5, 5], [0, 0, None, 5], [float("nan"), 0, 5, 5],
+    [0, 0, float("inf"), 5], [0, 0, 10**400, 5], [-(10**400), 0, 5, 5],
+])
+good_score = st.floats(0, 1) | st.sampled_from([0, 1])
+value_score = good_score | st.sampled_from([1.5, -0.1, 2, -1e-300])
+bad_score = st.sampled_from([float("nan"), float("inf"), 10**400, "0.5", True, None, MISSING])
+value_crowd = st.sampled_from([0, 1, True, False, 0.0, 1.0, MISSING])
+bad_crowd = st.sampled_from([2, -1, 0.5, "1", None, [0], float("nan")])
+
+
+def _records(structural, fields, draw):
+    """A list of records: mostly well-formed, with value problems, and when
+    ``structural`` also with malformed records or fields."""
+    records = []
+    for _ in range(draw(st.integers(0, 12))):
+        if structural and draw(st.integers(0, 9)) == 0:
+            records.append(draw(st.sampled_from([[], "record", 3, None])))
+            continue
+        rec = {}
+        for key, good, value, bad in fields:
+            kind = draw(st.integers(0, 9))
+            strategy = bad if structural and kind == 0 else value if kind < 4 else good
+            item = draw(strategy)
+            if item is not MISSING:
+                rec[key] = item
+        records.append(rec)
+    return records
+
+
+def _assert_same_outcome(oracle, load, compare):
+    """Strict and lenient: the same arrays, or the same exception type and
+    message; lenient also the same warning texts in the same order."""
+    outcomes = []
+    for fn in (oracle, load):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = ("ok", fn())
+            except (ParseError, ValidationError) as exc:
+                result = (type(exc), str(exc))
+        outcomes.append((result, [str(w.message) for w in caught if w.category is SkippedRecordWarning]))
+    (expected, expected_warnings), (got, got_warnings) = outcomes
+    assert got_warnings == expected_warnings
+    assert got[0] == expected[0]
+    if got[0] == "ok":
+        compare(expected[1], got[1])
+    else:
+        assert got[1] == expected[1]
+
+
+@pytest.fixture(scope="module")
+def oracle_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle")
+
+
+@settings(max_examples=300, deadline=None)
+@given(structural=st.booleans(), strict=st.booleans(), data=st.data())
+def test_detection_loader_matches_the_record_by_record_oracle(oracle_dir, structural, strict, data):
+    gt_path = write_json(oracle_dir / "gt.json", {
+        "images": ORACLE_IMAGES, "annotations": [], "categories": ORACLE_CATEGORIES})
+    index = load_ground_truth(gt_path)
+    fields = [
+        ("image_id", good_ids, value_ids, bad_ids),
+        ("category_id", st.sampled_from([1, 2, 2**70]), value_ids, bad_ids),
+        ("bbox", good_bbox, value_bbox, bad_bbox),
+        ("score", good_score, value_score, bad_score),
+    ]
+    path = write_json(oracle_dir / "dt.json", _records(structural, fields, data.draw))
+
+    def compare(expected, got):
+        assert list(got.detections) == list(expected)
+        for image_id, dets in expected.items():
+            cols = got.detections[image_id]
+            np.testing.assert_array_equal(cols.boxes.reshape(-1, 4), boxes_to_array(d.box for d in dets))
+            assert cols.labels.tolist() == [d.label for d in dets]
+            assert cols.scores.tolist() == [d.score for d in dets]
+
+    _assert_same_outcome(
+        lambda: _oracle_detections(path, index, strict),
+        lambda: load_detections(path, index, strict=strict),
+        compare,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(structural=st.booleans(), strict=st.booleans(), data=st.data())
+def test_ground_truth_loader_matches_the_record_by_record_oracle(oracle_dir, structural, strict, data):
+    fields = [
+        ("id", st.integers(1, 9), st.integers(1, 9), st.sampled_from([MISSING, "x", None])),
+        ("image_id", good_ids, value_ids, bad_ids),
+        ("category_id", st.sampled_from([1, 2, 2**70]), value_ids, bad_ids),
+        ("bbox", good_bbox, value_bbox, bad_bbox),
+        ("iscrowd", st.sampled_from([0, 1]), value_crowd, bad_crowd),
+    ]
+    annotations = _records(structural, fields, data.draw)
+    path = write_json(oracle_dir / "gt.json", {
+        "images": ORACLE_IMAGES, "annotations": annotations, "categories": ORACLE_CATEGORIES})
+    images = {rec["id"]: None for rec in ORACLE_IMAGES}
+    categories = {rec["id"]: None for rec in ORACLE_CATEGORIES}
+
+    def compare(expected, got):
+        assert list(got.ground_truths) == list(expected)
+        for image_id, rows in expected.items():
+            cols = got.ground_truths[image_id]
+            np.testing.assert_array_equal(cols.boxes.reshape(-1, 4), boxes_to_array(box for box, _, _ in rows))
+            assert cols.labels.tolist() == [label for _, label, _ in rows]
+            assert cols.crowd.tolist() == [crowd for _, _, crowd in rows]
+
+    _assert_same_outcome(
+        lambda: _oracle_annotations(path, images, categories, strict),
+        lambda: load_ground_truth(path, strict=strict),
+        compare,
+    )

@@ -13,6 +13,7 @@ from oceval import (
     dataset_map,
     dataset_oc_cost,
     default_grid,
+    iou,
     nms,
     tune,
 )
@@ -164,6 +165,34 @@ def test_nms_nests_in_score_threshold(dets, iou_threshold, data):
     base = nms(dets, NmsParams(low, iou_threshold))
     kept = nms(dets, NmsParams(high, iou_threshold))
     assert [id(d) for d in kept] == [id(d) for d in base if d.score >= high]
+
+
+def _nms_oracle(dets, params):
+    """NMS as a scalar loop over the boxes, in rank order."""
+    order = sorted(
+        (i for i, d in enumerate(dets) if d.score >= params.score_threshold),
+        key=lambda i: (-dets[i].score, i),
+    )
+    suppressed = [False] * len(order)
+    for a in range(len(order)):
+        if suppressed[a]:
+            continue
+        for b in range(a + 1, len(order)):
+            da, db = dets[order[a]], dets[order[b]]
+            if not suppressed[b] and da.label == db.label and iou(da.box, db.box) > params.iou_threshold:
+                suppressed[b] = True
+    return [dets[i] for a, i in enumerate(order) if not suppressed[a]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dets=coarse_dets,
+    score_threshold=st.sampled_from(SCORES) | st.floats(0.0, 1.0),
+    iou_threshold=st.sampled_from((0.0, 0.25, 0.5, 1 / 3, 0.75, 1.0)) | st.floats(0.0, 1.0),
+)
+def test_nms_matches_the_scalar_loop(dets, score_threshold, iou_threshold):
+    params = NmsParams(score_threshold, iou_threshold)
+    assert [id(d) for d in nms(dets, params)] == [id(d) for d in _nms_oracle(dets, params)]
 
 
 def _tune_oracle(inputs, objective, grid, oc_params=None, map_params=None):
