@@ -163,7 +163,8 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
         table = build_match_table(inputs, MapParams())
         mean_ap = map_from_table(table, range(len(inputs))).mean_ap
         print(f"mean_ap {mean_ap:.6f}")
-        per_image_map = dict(zip((image_id for image_id, _, _ in inputs), image_maps(table)))
+        if args.out:
+            per_image_map = dict(zip((image_id for image_id, _, _ in inputs), image_maps(table)))
 
     if args.out:
         write_report(report_payload(report, per_image_map, mean_ap), args.out, **output)

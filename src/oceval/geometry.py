@@ -103,19 +103,26 @@ def boxes_to_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
     return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between (N, 4) and (M, 4) corner-form arrays, shape (N, M).
+def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of corner-form boxes ``a[..., :4]`` and ``b[..., :4]``, broadcast
+    against each other: row i against row i for two (P, 4) arrays.
 
-    Element order of operations matches :func:`iou` exactly, so the matrix
-    entries are bitwise equal to the scalar results.
+    Element order of operations matches :func:`iou` exactly, so every value
+    is bitwise equal to the scalar result.
     """
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.maximum(0.0, iw) * np.maximum(0.0, ih)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
     return inter / union
+
+
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU between (N, 4) and (M, 4) corner-form arrays, shape (N, M),
+    bitwise equal to :func:`iou` of each pair."""
+    return _iou(a[:, None, :], b[None, :, :])
 
 
 def pairwise_giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -10,6 +10,12 @@ available through the parameters.
 
 A single-image variant treats one image as the whole dataset, scoring
 the categories present in that image's detections or ground truths.
+
+Every kernel runs over all (image, category) segments at once: matching
+builds one flat :class:`MatchTable` for the whole dataset, and one AP
+kernel, run in fixed-size blocks of segments, scores the segments of a
+table (per-image mAP) and the categories pooled from any multiset of its
+images (dataset mAP).
 """
 
 from __future__ import annotations
@@ -21,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import Detection, GroundTruthInstance, ImageInput, detection_arrays, ground_truth_arrays
+from .costs import Detection, GroundTruthInstance, ImageInput, image_arrays
 from .errors import ConfigError
-from .geometry import pairwise_iou
+from .geometry import _iou
 
 __all__ = [
     "COCO_IOU_THRESHOLDS",
@@ -86,56 +92,132 @@ class MapReport:
     params: MapParams = field(default_factory=MapParams)
 
 
-def _greedy_flags(iou_mat: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
-    """True/false-positive flags, shape (rows, thresholds), for rows already
-    ranked by descending score, matched at every IoU threshold in one pass.
+# Block sizes: ranked detections per block of the IoU computation and of a
+# lockstep iteration, and (row, threshold) or (segment, threshold, recall
+# point) cells per block of the AP kernel.
+_BLOCK_ROWS = 1 << 10
+_BLOCK_CELLS = 1 << 14
 
-    At each threshold, each row claims the unclaimed column of highest IoU;
-    the claim counts as a true positive when that IoU is positive and
-    reaches the threshold. Duplicates of an already-claimed ground truth
-    fall through to worse columns or to false positive. IoU ties resolve
-    to the lowest column index. A row whose best IoU is below every
-    threshold can claim nothing and is skipped.
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(start, stop)`` over paired bounds."""
+    sizes = stops - starts
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + sizes, sizes)
+
+
+def _greedy_lockstep(
+    row_segment: np.ndarray,
+    pair_row: np.ndarray,
+    pair_col: np.ndarray,
+    pair_iou: np.ndarray,
+    columns: int,
+    thresholds: Sequence[float],
+) -> np.ndarray:
+    """True/false-positive flags, shape (rows, thresholds), of greedy
+    matching in every segment at once, at every IoU threshold.
+
+    Rows are ranked detections grouped by ``row_segment`` (nondecreasing),
+    in rank order within a segment. Pair p holds the IoU of row
+    ``pair_row[p]`` with ground-truth column ``pair_col[p]`` of the same
+    segment; pairs are sorted by (row, column). At each threshold each row
+    claims the unclaimed column of highest IoU; the claim counts as a true
+    positive when that IoU is positive and reaches the threshold. IoU ties
+    resolve to the lowest column. A row with no IoU at the lowest threshold
+    claims nothing, so its pairs may be left out. Iteration k lets the k-th
+    row with pairs of every segment claim: segments share no column, so
+    their claims never conflict.
     """
-    thrs = np.asarray(thresholds, dtype=np.float64)
-    flags = np.zeros((iou_mat.shape[0], len(thrs)), dtype=bool)
-    if iou_mat.size == 0:
+    thrs = np.asarray(thresholds, dtype=np.float64)[:, None]
+    flags = np.zeros((len(row_segment), len(thrs)), dtype=bool)
+    if not len(pair_iou):
         return flags
-    free = np.ones((len(thrs), iou_mat.shape[1]), dtype=bool)
-    levels = np.arange(len(thrs))
-    for i in np.flatnonzero(iou_mat.max(axis=1) >= thrs.min()):
-        state = np.where(free, iou_mat[i], -1.0)
-        best_j = state.argmax(axis=1)
-        best = state[levels, best_j]
-        claim = (best > 0.0) & (best >= thrs)
-        flags[i] = claim
-        free[levels[claim], best_j[claim]] = False
+    first = np.flatnonzero(np.r_[True, pair_row[1:] != pair_row[:-1]])
+    stop = np.r_[first[1:], len(pair_row)]
+    segment = row_segment[pair_row[first]]
+    k = np.arange(len(first)) - np.searchsorted(segment, segment)
+    order = np.argsort(k, kind="stable")
+    first, stop = first[order], stop[order]
+    free = np.ones((len(thrs), columns), dtype=bool)
+    # iteration k in blocks of at most _BLOCK_ROWS rows
+    steps = np.union1d(np.searchsorted(k[order], np.arange(k.max() + 2)), np.arange(0, len(first), _BLOCK_ROWS))
+    for a, b in zip(steps[:-1].tolist(), steps[1:].tolist()):
+        pairs = _ranges(first[a:b], stop[a:b])
+        sizes = stop[a:b] - first[a:b]
+        local = np.cumsum(sizes) - sizes
+        cols = pair_col[pairs]
+        value = np.where(free[:, cols], pair_iou[pairs], -1.0)
+        best = np.maximum.reduceat(value, local, axis=1)
+        hit = value == np.repeat(best, sizes, axis=1)
+        at = np.minimum.reduceat(np.where(hit, np.arange(len(pairs)), len(pairs)), local, axis=1)
+        level, row = np.nonzero((best > 0.0) & (best >= thrs))
+        free[level, cols[at[level, row]]] = False
+        flags[pair_row[first[a + row]], level] = True
     return flags
 
 
-def _match_image(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruthInstance],
+def _match(
+    per_image_inputs: Sequence[ImageInput],
     thresholds: Sequence[float],
-    max_detections: int | None = None,
-) -> dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Greedy matching of one image, per category present in its (capped)
-    detections or its ground truths: (gt count, detection indices ranked by
-    descending score with ties in input order, their scores, their flags
-    per threshold)."""
-    dets, gts = detection_arrays(dets), ground_truth_arrays(gts)
-    scores = dets.scores
-    ranked = np.argsort(-scores, kind="stable")[:max_detections]
-    labels = dets.labels[ranked]
-    gt_labels = gts.labels
-    iou = pairwise_iou(dets.boxes[ranked], gts.boxes)
-    matched: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
-    for cat in sorted(set(labels.tolist()) | set(gt_labels.tolist())):
-        rows = np.flatnonzero(labels == cat)
-        cols = np.flatnonzero(gt_labels == cat)
-        flags = _greedy_flags(iou[np.ix_(rows, cols)], thresholds)
-        matched[cat] = (len(cols), ranked[rows], scores[ranked[rows]], flags)
-    return matched
+    max_detections: int | None,
+) -> tuple[np.ndarray, dict]:
+    """The fields of the :class:`MatchTable` of the inputs, but ``params``,
+    with the index of every row's detection in the concatenated detections
+    of all images."""
+    images = [image_arrays(item) for item in per_image_inputs]
+    dets = [d for _, d, _ in images]
+    gts = [g for _, _, g in images]
+    det_image = np.repeat(np.arange(len(images)), [len(d) for d in dets])
+    gt_image = np.repeat(np.arange(len(images)), [len(g) for g in gts])
+    boxes = np.concatenate([np.zeros((0, 4)), *(d.boxes for d in dets)])
+    gt_boxes = np.concatenate([np.zeros((0, 4)), *(g.boxes for g in gts)])
+    scores = np.concatenate([np.zeros(0), *(d.scores for d in dets)])
+    labels = np.concatenate([np.zeros(0, dtype=np.int64), *(d.labels for d in dets), *(g.labels for g in gts)])
+    categories, codes = np.unique(labels, return_inverse=True)
+    width = max(len(categories), 1)
+
+    # rank each image by descending score, ties in input order, and cap it
+    ranked = np.lexsort((-scores, det_image))
+    if max_detections is not None:
+        first_of_image = np.searchsorted(det_image, det_image)
+        ranked = ranked[np.arange(len(ranked)) - first_of_image < max_detections]
+    # rows by (image, category), rank order kept within each
+    row_key = det_image[ranked] * width + codes[ranked]
+    by_key = np.argsort(row_key, kind="stable")
+    ranked, row_key = ranked[by_key], row_key[by_key]
+    gt_key = gt_image * width + codes[len(scores):]
+    gt_order = np.argsort(gt_key, kind="stable")
+
+    segment_key = np.unique(np.concatenate([row_key, gt_key]))
+    offsets = np.append(np.searchsorted(row_key, segment_key), len(row_key))
+    gt_bounds = np.append(np.searchsorted(gt_key[gt_order], segment_key), len(gt_key))
+    gt_count = np.diff(gt_bounds)
+    row_segment = np.repeat(np.arange(len(segment_key)), np.diff(offsets))
+    # each row's IoU with the ground truths of its segment, a block of rows
+    # at a time, keeping the pairs of rows that reach the lowest threshold
+    pairs = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+    for lo in range(0, len(ranked), _BLOCK_ROWS):
+        rows = np.arange(lo, min(lo + _BLOCK_ROWS, len(ranked)))
+        segment = row_segment[rows]
+        row = np.repeat(rows, gt_count[segment])
+        col = _ranges(gt_bounds[segment], gt_bounds[segment + 1])
+        iou = _iou(boxes[ranked[row]], gt_boxes[gt_order[col]])
+        candidate = np.zeros(len(rows), dtype=bool)
+        candidate[row[iou >= min(thresholds)] - lo] = True
+        keep = candidate[row - lo]
+        pairs.append((row[keep], col[keep], iou[keep]))
+    pair_row, pair_col, pair_iou = map(np.concatenate, zip(*pairs))
+    del pairs
+    return ranked, {
+        "scores": scores[ranked],
+        "flags": _greedy_lockstep(row_segment, pair_row, pair_col, pair_iou, len(gt_key), thresholds),
+        "image": segment_key // width,
+        "category": segment_key % width,
+        "categories": categories,
+        "gt_count": gt_count,
+        "offsets": offsets,
+        "images": len(images),
+    }
 
 
 def match_greedy(
@@ -149,22 +231,12 @@ def match_greedy(
     Returns (index into ``dets``, is-true-positive) pairs ordered by
     descending score, score ties broken by input order.
     """
-    entry = _match_image(dets, gts, (iou_threshold,)).get(category)
-    if entry is None:
+    ranked, table = _match([(None, dets, gts)], (iou_threshold,), None)
+    segment = np.flatnonzero(table["categories"][table["category"]] == category)
+    if not len(segment):
         return []
-    _, det_ids, _, flags = entry
-    return list(zip(det_ids.tolist(), flags[:, 0].tolist()))
-
-
-def _envelope(flags: Sequence[bool] | np.ndarray, num_gt: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative recall and the running-max precision envelope, down the
-    rows of a flag vector or of a (rows, thresholds) flag array."""
-    tp = np.cumsum(np.asarray(flags, dtype=np.float64), axis=0)
-    ranks = np.arange(1, len(tp) + 1, dtype=np.float64).reshape((-1,) + (1,) * (tp.ndim - 1))
-    recall = tp / num_gt
-    precision = tp / ranks
-    envelope = np.maximum.accumulate(precision[::-1], axis=0)[::-1]
-    return recall, envelope
+    rows = slice(*table["offsets"][segment[0] : segment[0] + 2].tolist())
+    return list(zip(ranked[rows].tolist(), table["flags"][rows, 0].tolist()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -172,6 +244,80 @@ def _recall_samples(recall_points: int) -> np.ndarray:
     samples = np.linspace(0.0, 1.0, recall_points)
     samples.flags.writeable = False
     return samples
+
+
+def _block_aps(flags: np.ndarray, starts: np.ndarray, gt_count: np.ndarray, recall_points: int) -> np.ndarray:
+    """Interpolated AP, shape (thresholds, segments), of every column of
+    every segment of score-ordered (rows, thresholds) ``flags``. Segment s
+    starts at row ``starts[s]`` and holds every true positive up to the
+    next start; one without true positives scores 0.
+
+    Row i of a segment has precision tp_i / (i + 1) and recall
+    tp_i / gt_count, tp_i counting its true positives up to row i. AP
+    averages, over ``recall_points`` equally spaced values r, the envelope
+    (the highest precision from the first row of recall >= r to the end)
+    or 0 when recall never reaches r. Precision peaks only at true
+    positives, so only they are read: recall reaches r at the q-th true
+    positive, q the fewest with q / gt_count >= r in floating point, and
+    the envelope there is the highest precision of the q-th and later ones.
+    """
+    levels, segments = flags.shape[1], len(gt_count)
+    level, row = np.nonzero(flags.T)
+    segment = np.searchsorted(starts, row, side="right") - 1
+    group = level * segments + segment
+    count = np.bincount(group, minlength=levels * segments)
+    start = np.cumsum(count) - count
+    tp = np.arange(len(row)) - start[group] + 1
+    precision = tp / (row - starts[segment] + 1)
+    # a running max from the last true positive back, over keys that rank
+    # earlier groups above later ones, so it never leaves a group
+    by_value = np.argsort(precision)
+    rank = np.empty_like(by_value)
+    rank[by_value] = np.arange(len(row))
+    key = (levels * segments - group) * len(row) + rank
+    envelope = precision[by_value[np.maximum.accumulate(key[::-1])[::-1] % len(row)]]
+
+    active = np.flatnonzero(count)
+    gt, pick = np.unique(gt_count[active % segments], return_inverse=True)
+    samples = _recall_samples(recall_points)
+    gt = gt.astype(np.float64)[:, None]
+    # ceil(r * gt) - 2 is at most 3 below the least q with q / gt >= r
+    need = np.maximum(np.ceil(samples * gt) - 2.0, 0.0)
+    for _ in range(3):
+        need += need / gt < samples
+    at = np.maximum(need, 1.0).astype(np.int64)[pick]
+    short = at > count[active, None]
+    at += start[active, None] - 1
+    at[short] = len(row)
+    aps = np.zeros(levels * segments)
+    aps[active] = np.append(envelope, 0.0)[at].mean(axis=1)
+    return aps.reshape(levels, segments)
+
+
+def _segment_means(flags: np.ndarray, offsets: np.ndarray, gt_count: np.ndarray, recall_points: int) -> np.ndarray:
+    """Mean AP over thresholds (``math.fsum`` of the thresholds' APs over
+    their count) of every segment, rows ``offsets[s]:offsets[s + 1]`` of
+    ``flags``, and 0 for one without ground truths. :func:`_block_aps`
+    scores the others in blocks of a fixed number of segments, which bounds
+    every temporary."""
+    levels = flags.shape[1]
+    scored = np.flatnonzero(gt_count)
+    sizes = offsets[scored + 1] - offsets[scored]
+    through = np.cumsum(sizes)
+    most = max(1, _BLOCK_CELLS // (levels * recall_points))
+    sums = np.zeros(len(gt_count))
+    lo = 0
+    while lo < len(scored):
+        # at most _BLOCK_CELLS (row, threshold) and (segment, threshold,
+        # recall point) cells, or one segment
+        fit = np.searchsorted(through, through[lo] - sizes[lo] + _BLOCK_CELLS // levels, "right")
+        hi = min(max(fit, lo + 1), lo + most)
+        block = scored[lo:hi]
+        first, stop = offsets[block[0]], offsets[block[-1] + 1]
+        aps = _block_aps(flags[first:stop], offsets[block] - first, gt_count[block], recall_points)
+        sums[block] = list(map(math.fsum, aps.T.tolist()))
+        lo = hi
+    return sums / levels
 
 
 def average_precision(
@@ -189,79 +335,70 @@ def average_precision(
         raise ConfigError(f"num_gt must be >= 0, got {num_gt}")
     if num_gt == 0:
         return 0.0 if len(flags) else None
-    if not len(flags):
-        return 0.0
-    recall, envelope = _envelope(flags, num_gt)
-    idx = np.searchsorted(recall, _recall_samples(recall_points), side="left")
-    sampled = np.where(idx < len(recall), envelope[np.minimum(idx, len(recall) - 1)], 0.0)
-    return float(np.mean(sampled))
+    column = np.asarray(flags, dtype=bool).reshape(-1, 1)
+    return float(_segment_means(column, np.array([0, len(column)]), np.array([num_gt]), recall_points)[0])
 
 
-def _category_ap(flags: np.ndarray, num_gt: int, recall_points: int) -> list[float]:
-    """Interpolated AP of every column of score-ordered (rows, thresholds)
-    flags; column t equals ``average_precision(flags[:, t], num_gt,
-    recall_points)`` for ``num_gt > 0``."""
-    rows, levels = flags.shape
-    if not rows:
-        return [0.0] * levels
-    recall, envelope = _envelope(flags, num_gt)
-    samples = _recall_samples(recall_points)
-    idx = np.stack([np.searchsorted(column, samples, side="left") for column in recall.T])
-    sampled = np.where(idx < rows, envelope[np.minimum(idx, rows - 1), np.arange(levels)[:, None]], 0.0)
-    return np.mean(sampled, axis=1).tolist()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchTable:
-    """Precomputed per-image matching, reusable across resampled subsets.
+    """Greedy matching of every image as one flat table, reusable across
+    resampled subsets.
 
-    ``entries[image_index][category]`` holds (gt_count, scores, flags):
-    the scores of that image's detections of the category in rank order
-    (descending score, ties in input order) and their (rows, thresholds)
-    true-positive flags. Matching happens within one image, so any
-    multiset of images can be pooled later without re-running the
+    Each row is one ranked detection: its score in ``scores`` and its
+    true-positive flag at every IoU threshold in ``flags``, shape
+    (rows, thresholds). Rows are grouped into segments, one per category
+    present in an image's (capped) detections or ground truths, ordered by
+    image, then category. Within a segment the rows are ranked by
+    descending score, ties in input order. Segment s holds rows
+    ``offsets[s]:offsets[s + 1]``, the image index ``image[s]``, the
+    category ``categories[category[s]]`` (``categories`` is sorted) and
+    the ground-truth count ``gt_count[s]``. ``images`` counts the inputs,
+    those without any segment included. Matching happens within one image,
+    so any multiset of images can be pooled later without re-running the
     geometry.
     """
 
-    entries: tuple[dict[int, tuple[int, np.ndarray, np.ndarray]], ...]
+    scores: np.ndarray
+    flags: np.ndarray
+    image: np.ndarray
+    category: np.ndarray
+    categories: np.ndarray
+    gt_count: np.ndarray
+    offsets: np.ndarray
+    images: int
     params: MapParams
 
 
 def build_match_table(per_image_inputs: Sequence[ImageInput], params: MapParams) -> MatchTable:
-    entries = []
-    for _, dets, gts in per_image_inputs:
-        matched = _match_image(dets, gts, params.iou_thresholds, params.max_detections)
-        entries.append(
-            {cat: (gt_count, scores, flags) for cat, (gt_count, _, scores, flags) in matched.items()}
-        )
-    return MatchTable(entries=tuple(entries), params=params)
-
-
-def _mean_over_thresholds(flags: np.ndarray, gt_count: int, recall_points: int) -> float:
-    aps = _category_ap(flags, gt_count, recall_points)
-    return math.fsum(aps) / len(aps)
+    _, columns = _match(per_image_inputs, params.iou_thresholds, params.max_detections)
+    return MatchTable(**columns, params=params)
 
 
 def filter_table(table: MatchTable, score_threshold: float) -> MatchTable:
     """The table of the same inputs with every detection scoring below
     ``score_threshold`` removed.
 
-    Each entry ranks its detections by descending score and greedy matching
-    reads only higher-ranked rows, so the kept detections are a prefix of
-    every entry and keep their flags; a ``max_detections`` cap keeps the top
-    ranks, so the prefix holds under it as well. Categories left with
-    neither detections nor ground truths are dropped, as building the table
-    from the filtered inputs would.
+    Each segment ranks its detections by descending score and greedy
+    matching reads only higher-ranked rows, so the kept detections are a
+    prefix of every segment and keep their flags; a ``max_detections`` cap
+    keeps the top ranks, so the prefix holds under it as well. Segments
+    left with neither detections nor ground truths are dropped, as building
+    the table from the filtered inputs would.
     """
-    entries = []
-    for entry in table.entries:
-        kept = {}
-        for cat, (gt_count, scores, flags) in entry.items():
-            rows = int(np.count_nonzero(scores >= score_threshold))
-            if rows or gt_count:
-                kept[cat] = (gt_count, scores[:rows], flags[:rows])
-        entries.append(kept)
-    return MatchTable(entries=tuple(entries), params=table.params)
+    keep = table.scores >= score_threshold
+    rows = np.diff(np.r_[0, np.cumsum(keep)][table.offsets])
+    kept = (rows > 0) | (table.gt_count > 0)
+    return MatchTable(
+        scores=table.scores[keep],
+        flags=table.flags[keep],
+        image=table.image[kept],
+        category=table.category[kept],
+        categories=table.categories,
+        gt_count=table.gt_count[kept],
+        offsets=np.r_[0, np.cumsum(rows[kept])],
+        images=table.images,
+        params=table.params,
+    )
 
 
 def map_from_table(table: MatchTable, image_indices: Sequence[int]) -> MapReport:
@@ -273,27 +410,22 @@ def map_from_table(table: MatchTable, image_indices: Sequence[int]) -> MapReport
     pooled ground truth participate.
     """
     params = table.params
-    pooled: dict[int, list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
-    for idx in image_indices:
-        for cat, (gt_count, scores, flags) in table.entries[idx].items():
-            pooled.setdefault(cat, []).append((idx, gt_count, scores, flags))
-
-    per_category: dict[int, float] = {}
-    for cat in sorted(pooled):
-        parts = pooled[cat]
-        gt_count = sum(part[1] for part in parts)
-        if gt_count == 0:
-            continue
-        sizes = np.array([len(part[2]) for part in parts])
-        scores = np.concatenate([part[2] for part in parts])
-        image = np.repeat([part[0] for part in parts], sizes)
-        rank = np.arange(len(scores)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        order = np.lexsort((rank, image, -scores))
-        flags = np.concatenate([part[3] for part in parts])[order]
-        per_category[cat] = _mean_over_thresholds(flags, gt_count, params.recall_points)
-
-    if not per_category:
+    picked = np.arange(table.images)[np.asarray(image_indices, dtype=np.int64)]
+    segments = _ranges(np.searchsorted(table.image, picked), np.searchsorted(table.image, picked, side="right"))
+    category = table.category[segments]
+    gt = np.bincount(category, table.gt_count[segments], minlength=len(table.categories)).astype(np.int64)
+    segments = segments[gt[category] > 0]
+    lo, hi = table.offsets[segments], table.offsets[segments + 1]
+    rows = _ranges(lo, hi)
+    category = np.repeat(table.category[segments], hi - lo)
+    # within a category, row order is (image index, in-image rank)
+    order = np.lexsort((rows, -table.scores[rows], category))
+    scored = np.flatnonzero(gt)
+    if not len(scored):
         return MapReport(mean_ap=0.0, per_category={}, params=params)
+    offsets = np.r_[0, np.cumsum(np.bincount(category, minlength=len(gt))[scored])]
+    means = _segment_means(table.flags[rows[order]], offsets, gt[scored], params.recall_points)
+    per_category = dict(zip(table.categories[scored].tolist(), means.tolist()))
     mean_ap = math.fsum(per_category.values()) / len(per_category)
     return MapReport(mean_ap=mean_ap, per_category=per_category, params=params)
 
@@ -306,14 +438,13 @@ def image_maps(table: MatchTable) -> list[float]:
     An image with neither is vacuously perfect and scores 1 (callers may
     flag it in their output).
     """
-    values = []
-    for entry in table.entries:
-        per_cat = [
-            _mean_over_thresholds(flags, gt_count, table.params.recall_points) if gt_count else 0.0
-            for gt_count, _, flags in entry.values()
-        ]
-        values.append(math.fsum(per_cat) / len(per_cat) if per_cat else 1.0)
-    return values
+    means = _segment_means(table.flags, table.offsets, table.gt_count, table.params.recall_points)
+    bounds = np.searchsorted(table.image, np.arange(table.images + 1))
+    counts = np.diff(bounds)
+    # math.fsum over each image's segments
+    per_image = map(means.__getitem__, map(slice, bounds[:-1].tolist(), bounds[1:].tolist()))
+    sums = np.fromiter(map(math.fsum, per_image), np.float64, table.images)
+    return np.where(counts > 0, sums / np.maximum(counts, 1), 1.0).tolist()
 
 
 def dataset_map(per_image_inputs: Sequence[ImageInput], params: MapParams | None = None) -> MapReport:

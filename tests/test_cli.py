@@ -85,6 +85,20 @@ def test_evaluate_with_map_golden(tmp_path):
     ]
 
 
+def test_evaluate_with_map_scores_images_only_for_a_report(tmp_path, capsys, monkeypatch):
+    # per-image mAP feeds only the report's "map" column
+    gt, dt = run_fixture(tmp_path, images=4, gts_per_image=3, jitter=0.05, noise_per_image=2)
+    capsys.readouterr()
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--gt", gt, "--dt", dt, "--with-map", "--out", str(out)]) == 0
+    with_report = capsys.readouterr().out
+    calls = []
+    monkeypatch.setattr(oceval.cli, "image_maps", lambda table: calls.append(table) or [])
+    assert main(["evaluate", "--gt", gt, "--dt", dt, "--with-map"]) == 0
+    assert calls == []
+    assert capsys.readouterr().out == with_report
+
+
 def test_exit_codes(tmp_path):
     gt, dt = run_fixture(tmp_path, images=2, gts_per_image=2)
     # usage: bad lambda value
@@ -128,6 +142,44 @@ def test_exit_code_5(tmp_path, capsys, monkeypatch, exc, message):
             argv = [command, "--gt", gt, "--dt", dt]
         assert main(argv) == 5, command
         assert capsys.readouterr().err.strip() == message, command
+
+
+@pytest.mark.parametrize("section", ["images", "categories"])
+@pytest.mark.parametrize("lenient", [[], ["--lenient"]])
+def test_duplicate_image_or_category_id_exits_4_in_both_modes(tmp_path, capsys, section, lenient):
+    gt, dt = run_fixture(tmp_path, images=2, gts_per_image=2)
+    doc = json.loads(Path(gt).read_text())
+    doc[section].append(dict(doc[section][0]))
+    dup = tmp_path / "dup.json"
+    dup.write_text(json.dumps(doc))
+    assert main(["evaluate", "--gt", str(dup), "--dt", dt, *lenient]) == 4
+    first = doc[section][0]["id"]
+    noun = "image" if section == "images" else "category"
+    assert f"duplicate {noun} id {first}" in capsys.readouterr().err
+
+
+def test_annotation_ids_may_repeat(tmp_path, capsys):
+    # annotation ids only name records in messages: repeated or missing ids
+    # load and score as distinct ground truths
+    gt, dt = run_fixture(tmp_path, images=2, gts_per_image=3, jitter=0.05)
+    capsys.readouterr()
+    assert main(["evaluate", "--gt", gt, "--dt", dt, "--with-map"]) == 0
+    expected = capsys.readouterr().out
+    doc = json.loads(Path(gt).read_text())
+    for rec in doc["annotations"]:
+        rec["id"] = 7
+    del doc["annotations"][-1]["id"]
+    same = tmp_path / "same_ids.json"
+    same.write_text(json.dumps(doc))
+    assert main(["evaluate", "--gt", str(same), "--dt", dt, "--with-map"]) == 0
+    assert capsys.readouterr().out == expected
+    index = load_ground_truth(str(same))
+    assert sum(map(len, index.ground_truths.values())) == len(doc["annotations"])
+    # and a bad record is named by its id, repeats and all
+    doc["annotations"][1]["bbox"] = [0, 0, -1, 5]
+    same.write_text(json.dumps(doc))
+    assert main(["evaluate", "--gt", str(same), "--dt", dt]) == 4
+    assert "annotations[1] (id 7)" in capsys.readouterr().err
 
 
 def test_lenient_mode_flag(tmp_path, capsys):

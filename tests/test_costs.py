@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oceval import (
     BoundingBox,
@@ -9,10 +13,16 @@ from oceval import (
     OcCostParams,
     build_problem,
     classification_cost,
+    giou,
+    image_oc_cost,
+    iou,
     localization_cost,
+    pairwise_giou,
+    pairwise_iou,
     unit_cost,
 )
 from oceval.costs import _blend, _pair_terms
+from oceval.geometry import boxes_to_array
 
 BOX = BoundingBox(0, 0, 10, 10)
 
@@ -124,3 +134,46 @@ def test_degenerate_flag():
     assert cm.degenerate
     assert cm.entries.shape == (0, 0)
     assert not build_problem([], [GroundTruthInstance(BOX, 1)], OcCostParams()).degenerate
+
+
+def edge_box(origin, dx, dy, w, h):
+    """A box at ``origin`` + (dx, dy) of sides w and h; a side whose end
+    rounds back to its start is made one ulp wide."""
+    x1, y1 = origin + dx, origin + dy
+    x2, y2 = x1 + w, y1 + h
+    return BoundingBox(x1, y1, max(x2, math.nextafter(x1, math.inf)), max(y2, math.nextafter(y1, math.inf)))
+
+
+# corners near 0 and near +-1e9, sides from a few ulps (subpixel) to 1e9
+edge_boxes = st.builds(
+    edge_box,
+    st.sampled_from((0.0, 0.5, 1e9, -1e9, 123456789.123)),
+    st.floats(-4.0, 4.0),
+    st.floats(-4.0, 4.0),
+    st.floats(1e-9, 1e-3) | st.floats(1e-3, 1e9),
+    st.floats(1e-9, 1e-3) | st.floats(1e-3, 1e9),
+)
+edge_scenes = st.tuples(
+    st.lists(st.builds(Detection, edge_boxes, st.integers(1, 2), st.floats(0.0, 1.0)), max_size=5),
+    st.lists(st.builds(GroundTruthInstance, edge_boxes, st.integers(1, 2)), max_size=5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scene=edge_scenes, loc_weight=st.floats(0.0, 1.0), dummy_cost=st.floats(0.0, 1.0))
+def test_costs_stay_in_range_on_huge_and_subpixel_boxes(scene, loc_weight, dummy_cost):
+    """Coordinates of 1e9 and boxes a few ulps wide lose precision in GIoU,
+    but IoU stays in [0, 1], GIoU in [-1, 1], every pair cost and the
+    image's OC-cost in [0, 1]."""
+    dets, gts = scene
+    for det in dets:
+        for gt in gts:
+            assert 0.0 <= iou(det.box, gt.box) <= 1.0
+            assert -1.0 <= giou(det.box, gt.box) <= 1.0
+    a, b = boxes_to_array(d.box for d in dets), boxes_to_array(g.box for g in gts)
+    assert ((pairwise_iou(a, b) >= 0.0) & (pairwise_iou(a, b) <= 1.0)).all()
+    assert ((pairwise_giou(a, b) >= -1.0) & (pairwise_giou(a, b) <= 1.0)).all()
+    for terms in _pair_terms(dets, gts):
+        assert ((terms >= 0.0) & (terms <= 1.0)).all()
+    params = OcCostParams(loc_weight, dummy_cost)
+    assert 0.0 <= image_oc_cost(dets, gts, params).oc_cost <= 1.0

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,11 +18,13 @@ from oceval import (
     match_greedy,
     single_image_map,
 )
+from oceval.costs import DetectionArrays, GroundTruthArrays, detection_arrays, ground_truth_arrays
 from oceval.geometry import boxes_to_array, pairwise_iou
 from oceval.map_metric import (
     COCO_IOU_THRESHOLDS,
-    _category_ap,
-    _greedy_flags,
+    MapReport,
+    _block_aps,
+    _greedy_lockstep,
     build_match_table,
     filter_table,
     image_maps,
@@ -29,6 +34,151 @@ from oceval.map_metric import (
 B1 = BoundingBox(0, 0, 10, 10)
 B2 = BoundingBox(100, 0, 110, 10)
 B3 = BoundingBox(0, 100, 10, 110)
+
+
+# Oracles: the per-image, per-category matching and AP this package used
+# before its flat table, kept to check the table bit for bit.
+
+
+def _greedy_flags(iou_mat, thresholds):
+    """True/false-positive flags, shape (rows, thresholds), for rows already
+    ranked by descending score, matched at every IoU threshold in one pass;
+    IoU ties resolve to the lowest column."""
+    thrs = np.asarray(thresholds, dtype=np.float64)
+    flags = np.zeros((iou_mat.shape[0], len(thrs)), dtype=bool)
+    if iou_mat.size == 0:
+        return flags
+    free = np.ones((len(thrs), iou_mat.shape[1]), dtype=bool)
+    levels = np.arange(len(thrs))
+    for i in np.flatnonzero(iou_mat.max(axis=1) >= thrs.min()):
+        state = np.where(free, iou_mat[i], -1.0)
+        best_j = state.argmax(axis=1)
+        best = state[levels, best_j]
+        claim = (best > 0.0) & (best >= thrs)
+        flags[i] = claim
+        free[levels[claim], best_j[claim]] = False
+    return flags
+
+
+def _match_image(dets, gts, thresholds, max_detections=None):
+    """Per category present in the (capped) detections or the ground truths
+    of one image: (gt count, detection indices in rank order, their scores,
+    their flags)."""
+    dets, gts = detection_arrays(dets), ground_truth_arrays(gts)
+    scores = dets.scores
+    ranked = np.argsort(-scores, kind="stable")[:max_detections]
+    labels = dets.labels[ranked]
+    gt_labels = gts.labels
+    iou = pairwise_iou(dets.boxes[ranked], gts.boxes)
+    matched = {}
+    for cat in sorted(set(labels.tolist()) | set(gt_labels.tolist())):
+        rows = np.flatnonzero(labels == cat)
+        cols = np.flatnonzero(gt_labels == cat)
+        flags = _greedy_flags(iou[np.ix_(rows, cols)], thresholds)
+        matched[cat] = (len(cols), ranked[rows], scores[ranked[rows]], flags)
+    return matched
+
+
+def _envelope(flags, num_gt):
+    tp = np.cumsum(np.asarray(flags, dtype=np.float64), axis=0)
+    ranks = np.arange(1, len(tp) + 1, dtype=np.float64).reshape((-1,) + (1,) * (tp.ndim - 1))
+    recall = tp / num_gt
+    precision = tp / ranks
+    envelope = np.maximum.accumulate(precision[::-1], axis=0)[::-1]
+    return recall, envelope
+
+
+def _category_ap(flags, num_gt, recall_points):
+    """Interpolated AP of every column of score-ordered (rows, thresholds) flags."""
+    rows, levels = flags.shape
+    if not rows:
+        return [0.0] * levels
+    recall, envelope = _envelope(flags, num_gt)
+    samples = np.linspace(0.0, 1.0, recall_points)
+    idx = np.stack([np.searchsorted(column, samples, side="left") for column in recall.T])
+    sampled = np.where(idx < rows, envelope[np.minimum(idx, rows - 1), np.arange(levels)[:, None]], 0.0)
+    return np.mean(sampled, axis=1).tolist()
+
+
+def _mean_over_thresholds(flags, gt_count, recall_points):
+    aps = _category_ap(flags, gt_count, recall_points)
+    return math.fsum(aps) / len(aps)
+
+
+def oracle_table(inputs, params):
+    """Per image, {category: (gt count, scores, flags)} in category order."""
+    return [
+        {cat: (n, scores, flags) for cat, (n, _, scores, flags) in
+         _match_image(dets, gts, params.iou_thresholds, params.max_detections).items()}
+        for _, dets, gts in inputs
+    ]
+
+
+def oracle_filter(entries, score_threshold):
+    kept = []
+    for entry in entries:
+        image = {}
+        for cat, (gt_count, scores, flags) in entry.items():
+            rows = int(np.count_nonzero(scores >= score_threshold))
+            if rows or gt_count:
+                image[cat] = (gt_count, scores[:rows], flags[:rows])
+        kept.append(image)
+    return kept
+
+
+def oracle_map(entries, params, image_indices):
+    pooled = {}
+    for idx in image_indices:
+        for cat, (gt_count, scores, flags) in entries[idx].items():
+            pooled.setdefault(cat, []).append((idx, gt_count, scores, flags))
+    per_category = {}
+    for cat in sorted(pooled):
+        parts = pooled[cat]
+        gt_count = sum(part[1] for part in parts)
+        if gt_count == 0:
+            continue
+        sizes = np.array([len(part[2]) for part in parts])
+        scores = np.concatenate([part[2] for part in parts])
+        image = np.repeat([part[0] for part in parts], sizes)
+        rank = np.arange(len(scores)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        order = np.lexsort((rank, image, -scores))
+        flags = np.concatenate([part[3] for part in parts])[order]
+        per_category[cat] = _mean_over_thresholds(flags, gt_count, params.recall_points)
+    if not per_category:
+        return MapReport(mean_ap=0.0, per_category={}, params=params)
+    return MapReport(math.fsum(per_category.values()) / len(per_category), per_category, params)
+
+
+def oracle_image_maps(entries, params):
+    values = []
+    for entry in entries:
+        per_cat = [
+            _mean_over_thresholds(flags, gt_count, params.recall_points) if gt_count else 0.0
+            for gt_count, _, flags in entry.values()
+        ]
+        values.append(math.fsum(per_cat) / len(per_cat) if per_cat else 1.0)
+    return values
+
+
+def table_entries(table):
+    """The flat table in the oracle's per-image form."""
+    entries = [{} for _ in range(table.images)]
+    labels = table.categories[table.category].tolist()
+    for s, (image, cat) in enumerate(zip(table.image.tolist(), labels)):
+        rows = slice(table.offsets[s], table.offsets[s + 1])
+        entries[image][cat] = (int(table.gt_count[s]), table.scores[rows], table.flags[rows])
+    return entries
+
+
+def assert_same_entries(want, got):
+    assert len(want) == len(got)
+    for w, g in zip(want, got):
+        assert list(w) == list(g)
+        for (gt_w, scores_w, flags_w), (gt_g, scores_g, flags_g) in zip(w.values(), g.values()):
+            assert gt_w == gt_g
+            assert scores_w.tolist() == scores_g.tolist()
+            assert flags_w.shape == flags_g.shape and (flags_w == flags_g).all()
+
 
 
 def test_params_validation():
@@ -221,11 +371,30 @@ grid_boxes = st.lists(
 ).map(lambda boxes: boxes_to_array(BoundingBox(x, y, x + w, y + h) for x, y, w, h in boxes))
 
 
-def _check_against_scalar(iou, thresholds):
-    flags = _greedy_flags(iou, thresholds)
-    assert flags.shape == (iou.shape[0], len(thresholds))
-    for t, thr in enumerate(thresholds):
-        assert flags[:, t].tolist() == _scalar_greedy_flags(iou, thr)
+def lockstep_flags(matrices, thresholds):
+    """The lockstep kernel on IoU matrices taken as consecutive segments,
+    each with ground-truth columns of its own: one flag array per matrix."""
+    parts = {"segment": [], "row": [], "col": [], "iou": []}
+    rows = cols = 0
+    for s, iou in enumerate(matrices):
+        m, n = iou.shape
+        parts["segment"].append(np.full(m, s))
+        parts["row"].append(rows + np.repeat(np.arange(m), n))
+        parts["col"].append(cols + np.tile(np.arange(n), m))
+        parts["iou"].append(iou.ravel())
+        rows, cols = rows + m, cols + n
+    segment, row, col = (np.concatenate([np.zeros(0, np.int64), *parts[k]]) for k in ("segment", "row", "col"))
+    flags = _greedy_lockstep(segment, row, col, np.concatenate([np.zeros(0), *parts["iou"]]), cols, thresholds)
+    bounds = np.cumsum([0] + [iou.shape[0] for iou in matrices])
+    return [flags[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _check_against_scalar(matrices, thresholds):
+    for iou, flags in zip(matrices, lockstep_flags(matrices, thresholds), strict=True):
+        assert flags.shape == (iou.shape[0], len(thresholds))
+        assert (flags == _greedy_flags(iou, thresholds)).all()
+        for t, thr in enumerate(thresholds):
+            assert flags[:, t].tolist() == _scalar_greedy_flags(iou, thr)
 
 
 @settings(max_examples=300, deadline=None)
@@ -234,13 +403,20 @@ def _check_against_scalar(iou, thresholds):
 @example(iou=np.full((3, 2), 1.0), thresholds=[0.5, 1.0])
 @example(iou=np.array([[0.4, 0.2], [0.75, 0.75], [0.75, 0.75]]), thresholds=[0.5, 0.75, 0.8])
 def test_greedy_flags_match_scalar_oracle(iou, thresholds):
-    _check_against_scalar(iou, thresholds)
+    _check_against_scalar([iou], thresholds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices=st.lists(iou_matrices, max_size=5), thresholds=threshold_sets)
+def test_lockstep_segments_match_scalar_oracle(matrices, thresholds):
+    # every segment claims on its own, whatever the others hold
+    _check_against_scalar(matrices, thresholds)
 
 
 @settings(max_examples=200, deadline=None)
 @given(dets=grid_boxes, gts=grid_boxes, thresholds=threshold_sets)
 def test_greedy_flags_on_duplicate_boxes(dets, gts, thresholds):
-    _check_against_scalar(pairwise_iou(dets, gts), thresholds)
+    _check_against_scalar([pairwise_iou(dets, gts)], thresholds)
 
 
 @settings(max_examples=200, deadline=None)
@@ -254,6 +430,39 @@ def test_category_ap_columns_match_average_precision(flags, num_gt, recall_point
         average_precision(flags[:, t].tolist(), num_gt, recall_points) for t in range(flags.shape[1])
     ]
     assert _category_ap(flags, num_gt, recall_points) == expected
+    assert _block_aps(flags, np.array([0]), np.array([num_gt]), recall_points)[:, 0].tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    segments=st.integers(1, 6).flatmap(
+        lambda levels: st.lists(
+            st.tuples(st.integers(0, 9).flatmap(lambda rows: arrays(bool, (rows, levels))), st.integers(1, 12)),
+            min_size=1,
+            max_size=6,
+        )
+    ),
+    recall_points=st.sampled_from((2, 11, 101)),
+)
+def test_block_aps_equal_oracle_per_segment(segments, recall_points):
+    flags = np.concatenate([f for f, _ in segments])
+    starts = np.cumsum([0] + [len(f) for f, _ in segments])[:-1]
+    aps = _block_aps(flags, starts, np.array([n for _, n in segments]), recall_points)
+    for s, (f, num_gt) in enumerate(segments):
+        assert aps[:, s].tolist() == _category_ap(f, num_gt, recall_points)
+
+
+def test_block_aps_equal_oracle_on_long_segments(rng):
+    # thousands of rows and ground truths: large precision denominators and
+    # recall quotients q / num_gt next to every sampled recall value
+    sizes = [(3000, 1000), (2500, 37), (4000, 3999), (1, 1)]
+    segments = [(rng.uniform(size=(rows, 3)) < 0.4, num_gt) for rows, num_gt in sizes]
+    flags = np.concatenate([f for f, _ in segments])
+    starts = np.cumsum([0] + [len(f) for f, _ in segments])[:-1]
+    for recall_points in (11, 101, 1001):
+        aps = _block_aps(flags, starts, np.array([n for _, n in segments]), recall_points)
+        for s, (f, num_gt) in enumerate(segments):
+            assert aps[:, s].tolist() == _category_ap(f, num_gt, recall_points)
 
 
 # coarse boxes, two labels and a few shared scores: duplicate boxes, score
@@ -286,12 +495,96 @@ def test_filter_table_equals_table_of_filtered_inputs(images, max_detections, th
 
     expected = build_match_table(filtered, params)
     sliced = filter_table(build_match_table(inputs, params), score_threshold)
-    for want, got in zip(expected.entries, sliced.entries, strict=True):
-        assert list(want) == list(got)
-        for (gt_w, scores_w, flags_w), (gt_g, scores_g, flags_g) in zip(want.values(), got.values()):
-            assert gt_w == gt_g
-            assert scores_w.tolist() == scores_g.tolist()
-            assert flags_w.shape == flags_g.shape and (flags_w == flags_g).all()
+    assert_same_entries(table_entries(expected), table_entries(sliced))
     multiset = list(range(len(inputs))) + [0]
     assert map_from_table(sliced, multiset) == map_from_table(expected, multiset)
     assert image_maps(sliced) == image_maps(expected)
+
+
+# labels 2**64 + 1 and -1 make object label arrays (no int64 holds the first)
+LABELS = (1, 2, 3, -1, 2**64 + 1)
+labeled_dets = st.lists(
+    st.builds(Detection, coarse_boxes, st.sampled_from(LABELS), st.sampled_from(SCORES) | st.floats(0.0, 1.0)),
+    max_size=8,
+)
+labeled_gts = st.lists(st.builds(GroundTruthInstance, coarse_boxes, st.sampled_from(LABELS)), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    images=st.lists(st.tuples(labeled_dets, labeled_gts, st.booleans()), max_size=5),
+    max_detections=st.none() | st.integers(1, 4),
+    thresholds=threshold_sets.filter(lambda thrs: thrs[0] > 0.0),
+    recall_points=st.sampled_from((11, 101)),
+    data=st.data(),
+)
+def test_flat_table_equals_oracle(images, max_detections, thresholds, recall_points, data):
+    """Multi-image inputs with score and IoU ties, object labels, empty
+    images and categories with only ground truths: the flat table and every
+    kernel over it equal the per-image oracle bit for bit."""
+    params = MapParams(iou_thresholds=tuple(thresholds), recall_points=recall_points, max_detections=max_detections)
+    inputs = [(i, detection_arrays(dets) if columnar else dets, gts) for i, (dets, gts, columnar) in enumerate(images)]
+    multiset = data.draw(st.lists(st.integers(0, len(inputs) - 1), max_size=8)) if inputs else []
+    score_threshold = data.draw(st.sampled_from(SCORES))
+
+    entries = oracle_table(inputs, params)
+    table = build_match_table(inputs, params)
+    kept = oracle_filter(entries, score_threshold)
+    sliced = filter_table(table, score_threshold)
+    assert_same_entries(entries, table_entries(table))
+    assert_same_entries(kept, table_entries(sliced))
+    for want, got in ((entries, table), (kept, sliced)):
+        assert image_maps(got) == oracle_image_maps(want, params)
+        assert map_from_table(got, multiset) == oracle_map(want, params, multiset)
+        assert map_from_table(got, range(len(inputs))) == oracle_map(want, params, range(len(inputs)))
+
+
+def coco_density_inputs(images, seed=0):
+    """COCO's density: per 640-pixel image, 7 ground truths over 80
+    categories, a detection near each and 93 low-scored ones elsewhere."""
+    rng = np.random.default_rng(seed)
+    inputs = []
+    for image_id in range(images):
+        corner = rng.uniform(0, 560, size=(100, 2))
+        size = rng.uniform(20, 80, size=(100, 2))
+        corner[:7] = rng.uniform(0, 560, size=(7, 2))
+        boxes = np.hstack([corner, corner + size])
+        gt_boxes = boxes[:7] + rng.uniform(-2, 2, size=(7, 4))
+        gt_labels = rng.integers(1, 81, size=7)
+        labels = np.concatenate([gt_labels, rng.integers(1, 81, size=93)])
+        scores = np.concatenate([rng.uniform(0.5, 1.0, size=7), rng.uniform(0.0, 0.3, size=93)])
+        inputs.append((
+            image_id,
+            DetectionArrays(boxes, labels, scores),
+            GroundTruthArrays(gt_boxes, gt_labels, np.zeros(7, dtype=bool)),
+        ))
+    return inputs
+
+
+def _peak_bytes(fn):
+    """Peak of the memory ``fn`` allocates, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_map_kernels_work_in_bounded_blocks():
+    """From 200 to 1000 COCO-density images, the peak memory of the AP
+    kernels grows by a bounded amount per added table row: 32 bytes for
+    ``image_maps``, which keeps a few values per segment, and 128 bytes
+    for ``map_from_table``, which also gathers and sorts the pooled rows.
+    The samples of an unblocked AP kernel cost well over 1000 bytes a row
+    (10 thresholds x 101 recall points per scored segment)."""
+    tables = {n: build_match_table(coco_density_inputs(n), MapParams()) for n in (200, 1000)}
+    added = len(tables[1000].scores) - len(tables[200].scores)
+    kernels = {
+        "image_maps": (image_maps, 32),
+        "map_from_table": (lambda table: map_from_table(table, range(table.images)), 128),
+    }
+    for name, (kernel, per_row) in kernels.items():
+        peaks = {n: _peak_bytes(lambda: kernel(table)) for n, table in tables.items()}
+        assert peaks[1000] - peaks[200] <= per_row * added, (name, peaks)
