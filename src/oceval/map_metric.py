@@ -13,9 +13,9 @@ the categories present in that image's detections or ground truths.
 
 Every kernel runs over all (image, category) segments at once: matching
 builds one flat :class:`MatchTable` for the whole dataset, and one AP
-kernel, run in fixed-size blocks of segments, scores the segments of a
-table (per-image mAP) and the categories pooled from any multiset of its
-images (dataset mAP).
+kernel, run in blocks of segments of bounded size, scores the segments
+of a table (per-image mAP) and the categories pooled from any multiset
+of its images (dataset mAP).
 """
 
 from __future__ import annotations
@@ -140,7 +140,9 @@ def _greedy_lockstep(
     first, stop = first[order], stop[order]
     free = np.ones((len(thrs), columns), dtype=bool)
     # iteration k in blocks of at most _BLOCK_ROWS rows
-    steps = np.union1d(np.searchsorted(k[order], np.arange(k.max() + 2)), np.arange(0, len(first), _BLOCK_ROWS))
+    steps = np.union1d(
+        np.searchsorted(k[order], np.arange(k.max() + 2)), np.arange(0, len(first), _BLOCK_ROWS)
+    )
     for a, b in zip(steps[:-1].tolist(), steps[1:].tolist()):
         pairs = _ranges(first[a:b], stop[a:b])
         sizes = stop[a:b] - first[a:b]
@@ -172,7 +174,9 @@ def _match(
     boxes = np.concatenate([np.zeros((0, 4)), *(d.boxes for d in dets)])
     gt_boxes = np.concatenate([np.zeros((0, 4)), *(g.boxes for g in gts)])
     scores = np.concatenate([np.zeros(0), *(d.scores for d in dets)])
-    labels = np.concatenate([np.zeros(0, dtype=np.int64), *(d.labels for d in dets), *(g.labels for g in gts)])
+    labels = np.concatenate(
+        [np.zeros(0, dtype=np.int64), *(d.labels for d in dets), *(g.labels for g in gts)]
+    )
     categories, codes = np.unique(labels, return_inverse=True)
     width = max(len(categories), 1)
 
@@ -210,7 +214,9 @@ def _match(
     del pairs
     return ranked, {
         "scores": scores[ranked],
-        "flags": _greedy_lockstep(row_segment, pair_row, pair_col, pair_iou, len(gt_key), thresholds),
+        "flags": _greedy_lockstep(
+            row_segment, pair_row, pair_col, pair_iou, len(gt_key), thresholds
+        ),
         "image": segment_key // width,
         "category": segment_key % width,
         "categories": categories,
@@ -246,7 +252,9 @@ def _recall_samples(recall_points: int) -> np.ndarray:
     return samples
 
 
-def _block_aps(flags: np.ndarray, starts: np.ndarray, gt_count: np.ndarray, recall_points: int) -> np.ndarray:
+def _block_aps(
+    flags: np.ndarray, starts: np.ndarray, gt_count: np.ndarray, recall_points: int
+) -> np.ndarray:
     """Interpolated AP, shape (thresholds, segments), of every column of
     every segment of score-ordered (rows, thresholds) ``flags``. Segment s
     starts at row ``starts[s]`` and holds every true positive up to the
@@ -294,12 +302,15 @@ def _block_aps(flags: np.ndarray, starts: np.ndarray, gt_count: np.ndarray, reca
     return aps.reshape(levels, segments)
 
 
-def _segment_means(flags: np.ndarray, offsets: np.ndarray, gt_count: np.ndarray, recall_points: int) -> np.ndarray:
+def _segment_means(
+    flags: np.ndarray, offsets: np.ndarray, gt_count: np.ndarray, recall_points: int
+) -> np.ndarray:
     """Mean AP over thresholds (``math.fsum`` of the thresholds' APs over
     their count) of every segment, rows ``offsets[s]:offsets[s + 1]`` of
     ``flags``, and 0 for one without ground truths. :func:`_block_aps`
-    scores the others in blocks of a fixed number of segments, which bounds
-    every temporary."""
+    scores the others in blocks of consecutive segments, each as large as
+    ``_BLOCK_CELLS`` allows, which bounds every temporary but those of a
+    single segment larger than that."""
     levels = flags.shape[1]
     scored = np.flatnonzero(gt_count)
     sizes = offsets[scored + 1] - offsets[scored]
@@ -308,8 +319,8 @@ def _segment_means(flags: np.ndarray, offsets: np.ndarray, gt_count: np.ndarray,
     sums = np.zeros(len(gt_count))
     lo = 0
     while lo < len(scored):
-        # at most _BLOCK_CELLS (row, threshold) and (segment, threshold,
-        # recall point) cells, or one segment
+        # at most _BLOCK_CELLS (row, threshold) cells and as many (segment,
+        # threshold, recall point) ones, or a single segment
         fit = np.searchsorted(through, through[lo] - sizes[lo] + _BLOCK_CELLS // levels, "right")
         hi = min(max(fit, lo + 1), lo + most)
         block = scored[lo:hi]
@@ -336,7 +347,8 @@ def average_precision(
     if num_gt == 0:
         return 0.0 if len(flags) else None
     column = np.asarray(flags, dtype=bool).reshape(-1, 1)
-    return float(_segment_means(column, np.array([0, len(column)]), np.array([num_gt]), recall_points)[0])
+    means = _segment_means(column, np.array([0, len(column)]), np.array([num_gt]), recall_points)
+    return float(means[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,9 +423,12 @@ def map_from_table(table: MatchTable, image_indices: Sequence[int]) -> MapReport
     """
     params = table.params
     picked = np.arange(table.images)[np.asarray(image_indices, dtype=np.int64)]
-    segments = _ranges(np.searchsorted(table.image, picked), np.searchsorted(table.image, picked, side="right"))
+    segments = _ranges(
+        np.searchsorted(table.image, picked), np.searchsorted(table.image, picked, side="right")
+    )
     category = table.category[segments]
-    gt = np.bincount(category, table.gt_count[segments], minlength=len(table.categories)).astype(np.int64)
+    gt = np.bincount(category, table.gt_count[segments], minlength=len(table.categories))
+    gt = gt.astype(np.int64)
     segments = segments[gt[category] > 0]
     lo, hi = table.offsets[segments], table.offsets[segments + 1]
     rows = _ranges(lo, hi)

@@ -141,7 +141,8 @@ def edge_box(origin, dx, dy, w, h):
     rounds back to its start is made one ulp wide."""
     x1, y1 = origin + dx, origin + dy
     x2, y2 = x1 + w, y1 + h
-    return BoundingBox(x1, y1, max(x2, math.nextafter(x1, math.inf)), max(y2, math.nextafter(y1, math.inf)))
+    x2, y2 = max(x2, math.nextafter(x1, math.inf)), max(y2, math.nextafter(y1, math.inf))
+    return BoundingBox(x1, y1, x2, y2)
 
 
 # corners near 0 and near +-1e9, sides from a few ulps (subpixel) to 1e9

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oceval import BoundingBox, area, giou, iou, pairwise_giou, pairwise_iou
-from oceval.geometry import boxes_to_array
+from oceval.geometry import _iou, boxes_to_array
 
 from conftest import random_box
 
@@ -92,10 +92,14 @@ def test_pairwise_matches_scalar_bitwise(rng):
     arr_b = boxes_to_array(boxes_b)
     mat_iou = pairwise_iou(arr_a, arr_b)
     mat_giou = pairwise_giou(arr_a, arr_b)
+    # the row-against-row form the mAP matching uses
+    rows, cols = np.divmod(np.arange(35), 5)
+    paired = _iou(arr_a[rows], arr_b[cols])
     for i, a in enumerate(boxes_a):
         for j, b in enumerate(boxes_b):
             assert mat_iou[i, j] == iou(a, b)
             assert mat_giou[i, j] == giou(a, b)
+            assert paired[5 * i + j] == iou(a, b)
 
 
 def test_boxes_to_array_shape_and_empty():

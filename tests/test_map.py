@@ -383,8 +383,11 @@ def lockstep_flags(matrices, thresholds):
         parts["col"].append(cols + np.tile(np.arange(n), m))
         parts["iou"].append(iou.ravel())
         rows, cols = rows + m, cols + n
-    segment, row, col = (np.concatenate([np.zeros(0, np.int64), *parts[k]]) for k in ("segment", "row", "col"))
-    flags = _greedy_lockstep(segment, row, col, np.concatenate([np.zeros(0), *parts["iou"]]), cols, thresholds)
+    segment, row, col = (
+        np.concatenate([np.zeros(0, np.int64), *parts[k]]) for k in ("segment", "row", "col")
+    )
+    iou = np.concatenate([np.zeros(0), *parts["iou"]])
+    flags = _greedy_lockstep(segment, row, col, iou, cols, thresholds)
     bounds = np.cumsum([0] + [iou.shape[0] for iou in matrices])
     return [flags[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
@@ -437,7 +440,10 @@ def test_category_ap_columns_match_average_precision(flags, num_gt, recall_point
 @given(
     segments=st.integers(1, 6).flatmap(
         lambda levels: st.lists(
-            st.tuples(st.integers(0, 9).flatmap(lambda rows: arrays(bool, (rows, levels))), st.integers(1, 12)),
+            st.tuples(
+                st.integers(0, 9).flatmap(lambda rows: arrays(bool, (rows, levels))),
+                st.integers(1, 12),
+            ),
             min_size=1,
             max_size=6,
         )
@@ -504,7 +510,9 @@ def test_filter_table_equals_table_of_filtered_inputs(images, max_detections, th
 # labels 2**64 + 1 and -1 make object label arrays (no int64 holds the first)
 LABELS = (1, 2, 3, -1, 2**64 + 1)
 labeled_dets = st.lists(
-    st.builds(Detection, coarse_boxes, st.sampled_from(LABELS), st.sampled_from(SCORES) | st.floats(0.0, 1.0)),
+    st.builds(
+        Detection, coarse_boxes, st.sampled_from(LABELS), st.sampled_from(SCORES) | st.floats(0.0, 1.0)
+    ),
     max_size=8,
 )
 labeled_gts = st.lists(st.builds(GroundTruthInstance, coarse_boxes, st.sampled_from(LABELS)), max_size=5)
@@ -522,8 +530,13 @@ def test_flat_table_equals_oracle(images, max_detections, thresholds, recall_poi
     """Multi-image inputs with score and IoU ties, object labels, empty
     images and categories with only ground truths: the flat table and every
     kernel over it equal the per-image oracle bit for bit."""
-    params = MapParams(iou_thresholds=tuple(thresholds), recall_points=recall_points, max_detections=max_detections)
-    inputs = [(i, detection_arrays(dets) if columnar else dets, gts) for i, (dets, gts, columnar) in enumerate(images)]
+    params = MapParams(
+        iou_thresholds=tuple(thresholds), recall_points=recall_points, max_detections=max_detections
+    )
+    inputs = [
+        (i, detection_arrays(dets) if columnar else dets, gts)
+        for i, (dets, gts, columnar) in enumerate(images)
+    ]
     multiset = data.draw(st.lists(st.integers(0, len(inputs) - 1), max_size=8)) if inputs else []
     score_threshold = data.draw(st.sampled_from(SCORES))
 
