@@ -8,12 +8,12 @@ m x n block of these costs for one image's m detections and n ground
 truths, plus ``dummy_cost``: the price of leaving a detection unmatched
 (a false positive) or a ground truth unmatched (a false negative).
 
-The two terms do not depend on ``loc_weight``, so a caller that scores
-one image under several weights (the lambda sweep) computes them once and
-only blends per weight; a caller that scores subsets of one image's
-detections (the NMS tuner) blends once and takes row subsets. Every cell
-depends on its own detection and ground truth only, so a row subset of
-the blend equals the blend of the subset bit for bit.
+The two terms do not depend on ``loc_weight``, so the pricing kernel of
+:mod:`oceval.occost` computes them once per image, blends them once per
+weight (the lambda sweep) and takes row subsets for subsets of the
+detections (the NMS tuner). Every cell depends on its own detection and
+ground truth only, so a row subset of the blend equals the blend of the
+subset bit for bit.
 
 Every kernel reads one image's detections and ground truths as columns
 (:class:`DetectionArrays`, :class:`GroundTruthArrays`): the COCO loader
@@ -211,11 +211,6 @@ class CostMatrix:
     def n(self) -> int:
         return self.entries.shape[1]
 
-    @property
-    def degenerate(self) -> bool:
-        """True for the 0-detection, 0-ground-truth problem; callers short-circuit it."""
-        return self.m == 0 and self.n == 0
-
 
 def localization_cost(a: BoundingBox, b: BoundingBox) -> float:
     """(1 - GIoU) / 2, in [0, 1): zero iff the boxes coincide."""
@@ -275,6 +270,6 @@ def build_problem(
     """Assemble one image's m x n cost block and its dummy cost.
 
     Entry (i, j) is ``unit_cost(dets[i], gts[j], params)``. Either side may
-    be empty; with both empty the 0 x 0 problem is flagged as degenerate.
+    be empty.
     """
     return _blend(*_pair_terms(dets, gts), params)

@@ -103,12 +103,13 @@ def boxes_to_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
     return np.array([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
 
 
-def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of corner-form boxes ``a[..., :4]`` and ``b[..., :4]``, broadcast
-    against each other: row i against row i for two (P, 4) arrays.
+def _iou(a: np.ndarray, b: np.ndarray, generalized: bool = False) -> np.ndarray:
+    """IoU, or with ``generalized`` GIoU, of corner-form boxes ``a[..., :4]``
+    and ``b[..., :4]``, broadcast against each other: row i against row i
+    for two (P, 4) arrays.
 
-    Element order of operations matches :func:`iou` exactly, so every value
-    is bitwise equal to the scalar result.
+    Element order of operations matches :func:`iou` and :func:`giou`
+    exactly, so every value is bitwise equal to the scalar result.
     """
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
@@ -116,7 +117,12 @@ def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     union = area_a + area_b - inter
-    return inter / union
+    if not generalized:
+        return inter / union
+    hull_w = np.maximum(a[..., 2], b[..., 2]) - np.minimum(a[..., 0], b[..., 0])
+    hull_h = np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])
+    hull = hull_w * hull_h
+    return inter / union - (hull - union) / hull
 
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -127,13 +133,4 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def pairwise_giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise generalized IoU, bitwise consistent with :func:`giou`."""
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.maximum(0.0, iw) * np.maximum(0.0, ih)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    hull_w = np.maximum(a[:, None, 2], b[None, :, 2]) - np.minimum(a[:, None, 0], b[None, :, 0])
-    hull_h = np.maximum(a[:, None, 3], b[None, :, 3]) - np.minimum(a[:, None, 1], b[None, :, 1])
-    hull = hull_w * hull_h
-    return inter / union - (hull - union) / hull
+    return _iou(a[:, None, :], b[None, :, :], generalized=True)

@@ -2,20 +2,19 @@
 
 The tuner scores every point of a (score threshold, IoU threshold) grid
 by the detections that survive it, either by mean image-level correction
-cost (minimized) or by dataset mAP (maximized). Its work grows with the
-number of distinct IoU thresholds, not with the number of grid points,
-because the grid nests:
+cost (minimized) or by dataset mAP (maximized). Only higher-scored boxes
+suppress, so NMS at ``(s, t)`` keeps exactly the ``score >= s`` prefix of
+what NMS at ``(s0, t)`` keeps for any ``s0 <= s``. NMS therefore runs once
+per image and IoU threshold, at the lowest score threshold of that
+column, in the calling process and for both objectives; each grid point
+takes a prefix of that pass, and so does the survivor count of the best
+point. Then:
 
-- only higher-scored boxes suppress, so NMS at ``(s, t)`` keeps exactly
-  the ``score >= s`` prefix of what NMS at ``(s0, t)`` keeps for any
-  ``s0 <= s``; one NMS pass per image and IoU threshold, at the lowest
-  score threshold of that column, serves the whole column;
 - greedy mAP matching runs in score order, so one match table per IoU
   threshold, cut to each score threshold by
   :func:`~oceval.map_metric.filter_table`, serves the mAP objective;
-- the correction cost of an image is computed once per distinct set of
-  survivors, however many grid points share it, on the rows of one cost
-  matrix built per image from all its detections.
+- the correction cost of an image is priced in :mod:`oceval.occost`,
+  once per distinct set of survivors however many grid points share it.
 """
 
 from __future__ import annotations
@@ -27,19 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import (
-    CostMatrix,
     Detection,
     DetectionArrays,
     ImageInput,
     OcCostParams,
-    build_problem,
     detection_arrays,
     image_arrays,
 )
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .geometry import pairwise_iou
 from .map_metric import MapParams, build_match_table, filter_table, map_from_table
-from .occost import _plan_cost, check_jobs, map_images
+from .occost import _subset_costs, check_jobs, map_images
 
 __all__ = [
     "DEFAULT_SCORE_THRESHOLDS",
@@ -135,44 +132,6 @@ def default_grid(
     return [NmsParams(s, t) for s in scores for t in ious]
 
 
-# One NMS pass and the grid points it serves, as (grid index, score threshold).
-_Pass = tuple[NmsParams, list[tuple[int, float]]]
-
-
-def _passes(grid: Sequence[NmsParams]) -> list[_Pass]:
-    """One pass per distinct IoU threshold of the grid, run at the lowest
-    score threshold among that threshold's points."""
-    columns: dict[float, list[tuple[int, float]]] = {}
-    for index, point in enumerate(grid):
-        columns.setdefault(point.iou_threshold, []).append((index, point.score_threshold))
-    return [
-        (NmsParams(min(s for _, s in points), t), points) for t, points in columns.items()
-    ]
-
-
-def _image_costs(
-    task: tuple[ImageInput, list[_Pass], OcCostParams]
-) -> tuple[list[float], list[int]]:
-    """One image's correction cost and survivor count at every grid point,
-    in grid order."""
-    (_, dets, gts), passes, params = task
-    problem = build_problem(dets, gts, params)
-    size = sum(len(points) for _, points in passes)
-    costs, counts = [0.0] * size, [0] * size
-    by_survivors: dict[bytes, float] = {}
-    for base, points in passes:
-        kept = _nms_indices(dets, base)
-        for index, score_threshold in points:
-            # the survivors' problem is their rows of the image's, in NMS order
-            rows = kept[dets.scores[kept] >= score_threshold]
-            key = rows.tobytes()
-            if key not in by_survivors:
-                subset = CostMatrix(problem.entries[rows], problem.dummy_cost)
-                by_survivors[key] = _plan_cost(subset)[0]
-            costs[index], counts[index] = by_survivors[key], len(rows)
-    return costs, counts
-
-
 def tune(
     per_image_inputs: Sequence[ImageInput],
     objective: str = "oc-cost",
@@ -186,9 +145,10 @@ def tune(
     ``objective`` is "oc-cost" (lower is better) or "map" (higher is
     better). Exact ties keep the first point in grid order, so results are
     reproducible for a fixed grid. Each point's value equals evaluating
-    ``nms`` at that point on every image; ``jobs > 1`` fans the images of
-    the oc-cost objective out over one process pool for the whole grid (the
-    map objective runs in one process).
+    ``nms`` at that point on every image. NMS runs in the calling process;
+    ``jobs > 1`` fans the correction costs of the oc-cost objective out over
+    one process pool for the whole grid (the map objective runs in one
+    process).
     """
     if objective not in ("oc-cost", "map"):
         raise ConfigError(f"objective must be 'oc-cost' or 'map', got {objective!r}")
@@ -197,37 +157,50 @@ def tune(
     if not candidates:
         raise ConfigError("tuning grid is empty")
     inputs = [image_arrays(item) for item in per_image_inputs]
-    passes = _passes(candidates)
+    if not inputs:
+        raise ValidationError("cannot evaluate an empty image sequence")
+
+    lowest: dict[float, float] = {}
+    for point in candidates:
+        t = point.iou_threshold
+        lowest[t] = min(lowest.get(t, 1.0), point.score_threshold)
+    # passes[t][i]: what NMS keeps of image i at IoU threshold t and the
+    # lowest score threshold of the grid at t
+    passes = {
+        t: [_nms_indices(dets, NmsParams(s, t)) for _, dets, _ in inputs] for t, s in lowest.items()
+    }
+
+    def kept_rows(point: NmsParams, image: int) -> np.ndarray:
+        rows = passes[point.iou_threshold][image]
+        return rows[inputs[image][1].scores[rows] >= point.score_threshold]
 
     if objective == "oc-cost":
-        params = oc_params or OcCostParams()
-        per_image = map_images(_image_costs, [(item, passes, params) for item in inputs], jobs)
-        values = [math.fsum(column) / len(per_image) for column in zip(*(c for c, _ in per_image))]
-        counts = list(zip(*(n for _, n in per_image)))
-    else:
-        values, counts = [0.0] * len(candidates), [()] * len(candidates)
-        for base, points in passes:
-            kept = [(image_id, nms(dets, base), gts) for image_id, dets, gts in inputs]
-            table = build_match_table(kept, map_params or MapParams())
-            scores = np.concatenate([np.zeros(0), *(dets.scores for _, dets, _ in kept)])
-            image = np.repeat(np.arange(len(kept)), [len(dets) for _, dets, _ in kept])
-            for index, score_threshold in points:
-                survivors = filter_table(table, score_threshold)
-                values[index] = map_from_table(survivors, range(len(inputs))).mean_ap
-                counts[index] = np.bincount(image[scores >= score_threshold], minlength=len(kept))
-    scored = list(zip(candidates, values))
-
-    if objective == "oc-cost":
-        best_index = min(range(len(scored)), key=lambda i: (scored[i][1], i))
+        tasks = []
+        for i, item in enumerate(inputs):
+            # one array per distinct survivor set: solved once, pickled once
+            distinct: dict[bytes, np.ndarray] = {}
+            subsets = [kept_rows(point, i) for point in candidates]
+            tasks.append((item, [distinct.setdefault(rows.tobytes(), rows) for rows in subsets]))
+        per_image = map_images(_subset_costs, tasks, jobs, [oc_params or OcCostParams()])
+        values = [math.fsum(column) / len(per_image) for column in zip(*per_image)]
+        best_index = min(range(len(values)), key=lambda i: (values[i], i))
         kind = "minimize-oc-cost"
     else:
-        best_index = max(range(len(scored)), key=lambda i: (scored[i][1], -i))
+        values = [0.0] * len(candidates)
+        for t, column in passes.items():
+            kept = [(image_id, d.take(rows), g) for (image_id, d, g), rows in zip(inputs, column)]
+            table = build_match_table(kept, map_params or MapParams())
+            for i, point in enumerate(candidates):
+                if point.iou_threshold == t:
+                    survivors = filter_table(table, point.score_threshold)
+                    values[i] = map_from_table(survivors, range(len(inputs))).mean_ap
+        best_index = max(range(len(values)), key=lambda i: (values[i], -i))
         kind = "maximize-map"
-    best_point, best_value = scored[best_index]
+    best_point = candidates[best_index]
     return TuneResult(
         best_params=best_point,
-        objective_value=best_value,
-        grid=tuple(scored),
+        objective_value=values[best_index],
+        grid=tuple(zip(candidates, values)),
         objective_kind=kind,
-        survivor_counts=tuple(int(n) for n in counts[best_index]),
+        survivor_counts=tuple(len(kept_rows(best_point, i)) for i in range(len(inputs))),
     )

@@ -13,11 +13,14 @@ when one side of the image is empty.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Hashable, TypeVar
+from typing import Any, Hashable, TypeVar
+
+import numpy as np
 
 from .costs import (
     CostMatrix,
@@ -27,7 +30,6 @@ from .costs import (
     OcCostParams,
     _blend,
     _pair_terms,
-    build_problem,
     detection_arrays,
     ground_truth_arrays,
     image_arrays,
@@ -107,13 +109,13 @@ def image_oc_cost(
     """
     dets, gts = detection_arrays(dets), ground_truth_arrays(gts)
     m, n = len(dets), len(gts)
-    cost = build_problem(dets, gts, params)
+    loc, cls = _pair_terms(dets, gts)
+    cost = _blend(loc, cls, params)
     oc, plan = _plan_cost(cost)
     breakdown: tuple[PairCost, ...] | None = None
     if with_breakdown:
         rows, cols = plan.det_indices.tolist(), plan.gt_indices.tolist()
         beta = params.dummy_cost
-        loc, cls = _pair_terms(dets, gts)
         pairs = [
             PairCost(
                 det_index=i,
@@ -158,17 +160,19 @@ def check_jobs(jobs: int) -> None:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
 
-def map_images(fn: Callable[[T], R], tasks: Sequence[T], jobs: int) -> list[R]:
-    """``fn`` applied to one task per image, in input order.
+def map_images(fn: Callable[..., R], tasks: Sequence[T], jobs: int, *shared: Any) -> list[R]:
+    """``fn(*shared, task)`` for one task per image, in input order.
 
-    Images are independent, so ``jobs > 1`` fans the tasks out over one
-    process pool (``fn`` must be a module-level function and the tasks
-    picklable); the results are merged back in input order, so they are
-    identical for any job count.
+    The arguments every image shares are bound to ``fn`` once, so no task
+    carries them. Images are independent, so ``jobs > 1`` fans the tasks
+    out over one process pool (``fn`` must be a module-level function and
+    the tasks and shared arguments picklable); the results are merged back
+    in input order, so they are identical for any job count.
     """
     if not tasks:
         raise ValidationError("cannot evaluate an empty image sequence")
     check_jobs(jobs)
+    fn = functools.partial(fn, *shared)
     if jobs == 1 or len(tasks) < 2:
         return [fn(task) for task in tasks]
     chunk = max(1, len(tasks) // (jobs * 4))
@@ -176,9 +180,33 @@ def map_images(fn: Callable[[T], R], tasks: Sequence[T], jobs: int) -> list[R]:
         return list(pool.map(fn, tasks, chunksize=chunk))
 
 
-def _eval_image(task: tuple[ImageInput, OcCostParams, bool]) -> ImageEvalResult:
-    (image_id, dets, gts), params, with_breakdown = task
-    return image_oc_cost(dets, gts, params, image_id=image_id, with_breakdown=with_breakdown)
+def _eval_image(params: OcCostParams, item: ImageInput) -> ImageEvalResult:
+    image_id, dets, gts = item
+    return image_oc_cost(dets, gts, params, image_id=image_id)
+
+
+def _subset_costs(
+    param_list: Sequence[OcCostParams], task: tuple[ImageInput, Sequence[np.ndarray | slice]]
+) -> list[float]:
+    """One image's correction cost under each params at each subset of its
+    detection rows, params-major.
+
+    The pair terms are computed once, blended once per params and solved
+    once per subset object, so a caller passes one object for equal
+    subsets: a subset's problem is its rows of the whole image's, bit for
+    bit.
+    """
+    (_, dets, gts), subsets = task
+    loc, cls = _pair_terms(dets, gts)
+    costs = []
+    for params in param_list:
+        entries = _blend(loc, cls, params).entries
+        by_subset: dict[int, float] = {}
+        for rows in subsets:
+            if id(rows) not in by_subset:
+                by_subset[id(rows)] = _plan_cost(CostMatrix(entries[rows], params.dummy_cost))[0]
+            costs.append(by_subset[id(rows)])
+    return costs
 
 
 def dataset_oc_cost(
@@ -186,7 +214,6 @@ def dataset_oc_cost(
     params: OcCostParams,
     *,
     jobs: int = 1,
-    with_breakdown: bool = False,
 ) -> DatasetReport:
     """Evaluate every image and average the per-image costs.
 
@@ -195,8 +222,8 @@ def dataset_oc_cost(
     report is byte-identical for any job count. Images that are empty on
     both sides still count, contributing 0.
     """
-    tasks = [(image_arrays(item), params, with_breakdown) for item in per_image_inputs]
-    results = map_images(_eval_image, tasks, jobs)
+    inputs = [image_arrays(item) for item in per_image_inputs]
+    results = map_images(_eval_image, inputs, jobs, params)
     mean = math.fsum(r.oc_cost for r in results) / len(results)
     return DatasetReport(
         mean_oc_cost=mean,
@@ -204,12 +231,6 @@ def dataset_oc_cost(
         params=params,
         image_count=len(results),
     )
-
-
-def _sweep_image(task: tuple[ImageInput, list[OcCostParams]]) -> list[float]:
-    (_, dets, gts), param_list = task
-    loc, cls = _pair_terms(dets, gts)
-    return [_plan_cost(_blend(loc, cls, params))[0] for params in param_list]
 
 
 def lambda_sweep(
@@ -231,6 +252,6 @@ def lambda_sweep(
         if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
             raise ConfigError(f"localization weight must lie in [0, 1], got {lam!r}")
     param_list = [OcCostParams(loc_weight=lam, dummy_cost=beta) for lam in lambdas]
-    tasks = [(image_arrays(item), param_list) for item in per_image_inputs]
-    rows = map_images(_sweep_image, tasks, jobs)
+    tasks = [(image_arrays(item), [slice(None)]) for item in per_image_inputs]
+    rows = map_images(_subset_costs, tasks, jobs, param_list)
     return [(lam, math.fsum(column) / len(rows)) for lam, column in zip(lambdas, zip(*rows))]

@@ -382,6 +382,16 @@ def test_count_histogram_reuses_the_tuning_passes(tmp_path, capsys, monkeypatch,
     assert 0 < sum(kept) < len(dets)
 
 
+@pytest.mark.parametrize("objective", ["oc-cost", "map"])
+def test_tune_nms_on_no_images_exits_4(tmp_path, capsys, objective):
+    gt, dt = tmp_path / "gt.json", tmp_path / "dt.json"
+    gt.write_text(json.dumps({"images": [], "annotations": [],
+                              "categories": [{"id": 1, "name": "a"}]}))
+    dt.write_text("[]")
+    assert main(["tune-nms", "--gt", str(gt), "--dt", str(dt), "--objective", objective]) == 4
+    assert "cannot evaluate an empty image sequence" in capsys.readouterr().err
+
+
 def test_tune_nms_single_point_grid(tmp_path, capsys):
     gt, dt = run_fixture(tmp_path, images=2, gts_per_image=2)
     assert main(

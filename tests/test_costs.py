@@ -131,9 +131,8 @@ def test_build_problem_is_the_blend_of_one_precompute(rng):
 
 def test_degenerate_flag():
     cm = build_problem([], [], OcCostParams())
-    assert cm.degenerate
     assert cm.entries.shape == (0, 0)
-    assert not build_problem([], [GroundTruthInstance(BOX, 1)], OcCostParams()).degenerate
+    assert build_problem([], [GroundTruthInstance(BOX, 1)], OcCostParams()).entries.shape == (0, 1)
 
 
 def edge_box(origin, dx, dy, w, h):

@@ -10,6 +10,7 @@ from oceval import (
     MapParams,
     NmsParams,
     OcCostParams,
+    ValidationError,
     dataset_map,
     dataset_oc_cost,
     default_grid,
@@ -104,6 +105,12 @@ def test_tune_rejects_bad_inputs():
         tune(inputs, "accuracy")
     with pytest.raises(ConfigError):
         tune(inputs, "oc-cost", [])
+
+
+@pytest.mark.parametrize("objective", ["oc-cost", "map"])
+def test_tune_rejects_an_empty_image_sequence(objective):
+    with pytest.raises(ValidationError, match="cannot evaluate an empty image sequence"):
+        tune([], objective)
 
 
 def test_tune_picks_threshold_that_removes_noise():
@@ -255,6 +262,9 @@ def test_tune_matches_per_point_oracle(rng, objective, grid_name):
         assert result.grid == scored
         assert result.best_params == best
         assert result.objective_value == dict(scored)[best]
+        assert result.survivor_counts == tuple(
+            len(nms(dets, result.best_params)) for _, dets, _ in inputs
+        )
     if grid_name == "ties":
         assert result.best_params == grid[0]
 

@@ -203,6 +203,14 @@ def test_lambda_sweep_equals_per_lambda_image_cost(rng):
         ]
 
 
+def test_lambda_sweep_repeated_lambda(rng):
+    inputs = [(image_id, *random_scene(rng, max_m=6, max_n=5)) for image_id in range(20)]
+    lambdas = [0.5, 0.5, 1.0]
+    assert lambda_sweep(inputs, lambdas, beta=0.6) == [
+        (lam, dataset_oc_cost(inputs, OcCostParams(lam, 0.6)).mean_oc_cost) for lam in lambdas
+    ]
+
+
 def test_lambda_sweep_validation():
     with pytest.raises(ConfigError):
         lambda_sweep([(1, [], [])], [0.5, 1.5], beta=0.6)
