@@ -23,7 +23,6 @@ from typing import Any, Hashable, TypeVar
 import numpy as np
 
 from .costs import (
-    CostMatrix,
     Detection,
     GroundTruthInstance,
     ImageInput,
@@ -35,7 +34,7 @@ from .costs import (
     image_arrays,
 )
 from .errors import ConfigError, ValidationError
-from .transport import TransportPlan, solve
+from .transport import _checked_gains, _match
 
 __all__ = [
     "PairCost",
@@ -111,10 +110,10 @@ def image_oc_cost(
     m, n = len(dets), len(gts)
     loc, cls = _pair_terms(dets, gts)
     cost = _blend(loc, cls, params)
-    oc, plan = _plan_cost(cost)
+    oc, rows, cols = _plan_cost(cost.entries, _checked_gains(cost), params.dummy_cost)
     breakdown: tuple[PairCost, ...] | None = None
     if with_breakdown:
-        rows, cols = plan.det_indices.tolist(), plan.gt_indices.tolist()
+        rows, cols = rows.tolist(), cols.tolist()
         beta = params.dummy_cost
         pairs = [
             PairCost(
@@ -132,7 +131,7 @@ def image_oc_cost(
     return ImageEvalResult(
         image_id=image_id,
         oc_cost=oc,
-        matched_pairs=plan.matched_pairs,
+        matched_pairs=len(rows),
         num_detections=m,
         num_ground_truths=n,
         per_pair_breakdown=breakdown,
@@ -144,14 +143,18 @@ def _unmatched(size: int, matched: list[int]) -> list[int]:
     return [i for i in range(size) if i not in taken]
 
 
-def _plan_cost(cost: CostMatrix) -> tuple[float, TransportPlan]:
-    """The correction cost of one image's problem, and its optimal plan."""
-    plan = solve(cost)
-    m, n, k = cost.m, cost.n, plan.matched_pairs
+def _plan_cost(
+    entries: np.ndarray, gains: np.ndarray, dummy_cost: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The correction cost of one image's problem, given its checked
+    credited gains, and the pairs (rows, cols) of its optimal plan."""
+    rows, cols = _match(gains)
+    m, n = entries.shape
+    k = len(rows)
     if m == 0 or n == 0:
-        return (cost.dummy_cost if m or n else 0.0), plan
-    terms = cost.entries[plan.det_indices, plan.gt_indices].tolist()
-    return math.fsum(terms + [cost.dummy_cost] * (m + n - 2 * k)) / (m + n - k), plan
+        return (dummy_cost if m or n else 0.0), rows, cols
+    terms = entries[rows, cols].tolist()
+    return math.fsum(terms + [dummy_cost] * (m + n - 2 * k)) / (m + n - k), rows, cols
 
 
 def check_jobs(jobs: int) -> None:
@@ -191,20 +194,21 @@ def _subset_costs(
     """One image's correction cost under each params at each subset of its
     detection rows, params-major.
 
-    The pair terms are computed once, blended once per params and solved
-    once per subset object, so a caller passes one object for equal
-    subsets: a subset's problem is its rows of the whole image's, bit for
-    bit.
+    The pair terms are computed once, blended, checked and turned into
+    gains once per params, and solved once per subset object, so a caller
+    passes one object for equal subsets: a subset's problem and gains are
+    its rows of the whole image's, bit for bit.
     """
     (_, dets, gts), subsets = task
     loc, cls = _pair_terms(dets, gts)
     costs = []
     for params in param_list:
-        entries = _blend(loc, cls, params).entries
+        cost = _blend(loc, cls, params)
+        gains = _checked_gains(cost)
         by_subset: dict[int, float] = {}
         for rows in subsets:
             if id(rows) not in by_subset:
-                by_subset[id(rows)] = _plan_cost(CostMatrix(entries[rows], params.dummy_cost))[0]
+                by_subset[id(rows)] = _plan_cost(cost.entries[rows], gains[rows], cost.dummy_cost)[0]
             costs.append(by_subset[id(rows)])
     return costs
 

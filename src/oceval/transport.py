@@ -10,11 +10,28 @@ at β and carrying k units) is
     (m + n) * β + Σ_matched (c_ij - β),
 
 so an optimal plan is a partial injective matching that minimises the
-sum of the gains c_ij - β of its pairs. ``solve`` finds it with one
-rectangular assignment (``scipy.optimize.linear_sum_assignment``) on the
-m x n block of gains clipped at 0, then drops the pairs whose gain is not
-negative: a clipped cell only pads the assignment to min(m, n) pairs and
-changes nothing. The plan is an integral optimum, not an approximation.
+sum of the gains c_ij - β of its pairs. Only a pair of negative gain is
+worth matching; call it a candidate. ``solve`` finds an optimum in one of
+three ways, cheapest first, and every one is exact:
+
+1. Certificate from the ground-truth side. Every ground truth with a
+   candidate picks its least-gain detection (the first on a tie). No plan
+   beats Σ_j min(0, min_i g_ij), so when no two ground truths pick the
+   same detection these pairs reach that bound and are optimal.
+2. The same certificate from the detection side.
+3. Otherwise a shortest-augmenting-path assignment (D. F. Crouse, "On
+   implementing 2D rectangular assignment algorithms", IEEE TAES 2016,
+   the algorithm of ``scipy.optimize.linear_sum_assignment``), in pure
+   Python, on the candidate block only: the rows and columns that hold a
+   candidate, with gains clipped at 0 and the shorter side assigned. A
+   pair outside the block is never worth matching, and a clipped cell
+   only pads the assignment, so the pairs of negative gain are kept.
+
+On detector output the certificates settle most images. The assignment
+takes O(r^2 c) time on an r x c block (r <= c), and a start that gives
+each row its least column while that column is free leaves only the
+conflicting rows to search. The plan is an integral optimum, not an
+approximation.
 
 Tie rule and its tolerance (the contract the tests fuzz with pair costs
 at β + δ for δ near ε). Among optimal plans the normalization mass
@@ -36,7 +53,11 @@ Hence:
 - plans whose credited objectives tie to rounding (their objectives then
   differ by exactly ε per extra match, which takes costs placed within a
   few ε of β) are all acceptable, and which one is returned depends on
-  the rounding of the assignment; the enumeration below may pick another.
+  the rounding of the assignment; the enumeration below may pick another;
+- among plans of exactly equal credited objective (interchangeable
+  duplicates, or at λ = 0 ground truths of one label) the choice is the
+  solver's: the first least index in a certificate, and the assignment's
+  search order otherwise. The costs do not depend on it.
 
 ``brute_force_solve`` enumerates every partial matching under the same
 rule and is the oracle for ``solve``. The reported objective is always the
@@ -51,7 +72,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .costs import CostMatrix
 from .errors import ConfigError, ValidationError
@@ -84,19 +104,140 @@ class TransportPlan:
         return len(self.det_indices)
 
 
-def _validate_problem(cost: CostMatrix) -> None:
+def _checked_gains(cost: CostMatrix) -> np.ndarray:
+    """Validate ``cost`` and return the credited gain (c_ij - ε) - β of
+    every pair; only negative gains are worth matching. Every cell depends
+    on its own cost only, so a row subset of the gains equals the gains of
+    that row subset of the problem bit for bit."""
     entries = cost.entries
     if entries.ndim != 2:
         raise ConfigError(f"cost matrix must be 2-D (m x n), got shape {entries.shape}")
-    if not (np.isfinite(entries).all() and math.isfinite(cost.dummy_cost)):
-        raise ValidationError("cost matrix contains NaN or infinite entries")
-    if (entries < 0).any() or cost.dummy_cost < 0:
+    # one min and one max reject NaN, infinities and negatives alike
+    beta = cost.dummy_cost
+    if (entries.size and not 0.0 <= entries.min() <= entries.max() < math.inf) or not (
+        0.0 <= beta < math.inf
+    ):
+        if not (np.isfinite(entries).all() and math.isfinite(beta)):
+            raise ValidationError("cost matrix contains NaN or infinite entries")
         raise ValidationError("cost matrix contains negative entries")
+    return (entries - _TIE_EPSILON) - beta
 
 
-def _gains(cost: CostMatrix) -> np.ndarray:
-    """Credited gain of every pair; only negative gains are worth matching."""
-    return (cost.entries - _TIE_EPSILON) - cost.dummy_cost
+def _picks(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every column holding a negative gain picks its least-gain row (the
+    first on a tie): returns (rows, cols), cols ascending. No plan beats
+    Σ_j min(0, min_i g_ij), so when the rows are distinct these pairs
+    reach that bound and are optimal."""
+    picks = gains.argmin(axis=0)
+    negative = gains[picks, np.arange(gains.shape[1])] < 0
+    return picks[negative], negative.nonzero()[0]
+
+
+def _distinct(indices: np.ndarray) -> bool:
+    return len(set(indices.tolist())) == len(indices)
+
+
+def _shortest_augmenting_paths(cost: list[list[float]]) -> list[int]:
+    """The column of each row in a least-cost assignment of every row of a
+    finite cost matrix with no more rows than columns.
+
+    D. F. Crouse, "On implementing 2D rectangular assignment algorithms",
+    IEEE TAES 52(4), 2016: each unassigned row in turn joins the
+    assignment along a shortest augmenting path in reduced costs (a
+    Dijkstra search over the columns), and the duals u, v keep every
+    reduced cost non-negative and every assigned pair's zero. The start
+    reduces each row by its minimum and gives each row its first least
+    column while that column is free, so only the conflicting rows search.
+    """
+    n_cols = len(cost[0])
+    u = [min(row) for row in cost]
+    v = [0.0] * n_cols
+    col4row = [-1] * len(cost)
+    row4col = [-1] * n_cols
+    for i, row in enumerate(cost):
+        j = row.index(u[i])
+        if row4col[j] < 0:
+            row4col[j], col4row[i] = i, j
+    for start in range(len(cost)):
+        if col4row[start] >= 0:
+            continue
+        path = [-1] * n_cols
+        dist = [math.inf] * n_cols
+        # scanned from the back, so a constant matrix gets the identity
+        todo = list(range(n_cols - 1, -1, -1))
+        rows, cols = [start], []
+        i, reach, sink = start, 0.0, -1
+        while sink < 0:
+            row, ui = cost[i], u[i]
+            lowest, index = math.inf, -1
+            for pos, j in enumerate(todo):
+                d = reach + row[j] - ui - v[j]
+                if d < dist[j]:
+                    path[j] = i
+                    dist[j] = d
+                else:
+                    d = dist[j]
+                # among the nearest columns, prefer a free one: it ends the path
+                if d < lowest or (d == lowest and row4col[j] < 0):
+                    lowest, index = d, pos
+            reach = lowest
+            j = todo[index]
+            todo[index] = todo[-1]
+            todo.pop()
+            cols.append(j)
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+                rows.append(i)
+        u[start] += reach
+        for i in rows[1:]:
+            u[i] += reach - dist[col4row[i]]
+        for j in cols:
+            v[j] -= reach - dist[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return col4row
+
+
+def _augment(
+    gains: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """An optimal plan from a shortest-augmenting-path assignment of the
+    candidate block: the ``rows`` and ``cols`` (ascending) that hold a
+    negative gain, at least one, clipped at 0, with the shorter side
+    assigned. Cells outside the block are never worth matching, and a
+    clipped cell only pads the assignment."""
+    block = np.minimum(gains.take(rows, axis=0).take(cols, axis=1), 0.0)
+    tall = len(rows) > len(cols)
+    lines = (block.T if tall else block).tolist()
+    pairs = [(i, j) for i, j in enumerate(_shortest_augmenting_paths(lines)) if lines[i][j] < 0]
+    if tall:
+        pairs = sorted((j, i) for i, j in pairs)
+    at_rows, at_cols = zip(*pairs)
+    return rows.take(at_rows), cols.take(at_cols)
+
+
+def _match(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (rows, cols), ordered by row, of an optimal plan under the
+    credited ``gains``: the certificate from the ground-truth side, else
+    from the detection side, else the augmenting-path solver."""
+    m, n = gains.shape
+    if m == 0 or n == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    rows, cand_cols = _picks(gains)
+    if _distinct(rows):
+        order = rows.argsort()
+        return rows.take(order), cand_cols.take(order)
+    cols, cand_rows = _picks(gains.T)
+    if _distinct(cols):
+        return cand_rows, cols
+    return _augment(gains, cand_rows, cand_cols)
 
 
 def _plan(cost: CostMatrix, rows: np.ndarray, cols: np.ndarray) -> TransportPlan:
@@ -113,14 +254,7 @@ def solve(cost: CostMatrix) -> TransportPlan:
     the module docstring, so among plans of equal objective one with the
     most matched pairs.
     """
-    _validate_problem(cost)
-    if cost.m == 0 or cost.n == 0:
-        none = np.zeros(0, dtype=np.intp)
-        return _plan(cost, none, none)
-    gains = np.minimum(_gains(cost), 0.0)
-    rows, cols = linear_sum_assignment(gains)
-    keep = gains[rows, cols] < 0
-    return _plan(cost, rows[keep], cols[keep])
+    return _plan(cost, *_match(_checked_gains(cost)))
 
 
 def brute_force_solve(cost: CostMatrix) -> TransportPlan:
@@ -130,14 +264,13 @@ def brute_force_solve(cost: CostMatrix) -> TransportPlan:
     matching only pairs of negative gain, preferring more matches on ties.
     Enumeration is bounded to small instances by design.
     """
-    _validate_problem(cost)
+    gains = _checked_gains(cost)
     m, n = cost.m, cost.n
     if m > MAX_BRUTE_FORCE_SIDE or n > MAX_BRUTE_FORCE_SIDE:
         raise ConfigError(
             f"brute-force enumeration is limited to {MAX_BRUTE_FORCE_SIDE} boxes per side, "
             f"got m={m}, n={n}"
         )
-    gains = _gains(cost)
 
     best_key: tuple[float, int] | None = None
     best_match: tuple[tuple[int, int], ...] = ()

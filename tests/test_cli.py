@@ -1,7 +1,10 @@
 import argparse
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -550,3 +553,13 @@ def test_config_doc_environment_table_matches_the_parsers():
         users = {command for command, names in settings.items() if name in names}
         assert commands == users, name
     assert set(documented) == set().union(*settings.values())
+
+
+def test_cli_import_loads_no_scipy():
+    # start-up is the largest stage of a short CLI run; scipy alone used to
+    # cost most of it, so no module of the import path may pull it in
+    src = Path(oceval.cli.__file__).resolve().parents[1]
+    probe = "import sys, oceval.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

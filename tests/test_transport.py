@@ -19,7 +19,7 @@ from oceval import (
     solve,
 )
 from oceval.costs import CostMatrix
-from oceval.transport import _TIE_EPSILON
+from oceval.transport import _TIE_EPSILON, _checked_gains, _distinct, _picks
 
 from conftest import random_scene
 
@@ -275,3 +275,107 @@ def test_tie_epsilon_contract(cost):
     assert k >= most_matches
     matched = cost.entries[plan.det_indices, plan.gt_indices]
     assert (matched < cost.dummy_cost + EPS + 1e-12).all()
+
+
+def lsa_plan(cost):
+    """The former solver, kept as the oracle of the in-tree one: scipy's
+    rectangular assignment on the gains clipped at 0, keeping the pairs of
+    negative gain."""
+    gains = np.minimum((cost.entries - EPS) - cost.dummy_cost, 0.0)
+    rows, cols = linear_sum_assignment(gains)
+    keep = gains[rows, cols] < 0
+    return rows[keep], cols[keep]
+
+
+def credited(cost, rows, cols):
+    gains = (cost.entries - EPS) - cost.dummy_cost
+    return math.fsum(gains[rows, cols].tolist())
+
+
+def is_unique_optimum(cost, rows, cols):
+    """Whether no other plan reaches the credited optimum of ``(rows, cols)``
+    to within 1e-9. Another optimum would lack one of its pairs (one that
+    kept them all and added more would beat it, every kept pair having a
+    negative gain), so it suffices that forbidding any one pair costs more
+    than that."""
+    best = credited(cost, rows, cols)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        entries = cost.entries.copy()
+        entries[i, j] = cost.dummy_cost + 1.0
+        forbidden = CostMatrix(entries, cost.dummy_cost)
+        if credited(forbidden, *lsa_plan(forbidden)) <= best + 1e-9:
+            return False
+    return True
+
+
+@st.composite
+def assignment_problems(draw):
+    """Tall, wide and square problems; half of them with costs rounded to
+    0.1, so that exact ties between plans are common."""
+    m, n = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    cells = draw(st.lists(st.floats(0.0, 1.0), min_size=m * n, max_size=m * n))
+    entries = np.array(cells).reshape(m, n)
+    if draw(st.booleans()):
+        entries = np.round(entries, 1)
+    beta = draw(st.sampled_from([0.3, 0.6, 1.0]) | st.floats(0.05, 1.0))
+    return CostMatrix(entries, beta)
+
+
+@settings(max_examples=400, deadline=None)
+@given(assignment_problems())
+def test_solver_matches_the_assignment_oracle(cost):
+    plan = solve(cost)
+    rows, cols = lsa_plan(cost)
+    mine = credited(cost, plan.det_indices, plan.gt_indices)
+    assert mine == pytest.approx(credited(cost, rows, cols), rel=0, abs=1e-12)
+    if is_unique_optimum(cost, rows, cols):
+        order = np.argsort(rows)
+        np.testing.assert_array_equal(plan.det_indices, rows[order])
+        np.testing.assert_array_equal(plan.gt_indices, cols[order])
+
+
+def tier_of(cost):
+    """Which way ``solve`` settles ``cost``: the certificate from the
+    ground-truth side, from the detection side, or the assignment."""
+    gains = _checked_gains(cost)
+    if _distinct(_picks(gains)[0]):
+        return "ground truths"
+    if _distinct(_picks(gains.T)[0]):
+        return "detections"
+    return "assignment"
+
+
+def test_ground_truth_certificate():
+    # each ground truth's least-cost detection is its own: (0, 0) and (2, 1)
+    cost = problem([[0.1, 0.9], [0.9, 0.5], [0.8, 0.2]])
+    assert tier_of(cost) == "ground truths"
+    plan = solve(cost)
+    assert plan.det_indices.tolist() == [0, 2] and plan.gt_indices.tolist() == [0, 1]
+
+
+def test_detection_certificate():
+    # m < n: both ground truths 0 and 1 pick detection 0, but each
+    # detection picks a different ground truth
+    cost = problem([[0.1, 0.2, 0.9], [0.9, 0.3, 0.9]])
+    assert tier_of(cost) == "detections"
+    plan = solve(cost)
+    assert plan.det_indices.tolist() == [0, 1] and plan.gt_indices.tolist() == [0, 1]
+
+
+def test_assignment_beats_greedy():
+    # both sides pick (0, 0); greedy then takes (1, 1) for a gain of -0.65,
+    # but the cross plan gains -1.0
+    cost = problem([[0.0, 0.1], [0.1, 0.55]], 0.6)
+    assert tier_of(cost) == "assignment"
+    plan = solve(cost)
+    assert plan.det_indices.tolist() == [0, 1] and plan.gt_indices.tolist() == [1, 0]
+    assert plan.objective == math.fsum([0.1, 0.1, 0.6, 0.6])
+    assert plan.objective == brute_force_solve(cost).objective
+
+
+def test_no_candidates():
+    # every pair costs at least beta + EPS: nothing is worth matching
+    cost = problem([[0.7, 0.9], [0.6 + 2 * EPS, 1.0], [0.8, 0.8]], 0.6)
+    plan = solve(cost)
+    assert plan.matched_pairs == 0
+    assert plan.objective == math.fsum([0.6] * 5)
