@@ -27,20 +27,15 @@ from .costs import (
     GroundTruthInstance,
     OcCostParams,
     build_problem,
-    classification_cost,
-    localization_cost,
-    unit_cost,
 )
 from .errors import ConfigError, OcevalError, ParseError, ValidationError
 from .fixtures import FixtureSpec, generate_fixture
-from .geometry import BoundingBox, area, giou, iou, pairwise_giou, pairwise_iou
+from .geometry import BoundingBox, pairwise_giou, pairwise_iou
 from .map_metric import (
     MapParams,
     MapReport,
-    average_precision,
     dataset_map,
     image_maps,
-    match_greedy,
     single_image_map,
 )
 from .nms import NmsParams, TuneResult, default_grid, nms, tune
@@ -52,15 +47,12 @@ from .occost import (
     image_oc_cost,
     lambda_sweep,
 )
-from .transport import TransportPlan, brute_force_solve, solve
+from .transport import TransportPlan, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundingBox",
-    "area",
-    "iou",
-    "giou",
     "pairwise_iou",
     "pairwise_giou",
     "Detection",
@@ -69,13 +61,9 @@ __all__ = [
     "GroundTruthArrays",
     "OcCostParams",
     "CostMatrix",
-    "localization_cost",
-    "classification_cost",
-    "unit_cost",
     "build_problem",
     "TransportPlan",
     "solve",
-    "brute_force_solve",
     "PairCost",
     "ImageEvalResult",
     "DatasetReport",
@@ -84,8 +72,6 @@ __all__ = [
     "lambda_sweep",
     "MapParams",
     "MapReport",
-    "match_greedy",
-    "average_precision",
     "dataset_map",
     "single_image_map",
     "image_maps",

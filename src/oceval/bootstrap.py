@@ -91,8 +91,6 @@ def trial_sample(config: BootstrapConfig, trial: int, population: int) -> np.nda
     k = sample_size(config.sample_fraction, population)
     if config.with_replacement:
         return rng.integers(0, population, size=k, dtype=np.int64)
-    if k > population:
-        raise ConfigError("cannot draw more images than exist without replacement")
     return rng.permutation(population)[:k].astype(np.int64)
 
 

@@ -77,11 +77,6 @@ class DatasetIndex:
     ground_truths: Mapping[int, GroundTruthArrays]
     categories: Mapping[int, str]
 
-    @property
-    def crowd_flags(self) -> dict[int, tuple[bool, ...]]:
-        """The crowd flag of every annotation, per image in file order."""
-        return {i: tuple(gts.crowd.tolist()) for i, gts in self.ground_truths.items()}
-
     def instances(self, include_crowd: bool = False) -> dict[int, GroundTruthArrays]:
         """Per-image ground truths, excluding crowd regions unless asked."""
         out: dict[int, GroundTruthArrays] = {}
@@ -126,8 +121,8 @@ def _number(value: Any) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _xywh(bbox: Any, record: str, path: str) -> tuple[list[float], str | None]:
-    """``bbox`` as [x, y, w, h] floats, and why its box is invalid, if it is.
+def _xywh(bbox: Any, record: str, path: str) -> str | None:
+    """Why the box of ``bbox``, [x, y, w, h], is invalid, if it is.
 
     Malformed shape is structural (raises); non-positive sides are a value
     problem reported to the caller for strict/lenient handling, and so are
@@ -141,43 +136,38 @@ def _xywh(bbox: Any, record: str, path: str) -> tuple[list[float], str | None]:
         raise ParseError(f"{path}: {record}: bbox must be a list of 4 numbers, got {bbox!r}")
     x, y, w, h = nums
     if w <= 0 or h <= 0:
-        return nums, f"{record}: box width/height must be positive, got w={w:g} h={h:g}"
+        return f"{record}: box width/height must be positive, got w={w:g} h={h:g}"
     if not (x < x + w < math.inf and y < y + h < math.inf):
-        return nums, (
+        return (
             f"{record}: box corners x + w, y + h must be finite and exceed x, y, "
             f"got x={x:g} y={y:g} w={w:g} h={h:g}"
         )
-    return nums, None
+    return None
 
 
 def _annotation_record(
     i: int, rec: Any, images: Mapping[int, Any], categories: Mapping[int, str], path: str
-) -> tuple[tuple[int, int, list[float], Any], str | None]:
-    """Annotation ``i`` as (image id, category id, [x, y, w, h], iscrowd),
-    and the value problem that drops it, if any. A structural problem
-    raises ParseError; so does a bad ``iscrowd`` on a record kept."""
+) -> str | None:
+    """The value problem that drops annotation ``i``, if any. A structural
+    problem raises ParseError; so does a bad ``iscrowd`` on a record kept."""
     if not isinstance(rec, dict):
         raise ParseError(f"{path}: annotations[{i}] must be an object")
     label = f"annotations[{i}]" + (f" (id {rec['id']})" if "id" in rec else "")
     image_id = _require_int(rec.get("image_id"), f"{label}.image_id", path)
     cat_id = _require_int(rec.get("category_id"), f"{label}.category_id", path)
-    xywh, problem = _xywh(rec.get("bbox"), label, path)
+    problem = _xywh(rec.get("bbox"), label, path)
     if problem is None and image_id not in images:
         problem = f"{label}: unknown image_id {image_id}"
     if problem is None and cat_id not in categories:
         problem = f"{label}: unknown category_id {cat_id}"
-    crowd = rec.get("iscrowd", 0)
-    if problem is None and crowd not in (0, 1, True, False):
+    if problem is None and rec.get("iscrowd", 0) not in (0, 1, True, False):
         raise ParseError(f"{path}: {label}.iscrowd must be 0 or 1")
-    return (image_id, cat_id, xywh, crowd), problem
+    return problem
 
 
-def _detection_record(
-    i: int, rec: Any, index: DatasetIndex, path: str
-) -> tuple[tuple[int, int, list[float], float], str | None]:
-    """Detection ``i`` as (image id, category id, [x, y, w, h], score), and
-    the value problem that drops it, if any. A structural problem raises
-    ParseError."""
+def _detection_record(i: int, rec: Any, index: DatasetIndex, path: str) -> str | None:
+    """The value problem that drops detection ``i``, if any. A structural
+    problem raises ParseError."""
     if not isinstance(rec, dict):
         raise ParseError(f"{path}: [{i}] must be an object")
     label = f"[{i}]"
@@ -186,14 +176,14 @@ def _detection_record(
     score = _number(rec.get("score"))
     if score is None:
         raise ParseError(f"{path}: {label}.score must be a number")
-    xywh, problem = _xywh(rec.get("bbox"), label, path)
+    problem = _xywh(rec.get("bbox"), label, path)
     if problem is None and not 0.0 <= score <= 1.0:
         problem = f"{label}: score must be in [0, 1], got {score:g}"
     if problem is None and image_id not in index.images:
         problem = f"{label}: unknown image_id {image_id}"
     if problem is None and cat_id not in index.categories:
         problem = f"{label}: unknown category_id {cat_id}"
-    return (image_id, cat_id, xywh, score), problem
+    return problem
 
 
 def _handle_bad_records(problems: list[str], path: str, strict: bool) -> None:
@@ -243,12 +233,6 @@ def _columns(records: list[Any], *numbers: str, **others: Any) -> tuple[Any, ...
         return None
     return (image_ids, cat_ids, arrays[0].reshape(-1, 4), *arrays[1:],
             *([rec.get(key, default) for rec in records] for key, default in others.items()))
-
-
-def _transpose(rows: Iterable[tuple[int, int, list[float], Any]]) -> tuple[Any, ...]:
-    """Parsed records as the columns that :func:`_columns` gives."""
-    image_ids, cat_ids, xywh, extra = (list(column) for column in zip(*rows))
-    return image_ids, cat_ids, np.array(xywh, dtype=np.float64).reshape(-1, 4), extra
 
 
 def _corners(xywh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,9 +315,8 @@ def load_ground_truth(path: str, strict: bool = True) -> DatasetIndex:
     columns = _columns(records, iscrowd=0)
     if columns is None:
         # some record is malformed: parsing record by record raises at the first
-        columns = _transpose(
-            _annotation_record(i, rec, images, categories, path)[0] for i, rec in enumerate(records)
-        )
+        for i, rec in enumerate(records):
+            _annotation_record(i, rec, images, categories, path)
     image_ids, cat_ids, xywh, crowd = columns
     boxes, keep = _corners(xywh)
     slots = _slots(image_ids, images)
@@ -341,7 +324,7 @@ def load_ground_truth(path: str, strict: bool = True) -> DatasetIndex:
     # a bad iscrowd is structural, but only on a record that is kept
     bad_crowd = np.array([c not in (0, 1) for c in crowd], dtype=bool)
     problems = [
-        _annotation_record(i, records[i], images, categories, path)[1]
+        _annotation_record(i, records[i], images, categories, path)
         for i in np.flatnonzero(~keep | bad_crowd).tolist()
     ]
     _handle_bad_records(problems, path, strict)
@@ -364,7 +347,8 @@ def load_detections(path: str, index: DatasetIndex, strict: bool = True) -> Dete
     columns = _columns(doc, "score")
     if columns is None:
         # some record is malformed: parsing record by record raises at the first
-        columns = _transpose(_detection_record(i, rec, index, path)[0] for i, rec in enumerate(doc))
+        for i, rec in enumerate(doc):
+            _detection_record(i, rec, index, path)
     image_ids, cat_ids, xywh, scores = columns
     scores = np.asarray(scores, dtype=np.float64)
     boxes, keep = _corners(xywh)
@@ -372,7 +356,7 @@ def load_detections(path: str, index: DatasetIndex, strict: bool = True) -> Dete
     keep &= (0.0 <= scores) & (scores <= 1.0) & (slots >= 0)
     keep &= _slots(cat_ids, index.categories) >= 0
     problems = [
-        _detection_record(i, doc[i], index, path)[1] for i in np.flatnonzero(~keep).tolist()
+        _detection_record(i, doc[i], index, path) for i in np.flatnonzero(~keep).tolist()
     ]
     _handle_bad_records(problems, path, strict)
 

@@ -31,7 +31,7 @@ from typing import Any, Hashable
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import BoundingBox, boxes_to_array, giou, pairwise_giou
+from .geometry import BoundingBox, boxes_to_array, pairwise_giou
 
 __all__ = [
     "Detection",
@@ -41,9 +41,6 @@ __all__ = [
     "ImageInput",
     "OcCostParams",
     "CostMatrix",
-    "localization_cost",
-    "classification_cost",
-    "unit_cost",
     "build_problem",
 ]
 
@@ -212,31 +209,6 @@ class CostMatrix:
         return self.entries.shape[1]
 
 
-def localization_cost(a: BoundingBox, b: BoundingBox) -> float:
-    """(1 - GIoU) / 2, in [0, 1): zero iff the boxes coincide."""
-    return (1.0 - giou(a, b)) / 2.0
-
-
-def classification_cost(score: float, det_label: int, gt_label: int) -> float:
-    """Cost of fixing the label given the confidence placed on it.
-
-    A correct label costs (1 - score) / 2, so confident correct labels are
-    nearly free; a wrong label costs (1 + score) / 2, so confident mistakes
-    are penalized hardest. Either branch maps score 0 to 0.5.
-    """
-    if det_label == gt_label:
-        return (1.0 - score) / 2.0
-    return (1.0 + score) / 2.0
-
-
-def unit_cost(det: Detection, gt: GroundTruthInstance, params: OcCostParams) -> float:
-    """Convex blend of localization and classification costs, in [0, 1]."""
-    w = params.loc_weight
-    return w * localization_cost(det.box, gt.box) + (1.0 - w) * classification_cost(
-        det.score, det.label, gt.label
-    )
-
-
 def _pair_terms(
     dets: Sequence[Detection], gts: Sequence[GroundTruthInstance]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +241,10 @@ def build_problem(
 ) -> CostMatrix:
     """Assemble one image's m x n cost block and its dummy cost.
 
-    Entry (i, j) is ``unit_cost(dets[i], gts[j], params)``. Either side may
-    be empty.
+    Entry (i, j) is λ (1 - GIoU_ij) / 2 + (1 - λ) cls_ij, with
+    λ = ``params.loc_weight`` and GIoU_ij that of the two boxes. The
+    classification cost cls_ij is (1 - s_i) / 2 when the labels agree and
+    (1 + s_i) / 2 when they differ, s_i the detection's score. Either side
+    may be empty.
     """
     return _blend(*_pair_terms(dets, gts), params)

@@ -15,9 +15,6 @@ import numpy as np
 
 __all__ = [
     "BoundingBox",
-    "area",
-    "iou",
-    "giou",
     "boxes_to_array",
     "pairwise_iou",
     "pairwise_giou",
@@ -49,53 +46,8 @@ class BoundingBox:
                 f"({self.x1}, {self.y1}, {self.x2}, {self.y2})"
             )
 
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
-
-    def scaled(self, factor: float) -> "BoundingBox":
-        """Uniformly scale all coordinates about the origin."""
-        return BoundingBox(self.x1 * factor, self.y1 * factor, self.x2 * factor, self.y2 * factor)
-
-    def translated(self, dx: float, dy: float) -> "BoundingBox":
-        return BoundingBox(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
-
-
-def area(b: BoundingBox) -> float:
-    """Box area, strictly positive by the construction invariant."""
-    return (b.x2 - b.x1) * (b.y2 - b.y1)
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union in [0, 1]; 0 for disjoint boxes, 1 iff identical."""
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    inter = max(0.0, iw) * max(0.0, ih)
-    union = area(a) + area(b) - inter
-    return inter / union
-
-
-def giou(a: BoundingBox, b: BoundingBox) -> float:
-    """Generalized IoU: IoU minus the fraction of the enclosing hull not covered.
-
-    Equals IoU(a, b) - (|hull| - |union|) / |hull| where hull is the smallest
-    enclosing box of both inputs. Lies in (-1, 1]; equals 1 iff the boxes are
-    identical, and unlike plain IoU it keeps discriminating between disjoint
-    boxes as they move apart.
-    """
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    inter = max(0.0, iw) * max(0.0, ih)
-    union = area(a) + area(b) - inter
-    hull = (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
-    return inter / union - (hull - union) / hull
 
 
 def boxes_to_array(boxes: Iterable[BoundingBox]) -> np.ndarray:
@@ -108,8 +60,9 @@ def _iou(a: np.ndarray, b: np.ndarray, generalized: bool = False) -> np.ndarray:
     and ``b[..., :4]``, broadcast against each other: row i against row i
     for two (P, 4) arrays.
 
-    Element order of operations matches :func:`iou` and :func:`giou`
-    exactly, so every value is bitwise equal to the scalar result.
+    Element order of operations matches the scalar ``iou`` and ``giou``
+    test oracles (tests/oracles.py) exactly, so every value is bitwise
+    equal to the scalar result.
     """
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
@@ -127,10 +80,11 @@ def _iou(a: np.ndarray, b: np.ndarray, generalized: bool = False) -> np.ndarray:
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between (N, 4) and (M, 4) corner-form arrays, shape (N, M),
-    bitwise equal to :func:`iou` of each pair."""
+    bitwise equal to the scalar ``iou`` oracle of the tests on each pair."""
     return _iou(a[:, None, :], b[None, :, :])
 
 
 def pairwise_giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise generalized IoU, bitwise consistent with :func:`giou`."""
+    """Pairwise generalized IoU, bitwise equal to the scalar ``giou`` oracle
+    of the tests on each pair."""
     return _iou(a[:, None, :], b[None, :, :], generalized=True)

@@ -5,8 +5,8 @@ confidence, and greedily matched within each image against that
 category's ground truths at a fixed IoU threshold. Average precision
 samples the precision envelope at equally spaced recall points; the
 defaults follow the COCO convention (101 recall points, IoU thresholds
-0.50 to 0.95 in steps of 0.05). A single-threshold 11-point VOC mode is
-available through the parameters.
+0.50 to 0.95 in steps of 0.05). The single-threshold 11-point VOC
+protocol is ``MapParams(iou_thresholds=(0.5,), recall_points=11)``.
 
 A single-image variant treats one image as the whole dataset, scoring
 the categories present in that image's detections or ground truths.
@@ -35,8 +35,6 @@ __all__ = [
     "COCO_IOU_THRESHOLDS",
     "MapParams",
     "MapReport",
-    "match_greedy",
-    "average_precision",
     "dataset_map",
     "single_image_map",
     "MatchTable",
@@ -76,11 +74,6 @@ class MapParams:
             raise ConfigError(f"recall_points must be >= 2, got {self.recall_points}")
         if self.max_detections is not None and self.max_detections < 1:
             raise ConfigError(f"max_detections must be >= 1, got {self.max_detections}")
-
-    @classmethod
-    def voc(cls) -> "MapParams":
-        """Single-threshold 11-point protocol."""
-        return cls(iou_thresholds=(0.5,), recall_points=11)
 
 
 @dataclass(frozen=True)
@@ -156,93 +149,6 @@ def _greedy_lockstep(
         free[level, cols[at[level, row]]] = False
         flags[pair_row[first[a + row]], level] = True
     return flags
-
-
-def _match(
-    per_image_inputs: Sequence[ImageInput],
-    thresholds: Sequence[float],
-    max_detections: int | None,
-) -> tuple[np.ndarray, dict]:
-    """The fields of the :class:`MatchTable` of the inputs, but ``params``,
-    with the index of every row's detection in the concatenated detections
-    of all images."""
-    images = [image_arrays(item) for item in per_image_inputs]
-    dets = [d for _, d, _ in images]
-    gts = [g for _, _, g in images]
-    det_image = np.repeat(np.arange(len(images)), [len(d) for d in dets])
-    gt_image = np.repeat(np.arange(len(images)), [len(g) for g in gts])
-    boxes = np.concatenate([np.zeros((0, 4)), *(d.boxes for d in dets)])
-    gt_boxes = np.concatenate([np.zeros((0, 4)), *(g.boxes for g in gts)])
-    scores = np.concatenate([np.zeros(0), *(d.scores for d in dets)])
-    labels = np.concatenate(
-        [np.zeros(0, dtype=np.int64), *(d.labels for d in dets), *(g.labels for g in gts)]
-    )
-    categories, codes = np.unique(labels, return_inverse=True)
-    width = max(len(categories), 1)
-
-    # rank each image by descending score, ties in input order, and cap it
-    ranked = np.lexsort((-scores, det_image))
-    if max_detections is not None:
-        first_of_image = np.searchsorted(det_image, det_image)
-        ranked = ranked[np.arange(len(ranked)) - first_of_image < max_detections]
-    # rows by (image, category), rank order kept within each
-    row_key = det_image[ranked] * width + codes[ranked]
-    by_key = np.argsort(row_key, kind="stable")
-    ranked, row_key = ranked[by_key], row_key[by_key]
-    gt_key = gt_image * width + codes[len(scores):]
-    gt_order = np.argsort(gt_key, kind="stable")
-
-    segment_key = np.unique(np.concatenate([row_key, gt_key]))
-    offsets = np.append(np.searchsorted(row_key, segment_key), len(row_key))
-    gt_bounds = np.append(np.searchsorted(gt_key[gt_order], segment_key), len(gt_key))
-    gt_count = np.diff(gt_bounds)
-    row_segment = np.repeat(np.arange(len(segment_key)), np.diff(offsets))
-    # each row's IoU with the ground truths of its segment, a block of rows
-    # at a time, keeping the pairs of rows that reach the lowest threshold
-    pairs = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
-    for lo in range(0, len(ranked), _BLOCK_ROWS):
-        rows = np.arange(lo, min(lo + _BLOCK_ROWS, len(ranked)))
-        segment = row_segment[rows]
-        row = np.repeat(rows, gt_count[segment])
-        col = _ranges(gt_bounds[segment], gt_bounds[segment + 1])
-        iou = _iou(boxes[ranked[row]], gt_boxes[gt_order[col]])
-        candidate = np.zeros(len(rows), dtype=bool)
-        candidate[row[iou >= min(thresholds)] - lo] = True
-        keep = candidate[row - lo]
-        pairs.append((row[keep], col[keep], iou[keep]))
-    pair_row, pair_col, pair_iou = map(np.concatenate, zip(*pairs))
-    del pairs
-    return ranked, {
-        "scores": scores[ranked],
-        "flags": _greedy_lockstep(
-            row_segment, pair_row, pair_col, pair_iou, len(gt_key), thresholds
-        ),
-        "image": segment_key // width,
-        "category": segment_key % width,
-        "categories": categories,
-        "gt_count": gt_count,
-        "offsets": offsets,
-        "images": len(images),
-    }
-
-
-def match_greedy(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruthInstance],
-    category: int,
-    iou_threshold: float,
-) -> list[tuple[int, bool]]:
-    """Greedy TP/FP labeling of one category's detections within one image.
-
-    Returns (index into ``dets``, is-true-positive) pairs ordered by
-    descending score, score ties broken by input order.
-    """
-    ranked, table = _match([(None, dets, gts)], (iou_threshold,), None)
-    segment = np.flatnonzero(table["categories"][table["category"]] == category)
-    if not len(segment):
-        return []
-    rows = slice(*table["offsets"][segment[0] : segment[0] + 2].tolist())
-    return list(zip(ranked[rows].tolist(), table["flags"][rows, 0].tolist()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -331,26 +237,6 @@ def _segment_means(
     return sums / levels
 
 
-def average_precision(
-    flags: Sequence[bool],
-    num_gt: int,
-    recall_points: int = 101,
-) -> float | None:
-    """Interpolated AP from score-ordered TP/FP flags.
-
-    Samples the precision envelope at ``recall_points`` equally spaced
-    recall values and averages. With no ground truths the value is
-    undefined (None) unless detections exist, in which case it is 0.
-    """
-    if num_gt < 0:
-        raise ConfigError(f"num_gt must be >= 0, got {num_gt}")
-    if num_gt == 0:
-        return 0.0 if len(flags) else None
-    column = np.asarray(flags, dtype=bool).reshape(-1, 1)
-    means = _segment_means(column, np.array([0, len(column)]), np.array([num_gt]), recall_points)
-    return float(means[0])
-
-
 @dataclass(frozen=True, eq=False)
 class MatchTable:
     """Greedy matching of every image as one flat table, reusable across
@@ -382,8 +268,66 @@ class MatchTable:
 
 
 def build_match_table(per_image_inputs: Sequence[ImageInput], params: MapParams) -> MatchTable:
-    _, columns = _match(per_image_inputs, params.iou_thresholds, params.max_detections)
-    return MatchTable(**columns, params=params)
+    """Rank, cap and greedily match the detections of every image at every
+    IoU threshold of ``params``, as one :class:`MatchTable`."""
+    thresholds = params.iou_thresholds
+    images = [image_arrays(item) for item in per_image_inputs]
+    dets = [d for _, d, _ in images]
+    gts = [g for _, _, g in images]
+    det_image = np.repeat(np.arange(len(images)), [len(d) for d in dets])
+    gt_image = np.repeat(np.arange(len(images)), [len(g) for g in gts])
+    boxes = np.concatenate([np.zeros((0, 4)), *(d.boxes for d in dets)])
+    gt_boxes = np.concatenate([np.zeros((0, 4)), *(g.boxes for g in gts)])
+    scores = np.concatenate([np.zeros(0), *(d.scores for d in dets)])
+    labels = np.concatenate(
+        [np.zeros(0, dtype=np.int64), *(d.labels for d in dets), *(g.labels for g in gts)]
+    )
+    categories, codes = np.unique(labels, return_inverse=True)
+    width = max(len(categories), 1)
+
+    # rank each image by descending score, ties in input order, and cap it
+    ranked = np.lexsort((-scores, det_image))
+    if params.max_detections is not None:
+        first_of_image = np.searchsorted(det_image, det_image)
+        ranked = ranked[np.arange(len(ranked)) - first_of_image < params.max_detections]
+    # rows by (image, category), rank order kept within each
+    row_key = det_image[ranked] * width + codes[ranked]
+    by_key = np.argsort(row_key, kind="stable")
+    ranked, row_key = ranked[by_key], row_key[by_key]
+    gt_key = gt_image * width + codes[len(scores):]
+    gt_order = np.argsort(gt_key, kind="stable")
+
+    segment_key = np.unique(np.concatenate([row_key, gt_key]))
+    offsets = np.append(np.searchsorted(row_key, segment_key), len(row_key))
+    gt_bounds = np.append(np.searchsorted(gt_key[gt_order], segment_key), len(gt_key))
+    gt_count = np.diff(gt_bounds)
+    row_segment = np.repeat(np.arange(len(segment_key)), np.diff(offsets))
+    # each row's IoU with the ground truths of its segment, a block of rows
+    # at a time, keeping the pairs of rows that reach the lowest threshold
+    pairs = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+    for lo in range(0, len(ranked), _BLOCK_ROWS):
+        rows = np.arange(lo, min(lo + _BLOCK_ROWS, len(ranked)))
+        segment = row_segment[rows]
+        row = np.repeat(rows, gt_count[segment])
+        col = _ranges(gt_bounds[segment], gt_bounds[segment + 1])
+        iou = _iou(boxes[ranked[row]], gt_boxes[gt_order[col]])
+        candidate = np.zeros(len(rows), dtype=bool)
+        candidate[row[iou >= min(thresholds)] - lo] = True
+        keep = candidate[row - lo]
+        pairs.append((row[keep], col[keep], iou[keep]))
+    pair_row, pair_col, pair_iou = map(np.concatenate, zip(*pairs))
+    del pairs
+    return MatchTable(
+        scores=scores[ranked],
+        flags=_greedy_lockstep(row_segment, pair_row, pair_col, pair_iou, len(gt_key), thresholds),
+        image=segment_key // width,
+        category=segment_key % width,
+        categories=categories,
+        gt_count=gt_count,
+        offsets=offsets,
+        images=len(images),
+        params=params,
+    )
 
 
 def filter_table(table: MatchTable, score_threshold: float) -> MatchTable:

@@ -252,9 +252,6 @@ def lambda_sweep(
     """
     if len(lambdas) == 0:
         raise ConfigError("lambda list is empty")
-    for lam in lambdas:
-        if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
-            raise ConfigError(f"localization weight must lie in [0, 1], got {lam!r}")
     param_list = [OcCostParams(loc_weight=lam, dummy_cost=beta) for lam in lambdas]
     tasks = [(image_arrays(item), [slice(None)]) for item in per_image_inputs]
     rows = map_images(_subset_costs, tasks, jobs, param_list)

@@ -53,21 +53,21 @@ Hence:
 - plans whose credited objectives tie to rounding (their objectives then
   differ by exactly ε per extra match, which takes costs placed within a
   few ε of β) are all acceptable, and which one is returned depends on
-  the rounding of the assignment; the enumeration below may pick another;
+  the rounding of the assignment; an exhaustive enumeration may pick
+  another;
 - among plans of exactly equal credited objective (interchangeable
   duplicates, or at λ = 0 ground truths of one label) the choice is the
   solver's: the first least index in a certificate, and the assignment's
   search order otherwise. The costs do not depend on it.
 
-``brute_force_solve`` enumerates every partial matching under the same
-rule and is the oracle for ``solve``. The reported objective is always the
-exactly rounded (``math.fsum``) cost of the plan under the unperturbed
-costs.
+The tests check ``solve`` against an enumeration of every partial
+matching under the same rule (``brute_force_solve`` in tests/oracles.py).
+The reported objective is always the exactly rounded (``math.fsum``) cost
+of the plan under the unperturbed costs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -76,13 +76,11 @@ import numpy as np
 from .costs import CostMatrix
 from .errors import ConfigError, ValidationError
 
-__all__ = ["TransportPlan", "solve", "brute_force_solve", "MAX_BRUTE_FORCE_SIDE"]
+__all__ = ["TransportPlan", "solve"]
 
 # Credit per matched pair: far smaller than any meaningful cost gap, far
 # larger than accumulated rounding.
 _TIE_EPSILON = 1e-7
-
-MAX_BRUTE_FORCE_SIDE = 6
 
 
 @dataclass(frozen=True)
@@ -255,37 +253,3 @@ def solve(cost: CostMatrix) -> TransportPlan:
     most matched pairs.
     """
     return _plan(cost, *_match(_checked_gains(cost)))
-
-
-def brute_force_solve(cost: CostMatrix) -> TransportPlan:
-    """Exhaustively enumerate every partial matching; verification oracle for ``solve``.
-
-    Selects the plan with the least exact sum of credited gains among those
-    matching only pairs of negative gain, preferring more matches on ties.
-    Enumeration is bounded to small instances by design.
-    """
-    gains = _checked_gains(cost)
-    m, n = cost.m, cost.n
-    if m > MAX_BRUTE_FORCE_SIDE or n > MAX_BRUTE_FORCE_SIDE:
-        raise ConfigError(
-            f"brute-force enumeration is limited to {MAX_BRUTE_FORCE_SIDE} boxes per side, "
-            f"got m={m}, n={n}"
-        )
-
-    best_key: tuple[float, int] | None = None
-    best_match: tuple[tuple[int, int], ...] = ()
-    for k in range(min(m, n) + 1):
-        for det_sel in itertools.combinations(range(m), k):
-            for gt_sel in itertools.permutations(range(n), k):
-                match = tuple(zip(det_sel, gt_sel))
-                pair_gains = [gains[i, j] for i, j in match]
-                if any(g >= 0 for g in pair_gains):
-                    continue
-                key = (math.fsum(pair_gains), -k)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_match = match
-
-    rows = np.array([i for i, _ in best_match], dtype=np.intp)
-    cols = np.array([j for _, j in best_match], dtype=np.intp)
-    return _plan(cost, rows, cols)

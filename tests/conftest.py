@@ -15,6 +15,12 @@ def random_box(rng, size=100.0, min_side=1.0):
     return BoundingBox(x1, y1, x1 + w, y1 + h)
 
 
+def transformed(box, factor=1.0, dx=0.0, dy=0.0):
+    """``box`` scaled by ``factor`` about the origin, then moved by (dx, dy)."""
+    x1, y1, x2, y2 = box.as_tuple()
+    return BoundingBox(x1 * factor + dx, y1 * factor + dy, x2 * factor + dx, y2 * factor + dy)
+
+
 def random_scene(rng, max_m=4, max_n=4, categories=3, size=100.0):
     m = int(rng.integers(0, max_m + 1))
     n = int(rng.integers(0, max_n + 1))

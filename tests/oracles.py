@@ -1,0 +1,109 @@
+"""Scalar and exhaustive references that tests check the kernels against.
+
+None of them is used by the package: ``pairwise_iou``/``pairwise_giou``
+must equal :func:`iou`/:func:`giou` bit for bit, ``build_problem`` must
+equal :func:`unit_cost` cell by cell, and ``solve`` must reach the
+objective of :func:`brute_force_solve`.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from oceval import BoundingBox, CostMatrix, Detection, GroundTruthInstance, OcCostParams, TransportPlan
+from oceval.errors import ConfigError
+from oceval.transport import _checked_gains, _plan
+
+MAX_BRUTE_FORCE_SIDE = 6
+
+
+def area(b: BoundingBox) -> float:
+    """Box area, strictly positive by the construction invariant."""
+    return (b.x2 - b.x1) * (b.y2 - b.y1)
+
+
+def iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Intersection over union in [0, 1]; 0 for disjoint boxes, 1 iff identical."""
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    inter = max(0.0, iw) * max(0.0, ih)
+    union = area(a) + area(b) - inter
+    return inter / union
+
+
+def giou(a: BoundingBox, b: BoundingBox) -> float:
+    """Generalized IoU: IoU minus the fraction of the enclosing hull not covered.
+
+    Equals IoU(a, b) - (|hull| - |union|) / |hull| where hull is the smallest
+    enclosing box of both inputs. Lies in (-1, 1]; equals 1 iff the boxes are
+    identical, and unlike plain IoU it keeps discriminating between disjoint
+    boxes as they move apart.
+    """
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    inter = max(0.0, iw) * max(0.0, ih)
+    union = area(a) + area(b) - inter
+    hull = (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
+    return inter / union - (hull - union) / hull
+
+
+def localization_cost(a: BoundingBox, b: BoundingBox) -> float:
+    """(1 - GIoU) / 2, in [0, 1): zero iff the boxes coincide."""
+    return (1.0 - giou(a, b)) / 2.0
+
+
+def classification_cost(score: float, det_label: int, gt_label: int) -> float:
+    """Cost of fixing the label given the confidence placed on it.
+
+    A correct label costs (1 - score) / 2, so confident correct labels are
+    nearly free; a wrong label costs (1 + score) / 2, so confident mistakes
+    are penalized hardest. Either branch maps score 0 to 0.5.
+    """
+    if det_label == gt_label:
+        return (1.0 - score) / 2.0
+    return (1.0 + score) / 2.0
+
+
+def unit_cost(det: Detection, gt: GroundTruthInstance, params: OcCostParams) -> float:
+    """Convex blend of localization and classification costs, in [0, 1]."""
+    w = params.loc_weight
+    return w * localization_cost(det.box, gt.box) + (1.0 - w) * classification_cost(
+        det.score, det.label, gt.label
+    )
+
+
+def brute_force_solve(cost: CostMatrix) -> TransportPlan:
+    """Exhaustively enumerate every partial matching; verification oracle for ``solve``.
+
+    Selects the plan with the least exact sum of credited gains among those
+    matching only pairs of negative gain, preferring more matches on ties.
+    Enumeration is bounded to small instances by design.
+    """
+    gains = _checked_gains(cost)
+    m, n = cost.m, cost.n
+    if m > MAX_BRUTE_FORCE_SIDE or n > MAX_BRUTE_FORCE_SIDE:
+        raise ConfigError(
+            f"brute-force enumeration is limited to {MAX_BRUTE_FORCE_SIDE} boxes per side, "
+            f"got m={m}, n={n}"
+        )
+
+    best_key: tuple[float, int] | None = None
+    best_match: tuple[tuple[int, int], ...] = ()
+    for k in range(min(m, n) + 1):
+        for det_sel in itertools.combinations(range(m), k):
+            for gt_sel in itertools.permutations(range(n), k):
+                match = tuple(zip(det_sel, gt_sel))
+                pair_gains = [gains[i, j] for i, j in match]
+                if any(g >= 0 for g in pair_gains):
+                    continue
+                key = (math.fsum(pair_gains), -k)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_match = match
+
+    rows = np.array([i for i, _ in best_match], dtype=np.intp)
+    cols = np.array([j for _, j in best_match], dtype=np.intp)
+    return _plan(cost, rows, cols)

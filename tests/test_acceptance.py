@@ -6,26 +6,26 @@ criterion.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oceval
 from oceval import (
     BoundingBox,
     BootstrapConfig,
     Detection,
     GroundTruthInstance,
     OcCostParams,
-    brute_force_solve,
     build_problem,
     dataset_map,
     dataset_oc_cost,
-    giou,
     image_oc_cost,
-    iou,
     run_bootstrap,
     solve,
     tune,
@@ -33,9 +33,12 @@ from oceval import (
 from oceval.coco_io import histogram_payload
 from oceval.nms import nms
 
-from conftest import random_box, random_scene
+from conftest import random_box, random_scene, transformed
+from oracles import brute_force_solve, giou, iou
 
 BOX = BoundingBox(0, 0, 10, 10)
+# the CLI subprocesses import the package the tests import
+SRC = str(Path(oceval.__file__).resolve().parents[1])
 
 
 def _cli(argv, **kwargs):
@@ -44,6 +47,7 @@ def _cli(argv, **kwargs):
         capture_output=True,
         text=True,
         check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
         **kwargs,
     )
 
@@ -152,12 +156,8 @@ def test_criterion_5_fuzz_invariants():
         value = image_oc_cost(dets, gts, params).oc_cost
         factor = float(rng.uniform(0.25, 4.0))
         dx, dy = float(rng.uniform(-20, 20)), float(rng.uniform(-20, 20))
-        moved_d = [
-            Detection(d.box.scaled(factor).translated(dx, dy), d.label, d.score) for d in dets
-        ]
-        moved_g = [
-            GroundTruthInstance(g.box.scaled(factor).translated(dx, dy), g.label) for g in gts
-        ]
+        moved_d = [Detection(transformed(d.box, factor, dx, dy), d.label, d.score) for d in dets]
+        moved_g = [GroundTruthInstance(transformed(g.box, factor, dx, dy), g.label) for g in gts]
         assert abs(image_oc_cost(moved_d, moved_g, params).oc_cost - value) <= 1e-9
 
     for _ in range(1000):

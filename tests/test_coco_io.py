@@ -88,7 +88,7 @@ def test_crowd_annotations_flagged_and_excluded(tmp_path):
         ],
     )
     index = load_ground_truth(path)
-    assert index.crowd_flags[1] == (True, False)
+    assert index.ground_truths[1].crowd.tolist() == [True, False]
     assert len(index.instances()[1]) == 1
     assert len(index.instances(include_crowd=True)[1]) == 2
 

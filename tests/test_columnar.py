@@ -15,13 +15,14 @@ from oceval import (
     build_problem,
     dataset_map,
     image_oc_cost,
-    localization_cost,
-    match_greedy,
     nms,
     single_image_map,
 )
 from oceval.cli import main
 from oceval.costs import detection_arrays, ground_truth_arrays
+from oceval.map_metric import build_match_table
+
+from oracles import localization_cost
 
 
 def test_every_entry_point_gives_the_same_on_both_forms(rng):
@@ -50,8 +51,10 @@ def test_every_entry_point_gives_the_same_on_both_forms(rng):
         assert list(nms(cols, point)) == kept
         assert isinstance(nms(cols, point), DetectionArrays)
 
-        for category in (1, 2, 3):
-            assert match_greedy(cols, gt_cols, category, 0.3) == match_greedy(dets, gts, category, 0.3)
+        tables = [build_match_table([(7, d, g)], MapParams(iou_thresholds=(0.1, 0.3, 0.5)))
+                  for d, g in ((cols, gt_cols), (dets, gts))]
+        for field in ("scores", "flags", "image", "category", "categories", "gt_count", "offsets"):
+            np.testing.assert_array_equal(getattr(tables[0], field), getattr(tables[1], field))
         assert single_image_map(cols, gt_cols, map_params) == single_image_map(dets, gts, map_params)
         inputs = [(1, dets, gts), (2, kept, gts)]
         columnar = [(1, cols, gt_cols), (2, detection_arrays(kept), gt_cols)]

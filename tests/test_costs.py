@@ -12,17 +12,14 @@ from oceval import (
     GroundTruthInstance,
     OcCostParams,
     build_problem,
-    classification_cost,
-    giou,
     image_oc_cost,
-    iou,
-    localization_cost,
     pairwise_giou,
     pairwise_iou,
-    unit_cost,
 )
 from oceval.costs import _blend, _pair_terms
 from oceval.geometry import boxes_to_array
+
+from oracles import classification_cost, giou, iou, localization_cost, unit_cost
 
 BOX = BoundingBox(0, 0, 10, 10)
 

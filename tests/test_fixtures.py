@@ -1,6 +1,8 @@
 import pytest
 
-from oceval import BoundingBox, ConfigError, FixtureSpec, generate_fixture, iou
+from oceval import BoundingBox, ConfigError, FixtureSpec, generate_fixture
+
+from oracles import iou
 
 
 def test_spec_validation():

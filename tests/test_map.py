@@ -13,9 +13,7 @@ from oceval import (
     Detection,
     GroundTruthInstance,
     MapParams,
-    average_precision,
     dataset_map,
-    match_greedy,
     single_image_map,
 )
 from oceval.costs import DetectionArrays, GroundTruthArrays, detection_arrays, ground_truth_arrays
@@ -25,6 +23,7 @@ from oceval.map_metric import (
     MapReport,
     _block_aps,
     _greedy_lockstep,
+    _segment_means,
     build_match_table,
     filter_table,
     image_maps,
@@ -191,8 +190,12 @@ def test_params_validation():
     with pytest.raises(ConfigError):
         MapParams(recall_points=1)
     assert MapParams().iou_thresholds == COCO_IOU_THRESHOLDS
-    assert MapParams.voc().iou_thresholds == (0.5,)
-    assert MapParams.voc().recall_points == 11
+
+
+def average_precision(flags, num_gt, recall_points=101):
+    """AP of score-ordered true-positive flags at one IoU threshold."""
+    column = np.asarray(flags, dtype=bool).reshape(-1, 1)
+    return float(_segment_means(column, np.array([0, len(column)]), np.array([num_gt]), recall_points)[0])
 
 
 def test_average_precision_hand_values():
@@ -202,7 +205,7 @@ def test_average_precision_hand_values():
     assert average_precision([True, False], 2) == pytest.approx(51 / 101)
     assert average_precision([True], 1) == 1.0
     assert average_precision([], 3) == 0.0
-    assert average_precision([], 0) is None
+    # a segment without ground truths scores 0
     assert average_precision([False], 0) == 0.0
 
 
@@ -211,27 +214,34 @@ def test_average_precision_recall_points():
     assert average_precision([True, False], 2, recall_points=11) == pytest.approx(6 / 11)
 
 
+def greedy_matches(dets, gts, category, iou_threshold):
+    """(score, true positive) of the ranked detections of ``category`` in one image."""
+    table = build_match_table([(None, dets, gts)], MapParams(iou_thresholds=(iou_threshold,)))
+    _, scores, flags = table_entries(table)[0][category]
+    return list(zip(scores.tolist(), flags[:, 0].tolist()))
+
+
 def test_match_greedy_prefers_higher_scores():
     dets = [Detection(B1, 1, 0.6), Detection(B1, 1, 0.9)]
     gts = [GroundTruthInstance(B1, 1)]
-    matches = match_greedy(dets, gts, category=1, iou_threshold=0.5)
+    matches = greedy_matches(dets, gts, category=1, iou_threshold=0.5)
     # higher-scored det matches; duplicate becomes a false positive
-    assert matches == [(1, True), (0, False)]
+    assert matches == [(0.9, True), (0.6, False)]
 
 
 def test_match_greedy_ignores_other_categories():
     dets = [Detection(B1, 2, 0.9)]
     gts = [GroundTruthInstance(B1, 1)]
-    assert match_greedy(dets, gts, category=1, iou_threshold=0.5) == []
-    assert match_greedy(dets, gts, category=2, iou_threshold=0.5) == [(0, False)]
+    assert greedy_matches(dets, gts, category=1, iou_threshold=0.5) == []
+    assert greedy_matches(dets, gts, category=2, iou_threshold=0.5) == [(0.9, False)]
 
 
 def test_match_greedy_takes_best_iou():
     shifted = BoundingBox(2, 0, 12, 10)
     dets = [Detection(shifted, 1, 0.9)]
     gts = [GroundTruthInstance(B2, 1), GroundTruthInstance(B1, 1)]
-    matches = match_greedy(dets, gts, category=1, iou_threshold=0.5)
-    assert matches == [(0, True)]
+    matches = greedy_matches(dets, gts, category=1, iou_threshold=0.5)
+    assert matches == [(0.9, True)]
 
 
 def test_match_greedy_iou_tie_claims_first_gt():
@@ -240,7 +250,7 @@ def test_match_greedy_iou_tie_claims_first_gt():
     right = BoundingBox(10, 0, 20, 10)
     dets = [Detection(BoundingBox(5, 0, 15, 10), 1, 0.9), Detection(right, 1, 0.5)]
     gts = [GroundTruthInstance(B1, 1), GroundTruthInstance(right, 1)]
-    assert match_greedy(dets, gts, category=1, iou_threshold=0.3) == [(0, True), (1, True)]
+    assert greedy_matches(dets, gts, category=1, iou_threshold=0.3) == [(0.9, True), (0.5, True)]
 
 
 def test_dataset_map_perfect_and_fp_append():

@@ -14,11 +14,12 @@ from oceval import (
     dataset_map,
     dataset_oc_cost,
     default_grid,
-    iou,
     nms,
     tune,
 )
 from oceval.nms import DEFAULT_IOU_THRESHOLDS, DEFAULT_SCORE_THRESHOLDS
+
+from oracles import iou
 
 B1 = BoundingBox(0, 0, 10, 10)
 B1_SHIFT = BoundingBox(1, 0, 11, 10)

@@ -15,7 +15,7 @@ from oceval import (
     lambda_sweep,
 )
 
-from conftest import random_scene
+from conftest import random_scene, transformed
 
 BOX = BoundingBox(0, 0, 10, 10)
 FAR_BOX = BoundingBox(200, 200, 210, 210)
@@ -116,12 +116,8 @@ def test_scale_translation_invariance(rng):
         base = image_oc_cost(dets, gts, OcCostParams()).oc_cost
         factor = float(rng.uniform(0.2, 8.0))
         dx, dy = float(rng.uniform(-30, 30)), float(rng.uniform(-30, 30))
-        moved_d = [
-            Detection(d.box.scaled(factor).translated(dx, dy), d.label, d.score) for d in dets
-        ]
-        moved_g = [
-            GroundTruthInstance(g.box.scaled(factor).translated(dx, dy), g.label) for g in gts
-        ]
+        moved_d = [Detection(transformed(d.box, factor, dx, dy), d.label, d.score) for d in dets]
+        moved_g = [GroundTruthInstance(transformed(g.box, factor, dx, dy), g.label) for g in gts]
         assert image_oc_cost(moved_d, moved_g, OcCostParams()).oc_cost == pytest.approx(
             base, abs=1e-9
         )
@@ -212,8 +208,9 @@ def test_lambda_sweep_repeated_lambda(rng):
 
 
 def test_lambda_sweep_validation():
-    with pytest.raises(ConfigError):
-        lambda_sweep([(1, [], [])], [0.5, 1.5], beta=0.6)
+    for bad in (1.5, -0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="loc_weight must lie in"):
+            lambda_sweep([(1, [], [])], [0.5, bad], beta=0.6)
     with pytest.raises(ConfigError, match="lambda list is empty"):
         lambda_sweep([(1, [], [])], [], beta=0.6)
 

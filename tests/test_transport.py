@@ -14,7 +14,6 @@ from oceval import (
     GroundTruthInstance,
     OcCostParams,
     ValidationError,
-    brute_force_solve,
     build_problem,
     solve,
 )
@@ -22,6 +21,7 @@ from oceval.costs import CostMatrix
 from oceval.transport import _TIE_EPSILON, _checked_gains, _distinct, _picks
 
 from conftest import random_scene
+from oracles import brute_force_solve
 
 BOX = BoundingBox(0, 0, 10, 10)
 EPS = _TIE_EPSILON
