@@ -33,7 +33,7 @@ import warnings
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from typing import Any
 
 import numpy as np
@@ -248,9 +248,7 @@ def _corners(xywh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _slots(ids: Sequence[int], table: Mapping[int, Any]) -> np.ndarray:
     """The position of each id among the keys of ``table``, -1 if absent."""
     position = {key: k for k, key in enumerate(table)}
-    if position.keys() >= set(ids):
-        return np.fromiter(map(position.__getitem__, ids), dtype=np.intp, count=len(ids))
-    return np.array([position.get(i, -1) for i in ids], dtype=np.intp)
+    return np.fromiter(map(position.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
 
 
 def _per_image(

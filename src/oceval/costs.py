@@ -200,14 +200,6 @@ class CostMatrix:
     entries: np.ndarray
     dummy_cost: float
 
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[1]
-
 
 def _pair_terms(
     dets: Sequence[Detection], gts: Sequence[GroundTruthInstance]

@@ -20,7 +20,6 @@ of its images (dataset mAP).
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import Detection, GroundTruthInstance, ImageInput, image_arrays
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .geometry import _iou
 
 __all__ = [
@@ -151,13 +150,6 @@ def _greedy_lockstep(
     return flags
 
 
-@functools.lru_cache(maxsize=None)
-def _recall_samples(recall_points: int) -> np.ndarray:
-    samples = np.linspace(0.0, 1.0, recall_points)
-    samples.flags.writeable = False
-    return samples
-
-
 def _block_aps(
     flags: np.ndarray, starts: np.ndarray, gt_count: np.ndarray, recall_points: int
 ) -> np.ndarray:
@@ -193,7 +185,7 @@ def _block_aps(
 
     active = np.flatnonzero(count)
     gt, pick = np.unique(gt_count[active % segments], return_inverse=True)
-    samples = _recall_samples(recall_points)
+    samples = np.linspace(0.0, 1.0, recall_points)
     gt = gt.astype(np.float64)[:, None]
     # ceil(r * gt) - 2 is at most 3 below the least q with q / gt >= r
     need = np.maximum(np.ceil(samples * gt) - 2.0, 0.0)
@@ -408,9 +400,12 @@ def image_maps(table: MatchTable) -> list[float]:
 
 def dataset_map(per_image_inputs: Sequence[ImageInput], params: MapParams | None = None) -> MapReport:
     """COCO-style dataset mAP: pool per category, average APs over thresholds
-    then over categories that have ground truths."""
+    then over categories that have ground truths. An empty image sequence
+    is a :class:`ValidationError`."""
     params = params or MapParams()
     inputs = list(per_image_inputs)
+    if not inputs:
+        raise ValidationError("cannot evaluate an empty image sequence")
     table = build_match_table(inputs, params)
     return map_from_table(table, range(len(inputs)))
 

@@ -12,14 +12,13 @@ at β and carrying k units) is
 so an optimal plan is a partial injective matching that minimises the
 sum of the gains c_ij - β of its pairs. Only a pair of negative gain is
 worth matching; call it a candidate. ``solve`` finds an optimum in one of
-three ways, cheapest first, and every one is exact:
+two ways, cheapest first, and both are exact:
 
 1. Certificate from the ground-truth side. Every ground truth with a
    candidate picks its least-gain detection (the first on a tie). No plan
    beats Σ_j min(0, min_i g_ij), so when no two ground truths pick the
    same detection these pairs reach that bound and are optimal.
-2. The same certificate from the detection side.
-3. Otherwise a shortest-augmenting-path assignment (D. F. Crouse, "On
+2. Otherwise a shortest-augmenting-path assignment (D. F. Crouse, "On
    implementing 2D rectangular assignment algorithms", IEEE TAES 2016,
    the algorithm of ``scipy.optimize.linear_sum_assignment``), in pure
    Python, on the candidate block only: the rows and columns that hold a
@@ -27,11 +26,12 @@ three ways, cheapest first, and every one is exact:
    pair outside the block is never worth matching, and a clipped cell
    only pads the assignment, so the pairs of negative gain are kept.
 
-On detector output the certificates settle most images. The assignment
+On detector output the certificate settles most images. The assignment
 takes O(r^2 c) time on an r x c block (r <= c), and a start that gives
 each row its least column while that column is free leaves only the
-conflicting rows to search. The plan is an integral optimum, not an
-approximation.
+conflicting rows to search. When no two detections pick the same least
+ground truth, the detections are the rows and that start is the whole
+plan. The plan is an integral optimum, not an approximation.
 
 Tie rule and its tolerance (the contract the tests fuzz with pair costs
 at β + δ for δ near ε). Among optimal plans the normalization mass
@@ -57,8 +57,9 @@ Hence:
   another;
 - among plans of exactly equal credited objective (interchangeable
   duplicates, or at λ = 0 ground truths of one label) the choice is the
-  solver's: the first least index in a certificate, and the assignment's
-  search order otherwise. The costs do not depend on it.
+  solver's: the first least index in the certificate or in the
+  assignment's start, and the assignment's search order otherwise. The
+  costs do not depend on it.
 
 The tests check ``solve`` against an enumeration of every partial
 matching under the same rule (``brute_force_solve`` in tests/oracles.py).
@@ -119,20 +120,6 @@ def _checked_gains(cost: CostMatrix) -> np.ndarray:
             raise ValidationError("cost matrix contains NaN or infinite entries")
         raise ValidationError("cost matrix contains negative entries")
     return (entries - _TIE_EPSILON) - beta
-
-
-def _picks(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every column holding a negative gain picks its least-gain row (the
-    first on a tie): returns (rows, cols), cols ascending. No plan beats
-    Σ_j min(0, min_i g_ij), so when the rows are distinct these pairs
-    reach that bound and are optimal."""
-    picks = gains.argmin(axis=0)
-    negative = gains[picks, np.arange(gains.shape[1])] < 0
-    return picks[negative], negative.nonzero()[0]
-
-
-def _distinct(indices: np.ndarray) -> bool:
-    return len(set(indices.tolist())) == len(indices)
 
 
 def _shortest_augmenting_paths(cost: list[list[float]]) -> list[int]:
@@ -203,14 +190,14 @@ def _shortest_augmenting_paths(cost: list[list[float]]) -> list[int]:
     return col4row
 
 
-def _augment(
-    gains: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _augment(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An optimal plan from a shortest-augmenting-path assignment of the
-    candidate block: the ``rows`` and ``cols`` (ascending) that hold a
-    negative gain, at least one, clipped at 0, with the shorter side
-    assigned. Cells outside the block are never worth matching, and a
-    clipped cell only pads the assignment."""
+    candidate block: the rows and columns that hold a negative gain, at
+    least one, clipped at 0, with the shorter side assigned. Cells outside
+    the block are never worth matching, and a clipped cell only pads the
+    assignment."""
+    negative = gains < 0
+    rows, cols = negative.any(axis=1).nonzero()[0], negative.any(axis=0).nonzero()[0]
     block = np.minimum(gains.take(rows, axis=0).take(cols, axis=1), 0.0)
     tall = len(rows) > len(cols)
     lines = (block.T if tall else block).tolist()
@@ -224,18 +211,17 @@ def _augment(
 def _match(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (rows, cols), ordered by row, of an optimal plan under the
     credited ``gains``: the certificate from the ground-truth side, else
-    from the detection side, else the augmenting-path solver."""
+    the augmenting-path solver."""
     m, n = gains.shape
     if m == 0 or n == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    rows, cand_cols = _picks(gains)
-    if _distinct(rows):
+    picks = gains.argmin(axis=0)
+    negative = gains[picks, np.arange(n)] < 0
+    rows = picks[negative]
+    if len(set(rows.tolist())) == len(rows):
         order = rows.argsort()
-        return rows.take(order), cand_cols.take(order)
-    cols, cand_rows = _picks(gains.T)
-    if _distinct(cols):
-        return cand_rows, cols
-    return _augment(gains, cand_rows, cand_cols)
+        return rows.take(order), negative.nonzero()[0].take(order)
+    return _augment(gains)
 
 
 def _plan(cost: CostMatrix, rows: np.ndarray, cols: np.ndarray) -> TransportPlan:

@@ -83,7 +83,7 @@ def brute_force_solve(cost: CostMatrix) -> TransportPlan:
     Enumeration is bounded to small instances by design.
     """
     gains = _checked_gains(cost)
-    m, n = cost.m, cost.n
+    m, n = cost.entries.shape
     if m > MAX_BRUTE_FORCE_SIDE or n > MAX_BRUTE_FORCE_SIDE:
         raise ConfigError(
             f"brute-force enumeration is limited to {MAX_BRUTE_FORCE_SIDE} boxes per side, "

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,12 @@ def test_config_validation():
     for seed in (-1, 2**128):
         with pytest.raises(ConfigError):
             BootstrapConfig(seed=seed)
+    with pytest.raises(ConfigError, match=re.escape("seed must be an integer, got 1.5")):
+        BootstrapConfig(seed=1.5)
+    with pytest.raises(ConfigError, match=re.escape("population must be >= 1, got 0")):
+        trial_sample(BootstrapConfig(), 0, 0)
+    with pytest.raises(ConfigError, match=re.escape("trial must be >= 0, got -1")):
+        trial_sample(BootstrapConfig(), -1, 10)
     assert len(trial_sample(BootstrapConfig(seed=2**128 - 1), 0, 10)) == 3
     cfg = BootstrapConfig()
     assert cfg.trials == 100

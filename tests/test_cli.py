@@ -404,12 +404,15 @@ def test_tune_nms_single_point_grid(tmp_path, capsys):
     assert "score_threshold 0.5 iou_threshold 0.6" in capsys.readouterr().out
 
 
-def test_gen_fixture_rejects_bad_spec(tmp_path):
-    code = main(
-        ["gen-fixture", "--gt-out", str(tmp_path / "g.json"),
-         "--dt-out", str(tmp_path / "d.json"), "--jitter", "0.5"]
-    )
-    assert code == 2
+def test_gen_fixture_rejects_bad_spec(tmp_path, capsys):
+    argv = ["gen-fixture", "--gt-out", str(tmp_path / "g.json"), "--dt-out", str(tmp_path / "d.json")]
+    for flag, message in [
+        (["--jitter", "0.5"], "jitter must be in [0, 0.1], got 0.5"),
+        (["--gts-per-image", "-1"], "instance counts must be >= 0"),
+        (["--image-size", "32"], "image_size must be >= 64, got 32"),
+    ]:
+        assert main(argv + flag) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_out_of_range_seed_is_usage_error(tmp_path):
@@ -447,6 +450,13 @@ SUBCOMMANDS = {
 }
 READERS = ["evaluate", "bootstrap", "sweep-lambda", "tune-nms"]
 
+# The stderr prefix and message of the cases whose message no other test reads.
+CASE_MESSAGES = {
+    "unreadable": ("parse error", "gt.json: cannot read file"),
+    "unwritable": ("parse error", ": cannot write "),
+    "no config": ("usage error", "oceval.cfg: cannot read config file"),
+}
+
 
 @pytest.mark.parametrize(
     "command, case, expected",
@@ -454,24 +464,31 @@ READERS = ["evaluate", "bootstrap", "sweep-lambda", "tune-nms"]
      for case, code in [("ok", 0), ("flag", 2), ("env", 2), ("config", 2)]]
     + [(command, "not json", 3) for command in READERS]
     + [(command, "dangling", 4) for command in READERS]
-    + [("gen-fixture", "unwritable", 3)],
+    + [(command, "unreadable", 3) for command in READERS]
+    + [(command, "unwritable", 3) for command in SUBCOMMANDS]
+    + [(command, "no config", 2) for command in SUBCOMMANDS],
 )
 def test_exit_code_per_subcommand(tmp_path, monkeypatch, capsys, command, case, expected):
     gt, dt = run_fixture(tmp_path, images=3, gts_per_image=2)
     extra, bad_flag, (env_key, env_value), bad_config = SUBCOMMANDS[command]
+    missing = tmp_path / "missing"
     if command == "gen-fixture":
-        out = tmp_path / "missing" if case == "unwritable" else tmp_path
+        out = missing if case == "unwritable" else tmp_path
         argv = [command, "--gt-out", str(out / "g.json"), "--dt-out", str(tmp_path / "d.json")]
     else:
         if case == "not json":
             gt = str(tmp_path / "bad.json")
             Path(gt).write_text("nope")
+        if case == "unreadable":
+            gt = str(missing / "gt.json")
         if case == "dangling":
             doc = json.loads(Path(gt).read_text())
             doc["annotations"][0]["image_id"] = 999
             gt = str(tmp_path / "dangle.json")
             Path(gt).write_text(json.dumps(doc))
         argv = [command, "--gt", gt, "--dt", dt, *extra]
+        if case == "unwritable":
+            argv += ["--out", str(missing / "report.json")]
     if case == "flag":
         argv += bad_flag
     if case == "env":
@@ -480,7 +497,55 @@ def test_exit_code_per_subcommand(tmp_path, monkeypatch, capsys, command, case, 
         cfg = tmp_path / "oceval.cfg"
         cfg.write_text(bad_config + "\n")
         argv += ["--config", str(cfg)]
+    if case == "no config":
+        argv += ["--config", str(missing / "oceval.cfg")]
     assert _exit_code(argv) == expected
+    err = capsys.readouterr().err
+    if case in CASE_MESSAGES:
+        kind, message = CASE_MESSAGES[case]
+        assert err.startswith(kind + ": ") and message in err
+
+
+def _replaced(doc, section, index, value):
+    doc[section][index] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "which, edit, message",
+    [("gt", lambda doc: _replaced(doc, "images", 0, 5), "images[0] must be an object"),
+     ("gt", lambda doc: _replaced(doc, "categories", 0, "person"), "categories[0] must be an object"),
+     ("gt", lambda doc: _replaced(doc, "categories", 0, {"id": 1, "name": 3}),
+      "categories[0].name must be a string"),
+     ("dt", lambda records: {"detections": records}, "top level must be a list of detection records")],
+    ids=["image entry", "category entry", "category name", "detections top level"],
+)
+def test_malformed_files_exit_3(tmp_path, capsys, which, edit, message):
+    paths = dict(zip(("gt", "dt"), run_fixture(tmp_path, images=2, gts_per_image=2)))
+    doc = edit(json.loads(Path(paths[which]).read_text()))
+    paths[which] = str(tmp_path / "malformed.json")
+    Path(paths[which]).write_text(json.dumps(doc))
+    assert main(["evaluate", "--gt", paths["gt"], "--dt", paths["dt"]]) == 3
+    assert capsys.readouterr().err == f"parse error: {paths[which]}: {message}\n"
+
+
+def test_list_and_boolean_settings(tmp_path, monkeypatch, capsys):
+    gt, dt = run_fixture(tmp_path, images=2, gts_per_image=2)
+    assert _exit_code(["sweep-lambda", "--gt", gt, "--dt", dt, "--lambdas", "0.5,x"]) == 2
+    assert "argument --lambdas: could not convert string to float: 'x'" in capsys.readouterr().err
+    # boolean words, any case, from a config key and from a variable
+    cfg = tmp_path / "oceval.cfg"
+    cfg.write_text("with_map = YES\n")
+    assert main(["evaluate", "--gt", gt, "--dt", dt, "--config", str(cfg)]) == 0
+    assert "mean_ap " in capsys.readouterr().out
+    doc = json.loads(Path(gt).read_text())
+    doc["annotations"][0]["image_id"] = 999
+    dangle = tmp_path / "dangle.json"
+    dangle.write_text(json.dumps(doc))
+    assert main(["evaluate", "--gt", str(dangle), "--dt", dt]) == 4
+    monkeypatch.setenv("OCEVAL_STRICT", "off")
+    with pytest.warns(Warning):
+        assert main(["evaluate", "--gt", str(dangle), "--dt", dt]) == 0
 
 
 @pytest.mark.parametrize(

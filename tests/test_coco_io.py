@@ -326,6 +326,16 @@ def test_unknown_format_rejected(tmp_path):
     payload = sweep_payload([(0.0, 0.1)], beta=0.6)
     with pytest.raises(ConfigError):
         write_report(payload, str(tmp_path / "x.yaml"), "yaml")
+    # ConfigError: exit code 2
+    with pytest.raises(ConfigError, match="no CSV layout for report kind 'mystery'"):
+        write_report({**payload, "kind": "mystery"}, str(tmp_path / "x.csv"), "csv")
+
+
+def test_read_report_rejects_a_file_without_schema_version(tmp_path):
+    path = write_json(tmp_path / "gt.json", {"kind": "evaluate"})
+    # ParseError: exit code 3
+    with pytest.raises(ParseError, match=re.escape(f"{path}: not a report file (missing schema_version)")):
+        read_report(path)
 
 
 def test_detection_inputs_sorted_and_joined(tmp_path):
@@ -560,6 +570,7 @@ def oracle_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("oracle")
 
 
+@pytest.mark.slow
 @settings(max_examples=300, deadline=None)
 @given(structural=st.booleans(), strict=st.booleans(), data=st.data())
 def test_detection_loader_matches_the_record_by_record_oracle(oracle_dir, structural, strict, data):
@@ -589,6 +600,7 @@ def test_detection_loader_matches_the_record_by_record_oracle(oracle_dir, struct
     )
 
 
+@pytest.mark.slow
 @settings(max_examples=300, deadline=None)
 @given(structural=st.booleans(), strict=st.booleans(), data=st.data())
 def test_ground_truth_loader_matches_the_record_by_record_oracle(oracle_dir, structural, strict, data):

@@ -73,7 +73,7 @@ def test_build_problem_perfect_single():
     gt = GroundTruthInstance(BOX, 1)
     cm = build_problem([det], [gt], OcCostParams(0.5, 0.6))
     # one unit per detection and per ground truth: the capacities are (m, n)
-    assert (cm.m, cm.n) == (1, 1)
+    assert cm.entries.shape == (1, 1)
     np.testing.assert_array_equal(cm.entries, [[0.0]])
     assert cm.dummy_cost == 0.6
 
@@ -82,7 +82,6 @@ def test_build_problem_no_detections():
     gts = [GroundTruthInstance(BOX, 1), GroundTruthInstance(BoundingBox(20, 0, 30, 10), 2)]
     cm = build_problem([], gts, OcCostParams(0.5, 0.6))
     assert cm.entries.shape == (0, 2)
-    assert (cm.m, cm.n) == (0, 2)
     assert cm.dummy_cost == 0.6
 
 
@@ -90,7 +89,7 @@ def test_build_problem_duplicate_detections():
     det = Detection(BOX, 1, 1.0)
     gt = GroundTruthInstance(BOX, 1)
     cm = build_problem([det, det], [gt], OcCostParams(0.5, 0.6))
-    assert (cm.m, cm.n) == (2, 1)
+    assert cm.entries.shape == (2, 1)
     np.testing.assert_array_equal(cm.entries, [[0.0], [0.0]])
     assert cm.dummy_cost == 0.6
 

@@ -189,6 +189,8 @@ def test_params_validation():
         MapParams(iou_thresholds=(0.0, 0.5))
     with pytest.raises(ConfigError):
         MapParams(recall_points=1)
+    with pytest.raises(ConfigError, match="max_detections must be >= 1, got 0"):
+        MapParams(max_detections=0)
     assert MapParams().iou_thresholds == COCO_IOU_THRESHOLDS
 
 
@@ -528,6 +530,7 @@ labeled_dets = st.lists(
 labeled_gts = st.lists(st.builds(GroundTruthInstance, coarse_boxes, st.sampled_from(LABELS)), max_size=5)
 
 
+@pytest.mark.slow
 @settings(max_examples=300, deadline=None)
 @given(
     images=st.lists(st.tuples(labeled_dets, labeled_gts, st.booleans()), max_size=5),

@@ -114,6 +114,21 @@ def test_tune_rejects_an_empty_image_sequence(objective):
         tune([], objective)
 
 
+def test_dataset_map_rejects_an_empty_image_sequence():
+    with pytest.raises(ValidationError, match="cannot evaluate an empty image sequence"):
+        dataset_map([])
+
+
+def test_tune_point_that_suppresses_every_detection_costs_exactly_beta():
+    # a plain mean of 109 copies of 0.6, or of 3 copies of 0.1, is not beta
+    dets = [Detection(B2, 1, 0.5)]
+    for beta, count in ((0.6, 109), (0.1, 3)):
+        inputs = [(1, dets, [GroundTruthInstance(B1, 1)] * count)]
+        grid = [NmsParams(0.4, 0.5), NmsParams(0.6, 0.5)]
+        result = tune(inputs, "oc-cost", grid, oc_params=OcCostParams(0.5, beta))
+        assert result.grid[1][1] == beta
+
+
 def test_tune_picks_threshold_that_removes_noise():
     # perfect detections at 0.9 plus disjoint same-class noise at 0.1
     inputs = []

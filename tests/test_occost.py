@@ -29,13 +29,22 @@ def test_perfect_detection_costs_zero():
     assert result.matched_pairs == 1
 
 
+# A plain mean of N copies of beta is inexact from N = 3 for 0.05, 0.1
+# and 0.7, and from N = 109 for 0.3 and 0.6.
+ONE_SIDED_BETAS = (0.05, 0.1, 0.3, 0.6, 0.7, 1.0)
+ONE_SIDED_COUNTS = (1, 2, 3, 109)
+
+
 def test_empty_sides_cost_exactly_beta():
     gt = GroundTruthInstance(BOX, 1)
     det = Detection(BOX, 1, 1.0)
-    for beta in (0.3, 0.6, 1.0):
+    for beta in ONE_SIDED_BETAS:
         params = OcCostParams(0.5, beta)
-        assert image_oc_cost([], [gt, gt], params).oc_cost == beta
-        assert image_oc_cost([det], [], params).oc_cost == beta
+        for count in ONE_SIDED_COUNTS:
+            assert image_oc_cost([], [gt] * count, params).oc_cost == beta
+            assert image_oc_cost([det] * count, [], params).oc_cost == beta
+            for inputs in ([(1, [], [gt] * count)], [(1, [det] * count, [])]):
+                assert lambda_sweep(inputs, [0.0, 0.5, 1.0], beta) == [(0.0, beta), (0.5, beta), (1.0, beta)]
     assert image_oc_cost([], [], OcCostParams()).oc_cost == 0.0
 
 

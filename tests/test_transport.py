@@ -18,7 +18,7 @@ from oceval import (
     solve,
 )
 from oceval.costs import CostMatrix
-from oceval.transport import _TIE_EPSILON, _checked_gains, _distinct, _picks
+from oceval.transport import _TIE_EPSILON, _checked_gains
 
 from conftest import random_scene
 from oracles import brute_force_solve
@@ -51,7 +51,7 @@ def square_solve(cost):
     nudged down by the tie epsilon, and folds the dummy copies back.
     Returns the matched pairs and the exact cost of every paying unit.
     """
-    m, n = cost.m, cost.n
+    m, n = cost.entries.shape
     beta = cost.dummy_cost
     augmented = np.full((m + 1, n + 1), beta)
     augmented[:m, :n] = cost.entries
@@ -77,7 +77,7 @@ def square_solve(cost):
 def exact_optimum(cost):
     """Least unperturbed objective over every partial matching, and the
     largest match count that attains it."""
-    m, n = cost.m, cost.n
+    m, n = cost.entries.shape
     best = None
     for k in range(min(m, n) + 1):
         for dets in itertools.combinations(range(m), k):
@@ -334,14 +334,23 @@ def test_solver_matches_the_assignment_oracle(cost):
         np.testing.assert_array_equal(plan.gt_indices, cols[order])
 
 
+def picks(gains):
+    """Every column holding a negative gain picks its least-gain row (the
+    first on a tie): returns (rows, cols), cols ascending."""
+    rows = gains.argmin(axis=0)
+    negative = gains[rows, np.arange(gains.shape[1])] < 0
+    return rows[negative], negative.nonzero()[0]
+
+
+def distinct(indices):
+    return len(set(indices.tolist())) == len(indices)
+
+
 def tier_of(cost):
     """Which way ``solve`` settles ``cost``: the certificate from the
-    ground-truth side, from the detection side, or the assignment."""
-    gains = _checked_gains(cost)
-    if _distinct(_picks(gains)[0]):
+    ground-truth side, or the assignment."""
+    if distinct(picks(_checked_gains(cost))[0]):
         return "ground truths"
-    if _distinct(_picks(gains.T)[0]):
-        return "detections"
     return "assignment"
 
 
@@ -355,11 +364,26 @@ def test_ground_truth_certificate():
 
 def test_detection_certificate():
     # m < n: both ground truths 0 and 1 pick detection 0, but each
-    # detection picks a different ground truth
+    # detection picks a different ground truth, so the assignment's start
+    # is the plan
     cost = problem([[0.1, 0.2, 0.9], [0.9, 0.3, 0.9]])
-    assert tier_of(cost) == "detections"
+    assert tier_of(cost) == "assignment"
+    assert [p.tolist() for p in picks(_checked_gains(cost).T)] == [[0, 1], [0, 1]]
     plan = solve(cost)
     assert plan.det_indices.tolist() == [0, 1] and plan.gt_indices.tolist() == [0, 1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(assignment_problems())
+def test_distinct_detection_picks_are_the_plan(cost):
+    # whenever no two detections pick the same least-gain ground truth,
+    # those pairs are optimal and the assignment's start returns them as is
+    cols, rows = picks(_checked_gains(cost).T)
+    if distinct(cols):
+        plan = solve(cost)
+        np.testing.assert_array_equal(plan.det_indices, rows)
+        np.testing.assert_array_equal(plan.gt_indices, cols)
+        assert plan.det_indices.dtype == plan.gt_indices.dtype == np.intp
 
 
 def test_assignment_beats_greedy():
