@@ -281,8 +281,8 @@ def _add_run(parser: argparse.ArgumentParser, *settings: str) -> None:
     """Report output, job count, the given settings, and the config file."""
     parser.add_argument("--out", help="report output path")
     _flag(parser, "format", choices=("json", "csv"))
-    _flag(parser, "jobs", help="worker processes for the OC-cost per-image stage only; "
-          "more than 1 is currently slower (see docs/config.md)")
+    _flag(parser, "jobs", help="processes for the OC-cost per-image stage only, the caller "
+          "and N-1 forked workers; saves time only on large inputs (see docs/config.md)")
     for name in settings:
         _flag(parser, name)
     parser.add_argument("--config", help="key=value settings file")

@@ -6,15 +6,15 @@ cost (minimized) or by dataset mAP (maximized). Only higher-scored boxes
 suppress, so NMS at ``(s, t)`` keeps exactly the ``score >= s`` prefix of
 what NMS at ``(s0, t)`` keeps for any ``s0 <= s``. NMS therefore runs once
 per image and IoU threshold, at the lowest score threshold of that
-column, in the calling process and for both objectives; each grid point
-takes a prefix of that pass, and so does the survivor count of the best
-point. Then:
+column, for both objectives; each grid point takes a prefix of that
+pass, and so does the survivor count of the best point. Then:
 
 - greedy mAP matching runs in score order, so one match table per IoU
   threshold, cut to each score threshold by
   :func:`~oceval.map_metric.filter_table`, serves the mAP objective;
-- the correction cost of an image is priced in :mod:`oceval.occost`,
-  once per distinct set of survivors however many grid points share it.
+- one task per image runs its NMS passes and prices its correction
+  cost in :mod:`oceval.occost`, once per distinct set of survivors
+  however many grid points share it.
 """
 
 from __future__ import annotations
@@ -145,9 +145,9 @@ def tune(
     ``objective`` is "oc-cost" (lower is better) or "map" (higher is
     better). Exact ties keep the first point in grid order, so results are
     reproducible for a fixed grid. Each point's value equals evaluating
-    ``nms`` at that point on every image. NMS runs in the calling process;
-    ``jobs > 1`` fans the correction costs of the oc-cost objective out over
-    one process pool for the whole grid (the map objective runs in one
+    ``nms`` at that point on every image. ``jobs > 1`` splits the images of
+    the oc-cost objective, NMS passes and correction costs alike, over one
+    set of forked workers for the whole grid (the map objective runs in one
     process).
     """
     if objective not in ("oc-cost", "map"):
@@ -164,37 +164,29 @@ def tune(
     for point in candidates:
         t = point.iou_threshold
         lowest[t] = min(lowest.get(t, 1.0), point.score_threshold)
-    # passes[t][i]: what NMS keeps of image i at IoU threshold t and the
-    # lowest score threshold of the grid at t
-    passes = {
-        t: [_nms_indices(dets, NmsParams(s, t)) for _, dets, _ in inputs] for t, s in lowest.items()
-    }
-
-    def kept_rows(point: NmsParams, image: int) -> np.ndarray:
-        rows = passes[point.iou_threshold][image]
-        return rows[inputs[image][1].scores[rows] >= point.score_threshold]
+    pass_points = [NmsParams(s, t) for t, s in lowest.items()]
 
     if objective == "oc-cost":
-        tasks = []
-        for i, item in enumerate(inputs):
-            # one array per distinct survivor set: solved once, pickled once
-            distinct: dict[bytes, np.ndarray] = {}
-            subsets = [kept_rows(point, i) for point in candidates]
-            tasks.append((item, [distinct.setdefault(rows.tobytes(), rows) for rows in subsets]))
-        per_image = map_images(_subset_costs, tasks, jobs, [oc_params or OcCostParams()])
-        values = [math.fsum(column) / len(per_image) for column in zip(*per_image)]
+        params = oc_params or OcCostParams()
+        per_image = map_images(_grid_costs, inputs, jobs, candidates, pass_points, params)
+        values = [math.fsum(column) / len(per_image) for column in zip(*(c for c, _ in per_image))]
         best_index = min(range(len(values)), key=lambda i: (values[i], i))
+        survivor_counts = tuple(counts[best_index] for _, counts in per_image)
         kind = "minimize-oc-cost"
     else:
+        passes = [_passes(dets, pass_points) for _, dets, _ in inputs]
         values = [0.0] * len(candidates)
-        for t, column in passes.items():
-            kept = [(image_id, d.take(rows), g) for (image_id, d, g), rows in zip(inputs, column)]
+        for t in lowest:
+            kept = [(image_id, d.take(p[t]), g) for (image_id, d, g), p in zip(inputs, passes)]
             table = build_match_table(kept, map_params or MapParams())
             for i, point in enumerate(candidates):
                 if point.iou_threshold == t:
                     survivors = filter_table(table, point.score_threshold)
                     values[i] = map_from_table(survivors, range(len(inputs))).mean_ap
         best_index = max(range(len(values)), key=lambda i: (values[i], -i))
+        survivor_counts = tuple(
+            len(_kept_rows(p, d, candidates[best_index])) for (_, d, _), p in zip(inputs, passes)
+        )
         kind = "maximize-map"
     best_point = candidates[best_index]
     return TuneResult(
@@ -202,5 +194,39 @@ def tune(
         objective_value=values[best_index],
         grid=tuple(zip(candidates, values)),
         objective_kind=kind,
-        survivor_counts=tuple(len(kept_rows(best_point, i)) for i in range(len(inputs))),
+        survivor_counts=survivor_counts,
     )
+
+
+def _passes(dets: DetectionArrays, pass_points: Sequence[NmsParams]) -> dict[float, np.ndarray]:
+    """What NMS keeps of one image at each of ``pass_points`` (one per IoU
+    threshold of the grid, at its lowest score threshold there), by IoU
+    threshold."""
+    return {point.iou_threshold: _nms_indices(dets, point) for point in pass_points}
+
+
+def _kept_rows(
+    passes: dict[float, np.ndarray], dets: DetectionArrays, point: NmsParams
+) -> np.ndarray:
+    """What NMS at ``point`` keeps: the ``score >= s`` prefix of its pass."""
+    rows = passes[point.iou_threshold]
+    return rows[dets.scores[rows] >= point.score_threshold]
+
+
+def _grid_costs(
+    candidates: Sequence[NmsParams],
+    pass_points: Sequence[NmsParams],
+    params: OcCostParams,
+    item: ImageInput,
+) -> tuple[list[float], list[int]]:
+    """One image's correction cost and survivor count at each grid point.
+
+    Each distinct survivor set is one array, so it is solved once however
+    many grid points share it.
+    """
+    _, dets, _ = item
+    passes = _passes(dets, pass_points)
+    distinct: dict[bytes, np.ndarray] = {}
+    subsets = [_kept_rows(passes, dets, point) for point in candidates]
+    subsets = [distinct.setdefault(rows.tobytes(), rows) for rows in subsets]
+    return _subset_costs([params], (item, subsets)), [len(rows) for rows in subsets]

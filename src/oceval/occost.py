@@ -16,9 +16,9 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Hashable, TypeVar
+from multiprocessing import get_all_start_methods, get_context
+from typing import TYPE_CHECKING, Any, Hashable, TypeVar
 
 import numpy as np
 
@@ -35,6 +35,9 @@ from .costs import (
 )
 from .errors import ConfigError, ValidationError
 from .transport import _checked_gains, _match
+
+if TYPE_CHECKING:  # imported by the first fan-out, not by every start-up
+    from multiprocessing.connection import Connection
 
 __all__ = [
     "PairCost",
@@ -158,29 +161,79 @@ def _plan_cost(
 
 
 def check_jobs(jobs: int) -> None:
-    """Reject a worker process count below 1."""
+    """Reject a worker process count below 1, and above 1 where processes
+    cannot be forked."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if jobs > 1 and "fork" not in get_all_start_methods():
+        raise ConfigError(
+            f"jobs must be 1 on this platform, got {jobs}: worker processes are "
+            "forked, and it has no 'fork' start method"
+        )
 
 
 def map_images(fn: Callable[..., R], tasks: Sequence[T], jobs: int, *shared: Any) -> list[R]:
     """``fn(*shared, task)`` for one task per image, in input order.
 
     The arguments every image shares are bound to ``fn`` once, so no task
-    carries them. Images are independent, so ``jobs > 1`` fans the tasks
-    out over one process pool (``fn`` must be a module-level function and
-    the tasks and shared arguments picklable); the results are merged back
-    in input order, so they are identical for any job count.
+    carries them. Images are independent, so ``jobs > 1`` cuts the tasks
+    into ``min(jobs, len(tasks))`` contiguous ranges: the calling process
+    computes the first, and one forked worker each of the others. A worker
+    inherits ``fn``, the shared arguments and the tasks, so none of them
+    is pickled; it sends its range's results back once (they must be
+    picklable), or the exception it raised. The results are joined in input
+    order, so they are identical for any job count.
     """
     if not tasks:
         raise ValidationError("cannot evaluate an empty image sequence")
     check_jobs(jobs)
     fn = functools.partial(fn, *shared)
-    if jobs == 1 or len(tasks) < 2:
+    ranges = min(jobs, len(tasks))
+    if ranges == 1:
         return [fn(task) for task in tasks]
-    chunk = max(1, len(tasks) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
+    bounds = [len(tasks) * r // ranges for r in range(ranges + 1)]
+    context = get_context("fork")
+    workers = []
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(target=_send_range, args=(fn, tasks, start, stop, sender))
+            worker.start()
+            sender.close()
+            workers.append((worker, receiver))
+        results = [fn(task) for task in tasks[: bounds[1]]]
+        for worker, receiver in workers:
+            try:
+                failed, value = receiver.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError(
+                    f"a worker exited with code {worker.exitcode} before sending its results"
+                ) from None
+            if failed:
+                raise value
+            results += value
+        return results
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, receiver in workers:
+            receiver.close()
+            worker.join()
+
+
+def _send_range(
+    fn: Callable[[T], R], tasks: Sequence[T], start: int, stop: int, sender: Connection
+) -> None:
+    """A worker's body: send ``(False, results)`` for ``tasks[start:stop]``,
+    or ``(True, exception)`` if one of them raised."""
+    try:
+        reply = (False, [fn(task) for task in tasks[start:stop]])
+    except BaseException as exc:  # the parent re-raises it
+        reply = (True, exc)
+    sender.send(reply)
 
 
 def _eval_image(params: OcCostParams, item: ImageInput) -> ImageEvalResult:
@@ -221,7 +274,7 @@ def dataset_oc_cost(
 ) -> DatasetReport:
     """Evaluate every image and average the per-image costs.
 
-    ``jobs > 1`` fans the images out over a process pool (see
+    ``jobs > 1`` splits the images over forked workers (see
     :func:`map_images`); the mean uses exact compensated summation, so the
     report is byte-identical for any job count. Images that are empty on
     both sides still count, contributing 0.
@@ -248,7 +301,7 @@ def lambda_sweep(
 
     Each image is evaluated at every weight in one task, from one
     computation of its weight-independent cost terms, so ``jobs > 1``
-    starts one process pool for the whole sweep.
+    forks one set of workers for the whole sweep.
     """
     if len(lambdas) == 0:
         raise ConfigError("lambda list is empty")

@@ -1,5 +1,3 @@
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -42,14 +40,14 @@ def rng():
 
 @pytest.fixture
 def count_pools(monkeypatch):
-    """Counts the process pools ``oceval.occost`` starts; call it for the
-    number started so far."""
+    """Counts the fan-outs ``oceval.occost.map_images`` makes, one fork
+    context each; call it for the number made so far."""
     started = []
+    get_context = oceval.occost.get_context
 
-    class CountingPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(1)
-            super().__init__(*args, **kwargs)
+    def counting(method):
+        started.append(method)
+        return get_context(method)
 
-    monkeypatch.setattr(oceval.occost, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(oceval.occost, "get_context", counting)
     return lambda: len(started)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oceval.cli
+import oceval.occost
 from oceval import (
     BootstrapConfig,
     FixtureSpec,
@@ -317,6 +318,18 @@ def test_jobs_below_one_is_a_usage_error_on_map_paths(tmp_path, capsys, command)
     capsys.readouterr()
     assert main([*command, "--gt", gt, "--dt", dt, "--jobs", "0"]) == 2
     assert capsys.readouterr().err.strip() == "usage error: jobs must be >= 1, got 0"
+
+
+def test_jobs_above_one_without_fork_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    gt, dt = run_fixture(tmp_path, images=3, gts_per_image=2)
+    monkeypatch.setattr(oceval.occost, "get_all_start_methods", lambda: ["spawn"])
+    capsys.readouterr()
+    assert main(["evaluate", "--gt", gt, "--dt", dt, "--jobs", "2"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "usage error: jobs must be 1 on this platform, got 2: worker processes are forked, "
+        "and it has no 'fork' start method"
+    )
+    assert main(["evaluate", "--gt", gt, "--dt", dt, "--jobs", "1"]) == 0
 
 
 def test_tune_nms_cli(tmp_path, capsys):

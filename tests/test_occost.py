@@ -1,8 +1,15 @@
+import contextlib
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oceval.occost
 from oceval import (
     BoundingBox,
     ConfigError,
@@ -14,6 +21,7 @@ from oceval import (
     image_oc_cost,
     lambda_sweep,
 )
+from oceval.occost import map_images
 
 from conftest import random_scene, transformed
 
@@ -157,6 +165,104 @@ def test_dataset_jobs_bit_identical(rng):
     parallel = dataset_oc_cost(inputs, OcCostParams(), jobs=4)
     assert serial.mean_oc_cost == parallel.mean_oc_cost
     assert [r.oc_cost for r in serial.per_image] == [r.oc_cost for r in parallel.per_image]
+
+
+def test_dataset_jobs_one_fan_out(rng, count_pools):
+    inputs = [(image_id, *random_scene(rng)) for image_id in range(10)]
+    serial = dataset_oc_cost(inputs, OcCostParams(), jobs=1)
+    assert count_pools() == 0
+    assert dataset_oc_cost(inputs, OcCostParams(), jobs=2) == serial
+    assert count_pools() == 1
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the calling (main) thread after ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_map_images_leaves_no_worker_behind():
+    with deadline(60):
+        assert map_images(lambda task: task * task, list(range(7)), 3) == [i * i for i in range(7)]
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_exception_reaches_the_caller():
+    def check(task):
+        if task == 3:  # in the worker's range [2, 4)
+            raise ValueError(f"image {task} is bad")
+        return task
+
+    with deadline(60), pytest.raises(ValueError, match=r"^image 3 is bad$"):
+        map_images(check, list(range(4)), 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_that_dies_without_sending_fails_the_call():
+    parent = os.getpid()
+
+    def die_in_worker(task):
+        if os.getpid() != parent:
+            os._exit(1)
+        return task
+
+    message = r"^a worker exited with code 1 before sending its results$"
+    with deadline(60), pytest.raises(RuntimeError, match=message):
+        map_images(die_in_worker, list(range(4)), 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_more_jobs_than_images(rng, count_pools):
+    inputs = [(image_id, *random_scene(rng)) for image_id in range(3)]
+    with deadline(60):
+        serial = dataset_oc_cost(inputs, OcCostParams())
+        assert dataset_oc_cost(inputs, OcCostParams(), jobs=8) == serial
+        pids = map_images(lambda task: os.getpid(), inputs, 8)
+    assert count_pools() == 2
+    # the caller computes the first image, one worker each of the other two
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_jobs_above_one_need_fork(monkeypatch):
+    monkeypatch.setattr(oceval.occost, "get_all_start_methods", lambda: ["spawn"])
+    inputs = [(1, [], []), (2, [], [])]
+    assert dataset_oc_cost(inputs, OcCostParams()).mean_oc_cost == 0.0
+    with pytest.raises(ConfigError, match=r"^jobs must be 1 on this platform, got 2: .*'fork'"):
+        dataset_oc_cost(inputs, OcCostParams(), jobs=2)
+    with pytest.raises(ConfigError, match="'fork'"):
+        lambda_sweep(inputs, [0.5], beta=0.6, jobs=2)
+
+
+def test_forking_writes_buffered_stdout_once(tmp_path):
+    # stdout to a file is block-buffered (unless PYTHONUNBUFFERED is set): a
+    # worker forked with "before" still in the buffer would write it again
+    # when it exits
+    script = (
+        "from oceval import OcCostParams, dataset_oc_cost\n"
+        "print('before')\n"
+        "dataset_oc_cost([(i, [], []) for i in range(4)], OcCostParams(), jobs=2)\n"
+        "print('after')\n"
+    )
+    out = tmp_path / "stdout.txt"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("PYTHONUNBUFFERED", None)
+    with open(out, "w") as handle:
+        subprocess.run(
+            [sys.executable, "-c", script], stdout=handle, env=env, check=True, timeout=60
+        )
+    assert out.read_text() == "before\nafter\n"
 
 
 def test_dataset_validation():
