@@ -98,6 +98,38 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + sizes, sizes)
 
 
+def _rank_groups(
+    image: np.ndarray, scores: np.ndarray, codes: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ranked by descending score within each image, ties in input
+    order (``image`` is nondecreasing, so every image keeps its place);
+    the positions of that ranking grouped by (image, label code), rank
+    order kept within each group; and the key ``image * width + code`` of
+    each grouped row, nondecreasing."""
+    ranked = np.lexsort((-scores, image))
+    key = image[ranked] * width + codes[ranked]
+    by_key = np.argsort(key, kind="stable")
+    return ranked, by_key, key[by_key]
+
+
+def _lockstep_steps(
+    pair_row: np.ndarray, row_segment: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The pairs ``first[i]:stop[i]`` of each row with pairs, in step order,
+    and the bounds that cut that order into blocks of one step and at most
+    ``_BLOCK_ROWS`` rows. Pairs are sorted by row, rows grouped by
+    ``row_segment`` (nondecreasing); step k holds the k-th row with pairs
+    of every segment."""
+    first = np.flatnonzero(np.diff(pair_row, prepend=-1))
+    stop = np.r_[first[1:], len(pair_row)]
+    segment = row_segment[pair_row[first]]
+    k = np.arange(len(first)) - np.searchsorted(segment, segment)
+    order = np.argsort(k, kind="stable")
+    starts = np.append(np.flatnonzero(np.diff(k[order], prepend=-1)), len(first))
+    steps = np.union1d(starts, np.arange(0, len(first), _BLOCK_ROWS))
+    return first[order], stop[order], steps.tolist()
+
+
 def _greedy_lockstep(
     row_segment: np.ndarray,
     pair_row: np.ndarray,
@@ -122,20 +154,9 @@ def _greedy_lockstep(
     """
     thrs = np.asarray(thresholds, dtype=np.float64)[:, None]
     flags = np.zeros((len(row_segment), len(thrs)), dtype=bool)
-    if not len(pair_iou):
-        return flags
-    first = np.flatnonzero(np.r_[True, pair_row[1:] != pair_row[:-1]])
-    stop = np.r_[first[1:], len(pair_row)]
-    segment = row_segment[pair_row[first]]
-    k = np.arange(len(first)) - np.searchsorted(segment, segment)
-    order = np.argsort(k, kind="stable")
-    first, stop = first[order], stop[order]
+    first, stop, steps = _lockstep_steps(pair_row, row_segment)
     free = np.ones((len(thrs), columns), dtype=bool)
-    # iteration k in blocks of at most _BLOCK_ROWS rows
-    steps = np.union1d(
-        np.searchsorted(k[order], np.arange(k.max() + 2)), np.arange(0, len(first), _BLOCK_ROWS)
-    )
-    for a, b in zip(steps[:-1].tolist(), steps[1:].tolist()):
+    for a, b in zip(steps[:-1], steps[1:]):
         pairs = _ranges(first[a:b], stop[a:b])
         sizes = stop[a:b] - first[a:b]
         local = np.cumsum(sizes) - sizes
@@ -277,15 +298,13 @@ def build_match_table(per_image_inputs: Sequence[ImageInput], params: MapParams)
     categories, codes = np.unique(labels, return_inverse=True)
     width = max(len(categories), 1)
 
-    # rank each image by descending score, ties in input order, and cap it
-    ranked = np.lexsort((-scores, det_image))
+    # rows by (image, category), ranked within each, capped by rank in image
+    ranked, by_key, row_key = _rank_groups(det_image, scores, codes[: len(scores)], width)
+    ranked = ranked[by_key]
     if params.max_detections is not None:
-        first_of_image = np.searchsorted(det_image, det_image)
-        ranked = ranked[np.arange(len(ranked)) - first_of_image < params.max_detections]
-    # rows by (image, category), rank order kept within each
-    row_key = det_image[ranked] * width + codes[ranked]
-    by_key = np.argsort(row_key, kind="stable")
-    ranked, row_key = ranked[by_key], row_key[by_key]
+        rank = np.arange(len(scores)) - np.searchsorted(det_image, det_image)
+        capped = rank[by_key] < params.max_detections
+        ranked, row_key = ranked[capped], row_key[capped]
     gt_key = gt_image * width + codes[len(scores):]
     gt_order = np.argsort(gt_key, kind="stable")
 

@@ -4,17 +4,23 @@ The tuner scores every point of a (score threshold, IoU threshold) grid
 by the detections that survive it, either by mean image-level correction
 cost (minimized) or by dataset mAP (maximized). Only higher-scored boxes
 suppress, so NMS at ``(s, t)`` keeps exactly the ``score >= s`` prefix of
-what NMS at ``(s0, t)`` keeps for any ``s0 <= s``. NMS therefore runs once
-per image and IoU threshold, at the lowest score threshold of that
-column, for both objectives; each grid point takes a prefix of that
-pass, and so does the survivor count of the best point. Then:
+what NMS at ``(s0, t)`` keeps for any ``s0 <= s``. The tuner therefore
+needs one pass per IoU threshold, at the lowest score threshold of that
+column; each grid point takes a prefix of that pass, and so does the
+survivor count of the best point.
+
+One kernel computes every pass of every image in a single call, in the
+calling process: :func:`tune` calls it once for the whole grid, before
+either objective, and :func:`nms` with one image and one point. It
+ranks each image once, computes the IoU of each pair of same-label rows
+once, and suppresses in lockstep over all groups and passes. Then:
 
 - greedy mAP matching runs in score order, so one match table per IoU
   threshold, cut to each score threshold by
   :func:`~oceval.map_metric.filter_table`, serves the mAP objective;
-- one task per image runs its NMS passes and prices its correction
-  cost in :mod:`oceval.occost`, once per distinct set of survivors
-  however many grid points share it.
+- one task per image, given its passes, prices its correction cost in
+  :mod:`oceval.occost`, once per distinct set of survivors however many
+  grid points share it.
 """
 
 from __future__ import annotations
@@ -34,8 +40,16 @@ from .costs import (
     image_arrays,
 )
 from .errors import ConfigError, ValidationError
-from .geometry import pairwise_iou
-from .map_metric import MapParams, build_match_table, filter_table, map_from_table
+from .geometry import _iou
+from .map_metric import (
+    MapParams,
+    _lockstep_steps,
+    _rank_groups,
+    _ranges,
+    build_match_table,
+    filter_table,
+    map_from_table,
+)
 from .occost import _subset_costs, check_jobs, map_images
 
 __all__ = [
@@ -51,6 +65,9 @@ __all__ = [
 # 0.05..0.90 step 0.05 and 0.3..0.9 step 0.1
 DEFAULT_SCORE_THRESHOLDS: tuple[float, ...] = tuple(i / 100.0 for i in range(5, 91, 5))
 DEFAULT_IOU_THRESHOLDS: tuple[float, ...] = tuple(i / 10.0 for i in range(3, 10))
+
+# Pairs of ranked rows per block of the IoU computation.
+_BLOCK_PAIRS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -97,27 +114,89 @@ def nms(dets: Sequence[Detection], params: NmsParams) -> Sequence[Detection]:
     A :class:`~oceval.costs.DetectionArrays` input gives its kept rows as
     one; any other sequence gives a list of its kept items.
     """
-    kept = _nms_indices(detection_arrays(dets), params)
+    kept = _nms_passes([detection_arrays(dets)], [params])[0][0]
     if isinstance(dets, DetectionArrays):
         return dets.take(kept)
     return [dets[i] for i in kept.tolist()]
 
 
-def _nms_indices(dets: DetectionArrays, params: NmsParams) -> np.ndarray:
-    """Indices into ``dets`` of what :func:`nms` keeps, in its order."""
-    candidates = np.flatnonzero(dets.scores >= params.score_threshold)
-    order = candidates[np.argsort(-dets.scores[candidates], kind="stable")]
-    labels = dets.labels[order]
-    boxes = dets.boxes[order]
-    # overlap[a, b]: box a would suppress box b, were a kept and ranked above b
-    overlap = (pairwise_iou(boxes, boxes) > params.iou_threshold) & (
-        labels[:, None] == labels[None, :]
-    )
-    suppressed = np.zeros(len(order), dtype=bool)
-    for a in range(len(order)):
-        if not suppressed[a]:
-            suppressed[a + 1 :] |= overlap[a, a + 1 :]
-    return order[~suppressed]
+def _overlaps(
+    boxes: np.ndarray, key: np.ndarray, least: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair (a, b) of rows of one ``key`` (nondecreasing), a above
+    b, whose ``boxes`` overlap by an IoU above ``least``: a, b and that
+    IoU, sorted by (a, b). The IoU is computed a block of at most
+    ``_BLOCK_PAIRS`` pairs (or of one row's pairs) at a time."""
+    stop = np.searchsorted(key, key, side="right")
+    below = stop - np.arange(len(key)) - 1
+    through = np.cumsum(below)
+    pairs = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+    lo = 0
+    while lo < len(key):
+        fit = int(np.searchsorted(through, through[lo] - below[lo] + _BLOCK_PAIRS, "right"))
+        hi = max(fit, lo + 1)
+        above = np.arange(lo, hi)
+        row = np.repeat(above, below[lo:hi])
+        col = _ranges(above + 1, stop[lo:hi])
+        iou = _iou(np.take(boxes, row, axis=0), np.take(boxes, col, axis=0))
+        over = iou > least
+        pairs.append((row[over], col[over], iou[over]))
+        lo = hi
+    row, col, iou = map(np.concatenate, zip(*pairs))
+    return row, col, iou
+
+
+def _nms_passes(
+    images: Sequence[DetectionArrays], points: Sequence[NmsParams]
+) -> list[tuple[np.ndarray, ...]]:
+    """What NMS at each of ``points`` keeps of each image: element [i][j]
+    holds the rows of image i kept at point j, in rank order.
+
+    Each image is ranked once, its rows scoring at least the lowest floor
+    grouped by label, and the IoU of every pair of rows of a group is
+    computed once (:func:`_overlaps`), keeping the pairs above the lowest
+    IoU threshold. At each point the rows below its score threshold start
+    out suppressed; they rank below every other row of their group, so
+    they suppress nothing that counts. Then step k lets the k-th row with
+    pairs of every group, if still live, suppress the rows below it that
+    it overlaps by more than the point's IoU threshold: groups share no
+    row, so one step serves them all, at every point at once.
+    """
+    floors = np.array([p.score_threshold for p in points])[:, None]
+    thresholds = np.array([p.iou_threshold for p in points])[:, None]
+    sizes = [len(d) for d in images]
+    image = np.repeat(np.arange(len(images)), sizes)
+    scores = np.concatenate([np.zeros(0), *(d.scores for d in images)])
+    rows = np.flatnonzero(scores >= floors.min())
+    labels = np.concatenate([np.zeros(0, dtype=np.int64), *(d.labels for d in images)])
+    categories, codes = np.unique(labels[rows], return_inverse=True)
+    ranked, by_key, key = _rank_groups(image[rows], scores[rows], codes, max(len(categories), 1))
+    ranked = rows[ranked]
+    grouped = ranked[by_key]
+    boxes = np.concatenate([np.zeros((0, 4)), *(d.boxes for d in images)])
+    pair_row, pair_col, pair_iou = _overlaps(np.take(boxes, grouped, axis=0), key, thresholds.min())
+
+    suppressed = scores[grouped] < floors
+    flat = suppressed.reshape(-1)
+    first, stop, steps = _lockstep_steps(pair_row, key)
+    for a, b in zip(steps[:-1], steps[1:]):
+        span = _ranges(first[a:b], stop[a:b])
+        live = ~np.take(suppressed, pair_row[span], axis=1)
+        point, at = np.nonzero(live & (pair_iou[span] > thresholds))
+        flat[point * len(key) + pair_col[span[at]]] = True
+
+    # each point's kept rows in rank order, cut by image
+    kept = np.empty_like(suppressed)
+    kept[:, by_key] = ~suppressed
+    offsets = np.cumsum(sizes) - sizes
+    per_point = []
+    for keep in kept:
+        found = ranked[keep]
+        owner = image[found]
+        found -= offsets[owner]
+        cuts = np.searchsorted(owner, np.arange(len(images) + 1)).tolist()
+        per_point.append([found[a:b] for a, b in zip(cuts[:-1], cuts[1:])])
+    return list(zip(*per_point))
 
 
 def default_grid(
@@ -145,10 +224,10 @@ def tune(
     ``objective`` is "oc-cost" (lower is better) or "map" (higher is
     better). Exact ties keep the first point in grid order, so results are
     reproducible for a fixed grid. Each point's value equals evaluating
-    ``nms`` at that point on every image. ``jobs > 1`` splits the images of
-    the oc-cost objective, NMS passes and correction costs alike, over one
-    set of forked workers for the whole grid (the map objective runs in one
-    process).
+    ``nms`` at that point on every image. NMS runs in the calling process,
+    one batched call for the whole grid; ``jobs > 1`` splits only the
+    oc-cost pricing of the images over one set of forked workers (the map
+    objective runs in one process).
     """
     if objective not in ("oc-cost", "map"):
         raise ConfigError(f"objective must be 'oc-cost' or 'map', got {objective!r}")
@@ -164,17 +243,16 @@ def tune(
     for point in candidates:
         t = point.iou_threshold
         lowest[t] = min(lowest.get(t, 1.0), point.score_threshold)
-    pass_points = [NmsParams(s, t) for t, s in lowest.items()]
+    found = _nms_passes([d for _, d, _ in inputs], [NmsParams(s, t) for t, s in lowest.items()])
+    passes = [dict(zip(lowest, rows)) for rows in found]
 
     if objective == "oc-cost":
         params = oc_params or OcCostParams()
-        per_image = map_images(_grid_costs, inputs, jobs, candidates, pass_points, params)
-        values = [math.fsum(column) / len(per_image) for column in zip(*(c for c, _ in per_image))]
+        per_image = map_images(_grid_costs, list(zip(inputs, passes)), jobs, candidates, params)
+        values = [math.fsum(column) / len(per_image) for column in zip(*per_image)]
         best_index = min(range(len(values)), key=lambda i: (values[i], i))
-        survivor_counts = tuple(counts[best_index] for _, counts in per_image)
         kind = "minimize-oc-cost"
     else:
-        passes = [_passes(dets, pass_points) for _, dets, _ in inputs]
         values = [0.0] * len(candidates)
         for t in lowest:
             kept = [(image_id, d.take(p[t]), g) for (image_id, d, g), p in zip(inputs, passes)]
@@ -184,9 +262,6 @@ def tune(
                     survivors = filter_table(table, point.score_threshold)
                     values[i] = map_from_table(survivors, range(len(inputs))).mean_ap
         best_index = max(range(len(values)), key=lambda i: (values[i], -i))
-        survivor_counts = tuple(
-            len(_kept_rows(p, d, candidates[best_index])) for (_, d, _), p in zip(inputs, passes)
-        )
         kind = "maximize-map"
     best_point = candidates[best_index]
     return TuneResult(
@@ -194,15 +269,10 @@ def tune(
         objective_value=values[best_index],
         grid=tuple(zip(candidates, values)),
         objective_kind=kind,
-        survivor_counts=survivor_counts,
+        survivor_counts=tuple(
+            len(_kept_rows(p, d, best_point)) for (_, d, _), p in zip(inputs, passes)
+        ),
     )
-
-
-def _passes(dets: DetectionArrays, pass_points: Sequence[NmsParams]) -> dict[float, np.ndarray]:
-    """What NMS keeps of one image at each of ``pass_points`` (one per IoU
-    threshold of the grid, at its lowest score threshold there), by IoU
-    threshold."""
-    return {point.iou_threshold: _nms_indices(dets, point) for point in pass_points}
 
 
 def _kept_rows(
@@ -215,18 +285,17 @@ def _kept_rows(
 
 def _grid_costs(
     candidates: Sequence[NmsParams],
-    pass_points: Sequence[NmsParams],
     params: OcCostParams,
-    item: ImageInput,
-) -> tuple[list[float], list[int]]:
-    """One image's correction cost and survivor count at each grid point.
+    task: tuple[ImageInput, dict[float, np.ndarray]],
+) -> list[float]:
+    """One image's correction cost at each grid point, from its NMS passes.
 
     Each distinct survivor set is one array, so it is solved once however
     many grid points share it.
     """
+    item, passes = task
     _, dets, _ = item
-    passes = _passes(dets, pass_points)
     distinct: dict[bytes, np.ndarray] = {}
     subsets = [_kept_rows(passes, dets, point) for point in candidates]
     subsets = [distinct.setdefault(rows.tobytes(), rows) for rows in subsets]
-    return _subset_costs([params], (item, subsets)), [len(rows) for rows in subsets]
+    return _subset_costs([params], (item, subsets))

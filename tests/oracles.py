@@ -2,8 +2,9 @@
 
 None of them is used by the package: ``pairwise_iou``/``pairwise_giou``
 must equal :func:`iou`/:func:`giou` bit for bit, ``build_problem`` must
-equal :func:`unit_cost` cell by cell, and ``solve`` must reach the
-objective of :func:`brute_force_solve`.
+equal :func:`unit_cost` cell by cell, ``solve`` must reach the
+objective of :func:`brute_force_solve`, and ``nms`` must keep what
+:func:`scalar_nms` keeps.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ import math
 
 import numpy as np
 
-from oceval import BoundingBox, CostMatrix, Detection, GroundTruthInstance, OcCostParams, TransportPlan
+from oceval import (
+    BoundingBox,
+    CostMatrix,
+    Detection,
+    GroundTruthInstance,
+    NmsParams,
+    OcCostParams,
+    TransportPlan,
+)
 from oceval.errors import ConfigError
 from oceval.transport import _checked_gains, _plan
 
@@ -107,3 +116,20 @@ def brute_force_solve(cost: CostMatrix) -> TransportPlan:
     rows = np.array([i for i, _ in best_match], dtype=np.intp)
     cols = np.array([j for _, j in best_match], dtype=np.intp)
     return _plan(cost, rows, cols)
+
+
+def scalar_nms(dets: list[Detection], params: NmsParams) -> list[Detection]:
+    """NMS as a scalar loop over the boxes, in rank order."""
+    order = sorted(
+        (i for i, d in enumerate(dets) if d.score >= params.score_threshold),
+        key=lambda i: (-dets[i].score, i),
+    )
+    suppressed = [False] * len(order)
+    for a in range(len(order)):
+        if suppressed[a]:
+            continue
+        for b in range(a + 1, len(order)):
+            da, db = dets[order[a]], dets[order[b]]
+            if not suppressed[b] and da.label == db.label and iou(da.box, db.box) > params.iou_threshold:
+                suppressed[b] = True
+    return [dets[i] for a, i in enumerate(order) if not suppressed[a]]

@@ -375,16 +375,18 @@ def test_count_histogram_reuses_the_tuning_passes(tmp_path, capsys, monkeypatch,
                               "categories": [{"id": 1, "name": "a"}, {"id": 2, "name": "b"}]}))
     dt.write_text(json.dumps(dets))
 
-    passes = []
+    calls = []
     nms_module = importlib.import_module("oceval.nms")  # the package's ``nms`` is the function
-    original = nms_module._nms_indices
-    monkeypatch.setattr(nms_module, "_nms_indices", lambda *args: passes.append(1) or original(*args))
+    original = nms_module._nms_passes
+    monkeypatch.setattr(nms_module, "_nms_passes", lambda *args: calls.append(1) or original(*args))
     hist = tmp_path / "hist.json"
     argv = ["tune-nms", "--gt", str(gt), "--dt", str(dt), "--objective", objective,
             "--score-thresholds", "0.05,0.3,0.5", "--iou-thresholds", "0.3,0.6",
             "--out", str(tmp_path / "tune.json"), "--emit-count-histogram", str(hist)]
-    assert main(argv) == 0
-    assert len(passes) == len(images) * 2  # one pass per image and IoU threshold
+    for jobs in ("1", "2"):
+        calls.clear()
+        assert main([*argv, "--jobs", jobs]) == 0
+        assert len(calls) == 1  # one batched call for every image and IoU threshold
 
     # the histogram's "after" column counts what NMS keeps at the best point
     best = read_report(str(tmp_path / "tune.json"))["best"]

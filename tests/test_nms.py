@@ -1,5 +1,7 @@
+import importlib
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oceval import (
@@ -17,9 +19,12 @@ from oceval import (
     nms,
     tune,
 )
+from oceval.costs import detection_arrays
 from oceval.nms import DEFAULT_IOU_THRESHOLDS, DEFAULT_SCORE_THRESHOLDS
 
-from oracles import iou
+from oracles import scalar_nms
+
+nms_module = importlib.import_module("oceval.nms")  # the package's ``nms`` is the function
 
 B1 = BoundingBox(0, 0, 10, 10)
 B1_SHIFT = BoundingBox(1, 0, 11, 10)
@@ -190,23 +195,6 @@ def test_nms_nests_in_score_threshold(dets, iou_threshold, data):
     assert [id(d) for d in kept] == [id(d) for d in base if d.score >= high]
 
 
-def _nms_oracle(dets, params):
-    """NMS as a scalar loop over the boxes, in rank order."""
-    order = sorted(
-        (i for i, d in enumerate(dets) if d.score >= params.score_threshold),
-        key=lambda i: (-dets[i].score, i),
-    )
-    suppressed = [False] * len(order)
-    for a in range(len(order)):
-        if suppressed[a]:
-            continue
-        for b in range(a + 1, len(order)):
-            da, db = dets[order[a]], dets[order[b]]
-            if not suppressed[b] and da.label == db.label and iou(da.box, db.box) > params.iou_threshold:
-                suppressed[b] = True
-    return [dets[i] for a, i in enumerate(order) if not suppressed[a]]
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     dets=coarse_dets,
@@ -215,7 +203,63 @@ def _nms_oracle(dets, params):
 )
 def test_nms_matches_the_scalar_loop(dets, score_threshold, iou_threshold):
     params = NmsParams(score_threshold, iou_threshold)
-    assert [id(d) for d in nms(dets, params)] == [id(d) for d in _nms_oracle(dets, params)]
+    assert [id(d) for d in nms(dets, params)] == [id(d) for d in scalar_nms(dets, params)]
+
+
+# Per image: up to 8 detections on the coarse grid, labels past int64 included.
+raw_images = st.lists(
+    st.lists(
+        st.builds(
+            Detection,
+            st.builds(
+                lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+                st.integers(0, 3), st.integers(0, 3), st.integers(2, 4), st.integers(2, 4),
+            ),
+            st.sampled_from((1, 2, 2**70)),
+            st.sampled_from(SCORES) | st.floats(0.0, 1.0),
+        ),
+        max_size=8,
+    ),
+    min_size=1,
+    max_size=5,
+)
+pass_points = st.lists(
+    st.builds(
+        NmsParams,
+        st.sampled_from(SCORES) | st.floats(0.0, 1.0),
+        st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0),
+    ),
+    min_size=1,
+    max_size=4,
+)
+B0 = BoundingBox(0, 0, 2, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(images=raw_images, points=pass_points, block=st.sampled_from((1, 2, 3, 7, 1 << 14)))
+@example(
+    # an empty image, one with nothing above the floors, tied duplicates,
+    # labels past int64, IoU 0 and 1, a floor per IoU threshold, and a
+    # block of one pair, so that every group straddles blocks
+    images=[
+        [],
+        [Detection(B0, 1, 0.1), Detection(B0, 1, 0.2)],
+        [Detection(B0, 2**70, 0.5), Detection(B0, 2**70, 0.5), Detection(B0, 1, 0.5),
+         Detection(BoundingBox(1, 1, 3, 3), 2**70, 0.5),
+         Detection(BoundingBox(0, 1, 2, 3), 1, 0.9)],
+    ],
+    points=[NmsParams(0.3, 0.0), NmsParams(0.5, 1.0), NmsParams(0.6, 0.1), NmsParams(0.25, 0.5)],
+    block=1,
+)
+def test_batched_passes_match_the_scalar_loop(images, points, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nms_module, "_BLOCK_PAIRS", block)
+        found = nms_module._nms_passes([detection_arrays(dets) for dets in images], points)
+    assert len(found) == len(images)
+    for dets, kept in zip(images, found):
+        assert len(kept) == len(points)
+        for point, rows in zip(points, kept):
+            assert [id(dets[i]) for i in rows.tolist()] == [id(d) for d in scalar_nms(dets, point)]
 
 
 def _tune_oracle(inputs, objective, grid, oc_params=None, map_params=None):
@@ -223,7 +267,7 @@ def _tune_oracle(inputs, objective, grid, oc_params=None, map_params=None):
     then the first point of the best value."""
     scored = []
     for point in grid:
-        filtered = [(image_id, nms(dets, point), gts) for image_id, dets, gts in inputs]
+        filtered = [(image_id, scalar_nms(dets, point), gts) for image_id, dets, gts in inputs]
         if objective == "oc-cost":
             value = dataset_oc_cost(filtered, oc_params or OcCostParams()).mean_oc_cost
         else:
@@ -279,7 +323,7 @@ def test_tune_matches_per_point_oracle(rng, objective, grid_name):
         assert result.best_params == best
         assert result.objective_value == dict(scored)[best]
         assert result.survivor_counts == tuple(
-            len(nms(dets, result.best_params)) for _, dets, _ in inputs
+            len(scalar_nms(dets, result.best_params)) for _, dets, _ in inputs
         )
     if grid_name == "ties":
         assert result.best_params == grid[0]
