@@ -8,12 +8,12 @@ m x n block of these costs for one image's m detections and n ground
 truths, plus ``dummy_cost``: the price of leaving a detection unmatched
 (a false positive) or a ground truth unmatched (a false negative).
 
-The two terms do not depend on ``loc_weight``, so the pricing kernel of
-:mod:`oceval.occost` computes them once per image, blends them once per
-weight (the lambda sweep) and takes row subsets for subsets of the
-detections (the NMS tuner). Every cell depends on its own detection and
-ground truth only, so a row subset of the blend equals the blend of the
-subset bit for bit.
+The two terms do not depend on ``loc_weight``, so the one pricing
+kernel, ``_image_costs`` in :mod:`oceval.occost`, computes them once per
+image for every entry point, blends them once per weight (the lambda
+sweep) and takes row subsets for subsets of the detections (the NMS
+tuner). Every cell depends on its own detection and ground truth only,
+so a row subset of the blend equals the blend of the subset bit for bit.
 
 Every kernel reads one image's detections and ground truths as columns
 (:class:`DetectionArrays`, :class:`GroundTruthArrays`): the COCO loader

@@ -18,9 +18,10 @@ once, and suppresses in lockstep over all groups and passes. Then:
 - greedy mAP matching runs in score order, so one match table per IoU
   threshold, cut to each score threshold by
   :func:`~oceval.map_metric.filter_table`, serves the mAP objective;
-- one task per image, given its passes, prices its correction cost in
-  :mod:`oceval.occost`, once per distinct set of survivors however many
-  grid points share it.
+- one task per image, given its passes, lists the rows that survive
+  each grid point and hands the lists to the pricing kernel of
+  :mod:`oceval.occost`, which solves each distinct set of survivors once
+  however many grid points share it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .map_metric import (
     filter_table,
     map_from_table,
 )
-from .occost import _subset_costs, check_jobs, map_images
+from .occost import _image_costs, check_jobs, map_images
 
 __all__ = [
     "DEFAULT_SCORE_THRESHOLDS",
@@ -249,7 +250,7 @@ def tune(
     if objective == "oc-cost":
         params = oc_params or OcCostParams()
         per_image = map_images(_grid_costs, list(zip(inputs, passes)), jobs, candidates, params)
-        values = [math.fsum(column) / len(per_image) for column in zip(*per_image)]
+        values = [math.fsum(oc for oc, _ in column) / len(per_image) for column in zip(*per_image)]
         best_index = min(range(len(values)), key=lambda i: (values[i], i))
         kind = "minimize-oc-cost"
     else:
@@ -287,15 +288,14 @@ def _grid_costs(
     candidates: Sequence[NmsParams],
     params: OcCostParams,
     task: tuple[ImageInput, dict[float, np.ndarray]],
-) -> list[float]:
-    """One image's correction cost at each grid point, from its NMS passes.
+) -> list[tuple[float, int]]:
+    """One image's ``(cost, k)`` at each grid point, from its NMS passes.
 
-    Each distinct survivor set is one array, so it is solved once however
-    many grid points share it.
+    It only lists the rows that survive each point; the pricing kernel
+    solves each distinct list once. Listing them here, in the process that
+    prices the image, keeps one image's lists alive at a time.
     """
     item, passes = task
     _, dets, _ = item
-    distinct: dict[bytes, np.ndarray] = {}
-    subsets = [_kept_rows(passes, dets, point) for point in candidates]
-    subsets = [distinct.setdefault(rows.tobytes(), rows) for rows in subsets]
-    return _subset_costs([params], (item, subsets))
+    survivors = [_kept_rows(passes, dets, point) for point in candidates]
+    return _image_costs([params], (item, survivors))

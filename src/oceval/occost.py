@@ -9,6 +9,15 @@ and the n - k unmatched ground truths), so the final cost is their cost
 sum divided by m + n - k. It lies in [0, 1] whenever the dummy cost
 does, is 0 exactly for a perfect result, and equals the dummy cost exactly
 when one side of the image is empty.
+
+One kernel, :func:`_image_costs`, prices every image of every entry
+point: :func:`image_oc_cost`, :func:`dataset_oc_cost`,
+:func:`lambda_sweep` and the NMS tuner. It takes one image with a list
+of params and a list of subsets of its detection rows, computes the
+pair terms once, and solves each distinct subset, keyed by its content,
+once per params; no caller deduplicates. The drivers fan its tasks out
+with :func:`map_images`, whose workers send back plain ``(cost, k)``
+pairs.
 """
 
 from __future__ import annotations
@@ -23,14 +32,13 @@ from typing import TYPE_CHECKING, Any, Hashable, TypeVar
 import numpy as np
 
 from .costs import (
+    CostMatrix,
     Detection,
     GroundTruthInstance,
     ImageInput,
     OcCostParams,
     _blend,
     _pair_terms,
-    detection_arrays,
-    ground_truth_arrays,
     image_arrays,
 )
 from .errors import ConfigError, ValidationError
@@ -109,41 +117,91 @@ def image_oc_cost(
     lists the matched pairs by detection, then the unmatched detections,
     then the unmatched ground truths.
     """
-    dets, gts = detection_arrays(dets), ground_truth_arrays(gts)
-    m, n = len(dets), len(gts)
-    loc, cls = _pair_terms(dets, gts)
-    cost = _blend(loc, cls, params)
-    oc, rows, cols = _plan_cost(cost.entries, _checked_gains(cost), params.dummy_cost)
-    breakdown: tuple[PairCost, ...] | None = None
-    if with_breakdown:
-        rows, cols = rows.tolist(), cols.tolist()
-        beta = params.dummy_cost
-        pairs = [
-            PairCost(
-                det_index=i,
-                gt_index=j,
-                cost=float(cost.entries[i, j]),
-                loc_cost=float(loc[i, j]),
-                cls_cost=float(cls[i, j]),
-            )
-            for i, j in zip(rows, cols)
-        ]
-        pairs += [PairCost(i, None, beta) for i in _unmatched(m, rows)]
-        pairs += [PairCost(None, j, beta) for j in _unmatched(n, cols)]
-        breakdown = tuple(pairs)
+    breakdowns: list[tuple[PairCost, ...]] | None = [] if with_breakdown else None
+    [(oc, k)] = _image_costs([params], _whole_image((image_id, dets, gts)), breakdowns)
     return ImageEvalResult(
         image_id=image_id,
         oc_cost=oc,
-        matched_pairs=len(rows),
-        num_detections=m,
-        num_ground_truths=n,
-        per_pair_breakdown=breakdown,
+        matched_pairs=k,
+        num_detections=len(dets),
+        num_ground_truths=len(gts),
+        per_pair_breakdown=breakdowns[0] if breakdowns else None,
     )
 
 
-def _unmatched(size: int, matched: list[int]) -> list[int]:
+def _whole_image(item: ImageInput) -> tuple[ImageInput, list[slice]]:
+    """The kernel task of one whole image: its input in columns, with all
+    of its detection rows as the one subset."""
+    return image_arrays(item), [slice(None)]
+
+
+def _image_costs(
+    param_list: Sequence[OcCostParams],
+    task: tuple[ImageInput, Sequence[np.ndarray | slice]],
+    breakdowns: list[tuple[PairCost, ...]] | None = None,
+) -> list[tuple[float, int]]:
+    """The pricing kernel: one image's correction cost and matched-pair
+    count ``(cost, k)`` under each params at each subset of its detection
+    rows (an index array or a slice), params-major.
+
+    Every OC-cost entry point prices its images here. Subsets that select
+    the same rows in the same order are one problem, solved once per
+    params however many times it is listed. The pair terms are computed
+    once, and blended, checked and turned into gains once per params: a
+    subset's problem and gains are its rows of the whole image's, bit for
+    bit. Given a list ``breakdowns``, it appends the paying units of each
+    problem it solves, ordered as :func:`image_oc_cost` describes.
+    """
+    (_, dets, gts), subsets = task
+    every = np.arange(len(dets))
+    keys = [every[rows].tobytes() for rows in subsets]
+    loc, cls = _pair_terms(dets, gts)
+    priced = []
+    for params in param_list:
+        cost = _blend(loc, cls, params)
+        gains = _checked_gains(cost)
+        solved: dict[bytes, tuple[float, int]] = {}
+        for key, rows in zip(keys, subsets):
+            if key not in solved:
+                oc, at, to = _plan_cost(cost.entries[rows], gains[rows], params.dummy_cost)
+                solved[key] = oc, len(at)
+                if breakdowns is not None:
+                    breakdowns.append(_paying_units(cost, loc, cls, every[rows], at, to))
+            priced.append(solved[key])
+    return priced
+
+
+def _paying_units(
+    cost: CostMatrix,
+    loc: np.ndarray,
+    cls: np.ndarray,
+    rows: np.ndarray,
+    at: np.ndarray,
+    to: np.ndarray,
+) -> tuple[PairCost, ...]:
+    """The paying units of the plan (``at``, ``to``) of the problem at
+    detection ``rows`` of ``cost``: its matched pairs, then its unmatched
+    detections and ground truths, indexed in the whole image."""
+    det_rows, gt_cols = rows[at].tolist(), to.tolist()
+    beta = cost.dummy_cost
+    pairs = [
+        PairCost(
+            det_index=i,
+            gt_index=j,
+            cost=float(cost.entries[i, j]),
+            loc_cost=float(loc[i, j]),
+            cls_cost=float(cls[i, j]),
+        )
+        for i, j in zip(det_rows, gt_cols)
+    ]
+    pairs += [PairCost(i, None, beta) for i in _unmatched(rows.tolist(), det_rows)]
+    pairs += [PairCost(None, j, beta) for j in _unmatched(range(cost.entries.shape[1]), gt_cols)]
+    return tuple(pairs)
+
+
+def _unmatched(units: Sequence[int], matched: list[int]) -> list[int]:
     taken = set(matched)
-    return [i for i in range(size) if i not in taken]
+    return [i for i in units if i not in taken]
 
 
 def _plan_cost(
@@ -236,36 +294,6 @@ def _send_range(
     sender.send(reply)
 
 
-def _eval_image(params: OcCostParams, item: ImageInput) -> ImageEvalResult:
-    image_id, dets, gts = item
-    return image_oc_cost(dets, gts, params, image_id=image_id)
-
-
-def _subset_costs(
-    param_list: Sequence[OcCostParams], task: tuple[ImageInput, Sequence[np.ndarray | slice]]
-) -> list[float]:
-    """One image's correction cost under each params at each subset of its
-    detection rows, params-major.
-
-    The pair terms are computed once, blended, checked and turned into
-    gains once per params, and solved once per subset object, so a caller
-    passes one object for equal subsets: a subset's problem and gains are
-    its rows of the whole image's, bit for bit.
-    """
-    (_, dets, gts), subsets = task
-    loc, cls = _pair_terms(dets, gts)
-    costs = []
-    for params in param_list:
-        cost = _blend(loc, cls, params)
-        gains = _checked_gains(cost)
-        by_subset: dict[int, float] = {}
-        for rows in subsets:
-            if id(rows) not in by_subset:
-                by_subset[id(rows)] = _plan_cost(cost.entries[rows], gains[rows], cost.dummy_cost)[0]
-            costs.append(by_subset[id(rows)])
-    return costs
-
-
 def dataset_oc_cost(
     per_image_inputs: Sequence[ImageInput],
     params: OcCostParams,
@@ -279,8 +307,18 @@ def dataset_oc_cost(
     report is byte-identical for any job count. Images that are empty on
     both sides still count, contributing 0.
     """
-    inputs = [image_arrays(item) for item in per_image_inputs]
-    results = map_images(_eval_image, inputs, jobs, params)
+    tasks = [_whole_image(item) for item in per_image_inputs]
+    priced = map_images(_image_costs, tasks, jobs, [params])
+    results = [
+        ImageEvalResult(
+            image_id=image_id,
+            oc_cost=oc,
+            matched_pairs=k,
+            num_detections=len(dets),
+            num_ground_truths=len(gts),
+        )
+        for ((image_id, dets, gts), _), [(oc, k)] in zip(tasks, priced)
+    ]
     mean = math.fsum(r.oc_cost for r in results) / len(results)
     return DatasetReport(
         mean_oc_cost=mean,
@@ -306,6 +344,9 @@ def lambda_sweep(
     if len(lambdas) == 0:
         raise ConfigError("lambda list is empty")
     param_list = [OcCostParams(loc_weight=lam, dummy_cost=beta) for lam in lambdas]
-    tasks = [(image_arrays(item), [slice(None)]) for item in per_image_inputs]
-    rows = map_images(_subset_costs, tasks, jobs, param_list)
-    return [(lam, math.fsum(column) / len(rows)) for lam, column in zip(lambdas, zip(*rows))]
+    tasks = [_whole_image(item) for item in per_image_inputs]
+    priced = map_images(_image_costs, tasks, jobs, param_list)
+    return [
+        (lam, math.fsum(oc for oc, _ in column) / len(priced))
+        for lam, column in zip(lambdas, zip(*priced))
+    ]

@@ -51,3 +51,23 @@ def count_pools(monkeypatch):
 
     monkeypatch.setattr(oceval.occost, "get_context", counting)
     return lambda: len(started)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(name)`` wraps the function ``name`` of
+    ``oceval.occost`` and returns the list that each call appends its
+    arguments to."""
+
+    def count(name):
+        calls = []
+        function = getattr(oceval.occost, name)
+
+        def counting(*args):
+            calls.append(args)
+            return function(*args)
+
+        monkeypatch.setattr(oceval.occost, name, counting)
+        return calls
+
+    return count

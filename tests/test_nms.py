@@ -337,3 +337,22 @@ def test_tune_jobs_bit_identical_with_one_pool(rng, count_pools):
     assert tune(inputs, "oc-cost", grid, jobs=2) == serial
     assert count_pools() == 1
     assert tune(inputs, "map", grid, jobs=2) == tune(inputs, "map", grid, jobs=1)
+
+
+def test_tune_solves_each_distinct_survivor_set_once(rng, count_calls):
+    # the pricing kernel keys survivor sets by content: an image is solved
+    # once per distinct set the grid keeps, however many points share it
+    solves = count_calls("_plan_cost")
+    grid = [NmsParams(s, t) for s in (0.0, 0.2, 0.4, 0.6, 0.8) for t in (0.3, 0.5, 0.7, 1.0)]
+    shared = 0
+    for _ in range(5):
+        inputs = _raw_dataset(rng, images=8)
+        solves.clear()
+        tune(inputs, "oc-cost", grid, jobs=1)
+        distinct = [
+            len({frozenset(map(id, scalar_nms(dets, point))) for point in grid})
+            for _, dets, _ in inputs
+        ]
+        assert len(solves) == sum(distinct)
+        shared += len(grid) * len(inputs) - sum(distinct)
+    assert shared > 0

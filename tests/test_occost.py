@@ -8,11 +8,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oceval.occost
 from oceval import (
     BoundingBox,
     ConfigError,
+    CostMatrix,
     Detection,
     GroundTruthInstance,
     OcCostParams,
@@ -20,10 +23,13 @@ from oceval import (
     dataset_oc_cost,
     image_oc_cost,
     lambda_sweep,
+    solve,
 )
 from oceval.occost import map_images
+from oceval.transport import _TIE_EPSILON, _checked_gains
 
 from conftest import random_scene, transformed
+from oracles import brute_force_solve
 
 BOX = BoundingBox(0, 0, 10, 10)
 FAR_BOX = BoundingBox(200, 200, 210, 210)
@@ -161,10 +167,34 @@ def test_dataset_jobs_bit_identical(rng):
     for image_id in range(30):
         dets, gts = random_scene(rng)
         inputs.append((image_id, dets, gts))
-    serial = dataset_oc_cost(inputs, OcCostParams(), jobs=1)
-    parallel = dataset_oc_cost(inputs, OcCostParams(), jobs=4)
+    det, gt = Detection(BOX, 1, 0.5), GroundTruthInstance(FAR_BOX, 1)
+    inputs += [(30, [], []), (31, [], [gt, gt]), (32, [det], []), (33, [det], [gt])]
+    params = OcCostParams()
+    serial = dataset_oc_cost(inputs, params, jobs=1)
+    parallel = dataset_oc_cost(inputs, params, jobs=4)
     assert serial.mean_oc_cost == parallel.mean_oc_cost
     assert [r.oc_cost for r in serial.per_image] == [r.oc_cost for r in parallel.per_image]
+    # every field of every image, as the single-image entry point gives it
+    expected = tuple(image_oc_cost(d, g, params, image_id=i) for i, d, g in inputs)
+    assert serial.per_image == expected
+    assert parallel.per_image == expected
+
+
+def test_pair_terms_and_solves_once_per_image(rng, count_calls):
+    terms, solves = count_calls("_pair_terms"), count_calls("_plan_cost")
+    inputs = [(image_id, *random_scene(rng)) for image_id in range(12)]
+    dataset_oc_cost(inputs, OcCostParams())
+    assert (len(terms), len(solves)) == (12, 12)
+    terms.clear()
+    solves.clear()
+    lambda_sweep(inputs, [0.0, 0.25, 0.5, 0.75, 1.0], beta=0.6)
+    assert (len(terms), len(solves)) == (12, 60)
+    terms.clear()
+    solves.clear()
+    dets, gts = random_scene(rng, max_m=6, max_n=6)
+    result = image_oc_cost(dets, gts, OcCostParams(), with_breakdown=True)
+    assert (len(terms), len(solves)) == (1, 1)
+    assert len(result.per_pair_breakdown) == len(dets) + len(gts) - result.matched_pairs
 
 
 def test_dataset_jobs_one_fan_out(rng, count_pools):
@@ -343,3 +373,127 @@ def test_mass_normalization_example():
         p.cost for p in result.per_pair_breakdown if p.det_index is not None and p.gt_index is not None
     ][0]
     assert result.oc_cost == pytest.approx((matched_cost + 0.6) / 2, abs=1e-12)
+
+
+def kernel_step(entries, beta):
+    """The per-problem step of the pricing kernel: the cost and the plan
+    (rows, cols) of one image's problem."""
+    return oceval.occost._plan_cost(entries, _checked_gains(CostMatrix(entries, beta)), beta)
+
+
+def plan_cost(entries, beta, rows, cols):
+    """The kernel's normalisation of a plan: the paying units' cost sum
+    over m + n - k, 0 for an empty image and beta for a one-sided one."""
+    m, n = entries.shape
+    k = len(rows)
+    if not (m and n):
+        return beta if m or n else 0.0
+    return math.fsum(entries[rows, cols].tolist() + [beta] * (m + n - 2 * k)) / (m + n - k)
+
+
+def both_costs(entries, beta):
+    """The image's cost by the kernel's step and by the brute-force plan."""
+    plan = brute_force_solve(CostMatrix(entries, beta))
+    return kernel_step(entries, beta)[0], plan_cost(entries, beta, plan.det_indices, plan.gt_indices)
+
+
+betas = st.sampled_from((0.3, 0.6, 0.9)) | st.floats(0.0, 1.0)
+# half the costs on a 0.1 grid, where pairs tie with each other and with beta
+unit_costs = st.floats(0.0, 1.0) | st.integers(0, 10).map(lambda i: i / 10)
+
+
+@st.composite
+def problems(draw):
+    """A 1-4 x 0-4 cost matrix or its transpose, and a dummy cost."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    entries = np.array(draw(st.lists(unit_costs, min_size=m * n, max_size=m * n)), dtype=np.float64)
+    entries = entries.reshape(m, n)
+    return (entries.T.copy() if draw(st.booleans()) else entries), draw(betas)
+
+
+def costly(beta):
+    """Pair costs of at least beta + eps, which the credit does not make
+    worth matching (up to the rounding of their gains)."""
+    return st.floats(0.0, 1.0).map(lambda extra: beta + _TIE_EPSILON + extra)
+
+
+@settings(max_examples=400, deadline=None)
+@given(problem=problems())
+def test_image_cost_never_exceeds_beta(problem):
+    entries, beta = problem
+    for cost in both_costs(entries, beta):
+        assert cost <= beta + _TIE_EPSILON
+
+
+def credit_matches_above_beta(entries, beta):
+    """Whether the tie credit makes a pair costing more than beta worth
+    matching: one costing less than beta + eps, up to the rounding of its
+    gain."""
+    gains = _checked_gains(CostMatrix(entries, beta))
+    return bool((entries[gains < 0] > beta).any())
+
+
+@settings(max_examples=400, deadline=None)
+@given(problem=problems(), data=st.data())
+def test_a_costly_extra_detection_or_ground_truth_never_lowers_the_cost(problem, data):
+    """Penalising false positives and negatives properly: an extra unit
+    that costs at least beta + eps with everything it could pair with
+    lowers the image's cost by at most the one ulp of the final division's
+    rounding.
+
+    Within the tie tolerance it may lower it by less than eps: where the
+    credit makes pairs costing up to eps above beta worth matching, a cost
+    may lie above beta (the extra unit, paid at beta, pulls it back), and
+    plans whose credited objectives tie to rounding may differ in value.
+    """
+    entries, beta = problem
+    m, n = entries.shape
+    row = np.array(data.draw(st.lists(costly(beta), min_size=n, max_size=n)), dtype=np.float64)
+    col = np.array(data.draw(st.lists(costly(beta), min_size=m, max_size=m)), dtype=np.float64)
+    before = both_costs(entries, beta)
+    for grown in (np.vstack([entries, row[None, :]]), np.hstack([entries, col[:, None]])):
+        tolerant = credit_matches_above_beta(grown, beta)
+        for old, new in zip(before, both_costs(grown, beta)):
+            if tolerant:
+                assert old - new < _TIE_EPSILON
+            else:
+                assert new >= math.nextafter(old, -math.inf)
+
+
+def test_a_costly_extra_detection_can_lower_the_cost_by_one_ulp():
+    # a one-sided image costs beta exactly; with the extra detection, three
+    # units at beta over a mass of 3 round one ulp below it
+    beta = 0.8476605896133644
+    grown = np.full((1, 2), beta + _TIE_EPSILON)
+    assert both_costs(np.zeros((0, 2)), beta) == (beta, beta)
+    assert both_costs(grown, beta) == (0.8476605896133643,) * 2
+    assert 0.8476605896133643 == math.nextafter(beta, -math.inf)
+
+
+def test_a_costly_extra_unit_pulls_a_cost_above_beta_toward_beta():
+    # the credit matches a pair costing 5e-8 above beta, so the image costs
+    # more than beta; an extra false positive at beta halves the excess
+    beta = 0.6
+    entries = np.array([[beta + 5e-8]])
+    grown = np.vstack([entries, [[beta + _TIE_EPSILON]]])
+    assert both_costs(entries, beta) == (0.60000005,) * 2
+    assert both_costs(grown, beta) == (math.fsum([0.60000005, beta]) / 2,) * 2
+    assert beta < math.fsum([0.60000005, beta]) / 2 < 0.60000005
+
+
+def test_lowering_one_pair_cost_can_raise_the_image_cost():
+    # the plan minimises the transport objective; the reported value then
+    # divides by m + n - k, so a cheaper pair that wins with fewer matches
+    # can leave more units at beta
+    beta = 0.6
+    entries = np.array([[0.3, 0.2], [0.5, 0.9]])
+    lowered = entries.copy()
+    lowered[0, 0] = 0.0
+    for costs, plan, value in ((entries, [(0, 1), (1, 0)], 0.35), (lowered, [(0, 0)], 0.39999999999999997)):
+        cost, rows, cols = kernel_step(costs, beta)
+        assert list(zip(rows.tolist(), cols.tolist())) == plan
+        assert cost == value
+        for solver in (solve, brute_force_solve):
+            found = solver(CostMatrix(costs, beta))
+            assert list(zip(found.det_indices.tolist(), found.gt_indices.tolist())) == plan
+            assert plan_cost(costs, beta, found.det_indices, found.gt_indices) == value
