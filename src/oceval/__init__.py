@@ -30,13 +30,12 @@ from .costs import (
 )
 from .errors import ConfigError, OcevalError, ParseError, ValidationError
 from .fixtures import FixtureSpec, generate_fixture
-from .geometry import BoundingBox, pairwise_giou, pairwise_iou
+from .geometry import BoundingBox, pairwise_giou
 from .map_metric import (
     MapParams,
     MapReport,
     dataset_map,
     image_maps,
-    single_image_map,
 )
 from .nms import NmsParams, TuneResult, default_grid, nms, tune
 from .occost import (
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundingBox",
-    "pairwise_iou",
     "pairwise_giou",
     "Detection",
     "GroundTruthInstance",
@@ -73,7 +71,6 @@ __all__ = [
     "MapParams",
     "MapReport",
     "dataset_map",
-    "single_image_map",
     "image_maps",
     "NmsParams",
     "TuneResult",

@@ -42,6 +42,8 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.trials, int):
+            raise ConfigError(f"trials must be an integer, got {self.trials!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not 0.0 < self.sample_fraction <= 1.0:

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "BoundingBox",
     "boxes_to_array",
-    "pairwise_iou",
     "pairwise_giou",
 ]
 
@@ -76,12 +75,6 @@ def _iou(a: np.ndarray, b: np.ndarray, generalized: bool = False) -> np.ndarray:
     hull_h = np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])
     hull = hull_w * hull_h
     return inter / union - (hull - union) / hull
-
-
-def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between (N, 4) and (M, 4) corner-form arrays, shape (N, M),
-    bitwise equal to the scalar ``iou`` oracle of the tests on each pair."""
-    return _iou(a[:, None, :], b[None, :, :])
 
 
 def pairwise_giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ defaults follow the COCO convention (101 recall points, IoU thresholds
 0.50 to 0.95 in steps of 0.05). The single-threshold 11-point VOC
 protocol is ``MapParams(iou_thresholds=(0.5,), recall_points=11)``.
 
-A single-image variant treats one image as the whole dataset, scoring
-the categories present in that image's detections or ground truths.
+Per-image mAP treats each image as the whole dataset, scoring the
+categories present in that image's detections or ground truths.
 
 Every kernel runs over all (image, category) segments at once: matching
 builds one flat :class:`MatchTable` for the whole dataset, and one AP
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import Detection, GroundTruthInstance, ImageInput, image_arrays
+from .costs import ImageInput, image_arrays
 from .errors import ConfigError, ValidationError
 from .geometry import _iou
 
@@ -35,7 +35,6 @@ __all__ = [
     "MapParams",
     "MapReport",
     "dataset_map",
-    "single_image_map",
     "MatchTable",
     "build_match_table",
     "map_from_table",
@@ -61,6 +60,10 @@ class MapParams:
     max_detections: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.recall_points, int):
+            raise ConfigError(f"recall_points must be an integer, got {self.recall_points!r}")
+        if not isinstance(self.max_detections, int | None):
+            raise ConfigError(f"max_detections must be an integer, got {self.max_detections!r}")
         thrs = tuple(self.iou_thresholds)
         object.__setattr__(self, "iou_thresholds", thrs)
         if not thrs:
@@ -84,9 +87,10 @@ class MapReport:
     params: MapParams = field(default_factory=MapParams)
 
 
-# Block sizes: ranked detections per block of the IoU computation and of a
+# Block sizes: listed pairs per block of the IoU computation, rows per
 # lockstep iteration, and (row, threshold) or (segment, threshold, recall
 # point) cells per block of the AP kernel.
+_BLOCK_PAIRS = 1 << 10
 _BLOCK_ROWS = 1 << 10
 _BLOCK_CELLS = 1 << 14
 
@@ -96,6 +100,30 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     sizes = stops - starts
     ends = np.cumsum(sizes)
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + sizes, sizes)
+
+
+def _pair_ious(
+    a: np.ndarray, b: np.ndarray, starts: np.ndarray, stops: np.ndarray, least: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair (i, j), j in ``starts[i]:stops[i]``, whose boxes ``a[i]``
+    and ``b[j]`` overlap by an IoU above ``least``: i, j and that IoU,
+    sorted by (i, j). The IoU is computed a block of at most
+    ``_BLOCK_PAIRS`` pairs (or of one row's pairs) at a time."""
+    sizes = stops - starts
+    through = np.cumsum(sizes)
+    pairs = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+    lo = 0
+    while lo < len(sizes):
+        fit = int(np.searchsorted(through, through[lo] - sizes[lo] + _BLOCK_PAIRS, "right"))
+        hi = max(fit, lo + 1)
+        row = np.repeat(np.arange(lo, hi), sizes[lo:hi])
+        col = _ranges(starts[lo:hi], stops[lo:hi])
+        iou = _iou(np.take(a, row, axis=0), np.take(b, col, axis=0))
+        over = iou > least
+        pairs.append((row[over], col[over], iou[over]))
+        lo = hi
+    row, col, iou = map(np.concatenate, zip(*pairs))
+    return row, col, iou
 
 
 def _rank_groups(
@@ -147,8 +175,9 @@ def _greedy_lockstep(
     segment; pairs are sorted by (row, column). At each threshold each row
     claims the unclaimed column of highest IoU; the claim counts as a true
     positive when that IoU is positive and reaches the threshold. IoU ties
-    resolve to the lowest column. A row with no IoU at the lowest threshold
-    claims nothing, so its pairs may be left out. Iteration k lets the k-th
+    resolve to the lowest column. A pair below the lowest threshold may be
+    left out: it is never claimed, and when it is a row's best unclaimed
+    pair the row claims nothing either way. Iteration k lets the k-th
     row with pairs of every segment claim: segments share no column, so
     their claims never conflict.
     """
@@ -313,21 +342,15 @@ def build_match_table(per_image_inputs: Sequence[ImageInput], params: MapParams)
     gt_bounds = np.append(np.searchsorted(gt_key[gt_order], segment_key), len(gt_key))
     gt_count = np.diff(gt_bounds)
     row_segment = np.repeat(np.arange(len(segment_key)), np.diff(offsets))
-    # each row's IoU with the ground truths of its segment, a block of rows
-    # at a time, keeping the pairs of rows that reach the lowest threshold
-    pairs = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
-    for lo in range(0, len(ranked), _BLOCK_ROWS):
-        rows = np.arange(lo, min(lo + _BLOCK_ROWS, len(ranked)))
-        segment = row_segment[rows]
-        row = np.repeat(rows, gt_count[segment])
-        col = _ranges(gt_bounds[segment], gt_bounds[segment + 1])
-        iou = _iou(boxes[ranked[row]], gt_boxes[gt_order[col]])
-        candidate = np.zeros(len(rows), dtype=bool)
-        candidate[row[iou >= min(thresholds)] - lo] = True
-        keep = candidate[row - lo]
-        pairs.append((row[keep], col[keep], iou[keep]))
-    pair_row, pair_col, pair_iou = map(np.concatenate, zip(*pairs))
-    del pairs
+    # each row's IoU with the ground truths of its segment, keeping the
+    # pairs at or above the lowest threshold
+    pair_row, pair_col, pair_iou = _pair_ious(
+        boxes[ranked],
+        gt_boxes[gt_order],
+        gt_bounds[row_segment],
+        gt_bounds[row_segment + 1],
+        np.nextafter(min(thresholds), -np.inf),
+    )
     return MatchTable(
         scores=scores[ranked],
         flags=_greedy_lockstep(row_segment, pair_row, pair_col, pair_iou, len(gt_key), thresholds),
@@ -427,12 +450,3 @@ def dataset_map(per_image_inputs: Sequence[ImageInput], params: MapParams | None
         raise ValidationError("cannot evaluate an empty image sequence")
     table = build_match_table(inputs, params)
     return map_from_table(table, range(len(inputs)))
-
-
-def single_image_map(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruthInstance],
-    params: MapParams | None = None,
-) -> float:
-    """mAP of one image treated as a one-sample dataset (see :func:`image_maps`)."""
-    return image_maps(build_match_table([(None, dets, gts)], params or MapParams()))[0]

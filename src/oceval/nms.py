@@ -13,7 +13,8 @@ One kernel computes every pass of every image in a single call, in the
 calling process: :func:`tune` calls it once for the whole grid, before
 either objective, and :func:`nms` with one image and one point. It
 ranks each image once, computes the IoU of each pair of same-label rows
-once, and suppresses in lockstep over all groups and passes. Then:
+once, with the pair kernel that greedy mAP matching also uses, and
+suppresses in lockstep over all groups and passes. Then:
 
 - greedy mAP matching runs in score order, so one match table per IoU
   threshold, cut to each score threshold by
@@ -41,10 +42,10 @@ from .costs import (
     image_arrays,
 )
 from .errors import ConfigError, ValidationError
-from .geometry import _iou
 from .map_metric import (
     MapParams,
     _lockstep_steps,
+    _pair_ious,
     _rank_groups,
     _ranges,
     build_match_table,
@@ -66,9 +67,6 @@ __all__ = [
 # 0.05..0.90 step 0.05 and 0.3..0.9 step 0.1
 DEFAULT_SCORE_THRESHOLDS: tuple[float, ...] = tuple(i / 100.0 for i in range(5, 91, 5))
 DEFAULT_IOU_THRESHOLDS: tuple[float, ...] = tuple(i / 10.0 for i in range(3, 10))
-
-# Pairs of ranked rows per block of the IoU computation.
-_BLOCK_PAIRS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -121,32 +119,6 @@ def nms(dets: Sequence[Detection], params: NmsParams) -> Sequence[Detection]:
     return [dets[i] for i in kept.tolist()]
 
 
-def _overlaps(
-    boxes: np.ndarray, key: np.ndarray, least: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every pair (a, b) of rows of one ``key`` (nondecreasing), a above
-    b, whose ``boxes`` overlap by an IoU above ``least``: a, b and that
-    IoU, sorted by (a, b). The IoU is computed a block of at most
-    ``_BLOCK_PAIRS`` pairs (or of one row's pairs) at a time."""
-    stop = np.searchsorted(key, key, side="right")
-    below = stop - np.arange(len(key)) - 1
-    through = np.cumsum(below)
-    pairs = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
-    lo = 0
-    while lo < len(key):
-        fit = int(np.searchsorted(through, through[lo] - below[lo] + _BLOCK_PAIRS, "right"))
-        hi = max(fit, lo + 1)
-        above = np.arange(lo, hi)
-        row = np.repeat(above, below[lo:hi])
-        col = _ranges(above + 1, stop[lo:hi])
-        iou = _iou(np.take(boxes, row, axis=0), np.take(boxes, col, axis=0))
-        over = iou > least
-        pairs.append((row[over], col[over], iou[over]))
-        lo = hi
-    row, col, iou = map(np.concatenate, zip(*pairs))
-    return row, col, iou
-
-
 def _nms_passes(
     images: Sequence[DetectionArrays], points: Sequence[NmsParams]
 ) -> list[tuple[np.ndarray, ...]]:
@@ -155,13 +127,14 @@ def _nms_passes(
 
     Each image is ranked once, its rows scoring at least the lowest floor
     grouped by label, and the IoU of every pair of rows of a group is
-    computed once (:func:`_overlaps`), keeping the pairs above the lowest
-    IoU threshold. At each point the rows below its score threshold start
-    out suppressed; they rank below every other row of their group, so
-    they suppress nothing that counts. Then step k lets the k-th row with
-    pairs of every group, if still live, suppress the rows below it that
-    it overlaps by more than the point's IoU threshold: groups share no
-    row, so one step serves them all, at every point at once.
+    computed once (:func:`~oceval.map_metric._pair_ious` on each group's
+    upper triangle), keeping the pairs above the lowest IoU threshold. At
+    each point the rows below its score threshold start out suppressed;
+    they rank below every other row of their group, so they suppress
+    nothing that counts. Then step k lets the k-th row with pairs of every
+    group, if still live, suppress the rows below it that it overlaps by
+    more than the point's IoU threshold: groups share no row, so one step
+    serves them all, at every point at once.
     """
     floors = np.array([p.score_threshold for p in points])[:, None]
     thresholds = np.array([p.iou_threshold for p in points])[:, None]
@@ -174,8 +147,12 @@ def _nms_passes(
     ranked, by_key, key = _rank_groups(image[rows], scores[rows], codes, max(len(categories), 1))
     ranked = rows[ranked]
     grouped = ranked[by_key]
-    boxes = np.concatenate([np.zeros((0, 4)), *(d.boxes for d in images)])
-    pair_row, pair_col, pair_iou = _overlaps(np.take(boxes, grouped, axis=0), key, thresholds.min())
+    boxes = np.take(np.concatenate([np.zeros((0, 4)), *(d.boxes for d in images)]), grouped, axis=0)
+    # row i against the rows after it in its group
+    group_end = np.searchsorted(key, key, side="right")
+    pair_row, pair_col, pair_iou = _pair_ious(
+        boxes, boxes, np.arange(1, len(key) + 1), group_end, thresholds.min()
+    )
 
     suppressed = scores[grouped] < floors
     flat = suppressed.reshape(-1)

@@ -1,7 +1,7 @@
 """Scalar and exhaustive references that tests check the kernels against.
 
-None of them is used by the package: ``pairwise_iou``/``pairwise_giou``
-must equal :func:`iou`/:func:`giou` bit for bit, ``build_problem`` must
+None of them is used by the package: the pair IoU kernel and
+``pairwise_giou`` must equal :func:`iou`/:func:`giou` bit for bit, ``build_problem`` must
 equal :func:`unit_cost` cell by cell, ``solve`` must reach the
 objective of :func:`brute_force_solve`, and ``nms`` must keep what
 :func:`scalar_nms` keeps.
@@ -57,6 +57,13 @@ def giou(a: BoundingBox, b: BoundingBox) -> float:
     union = area(a) + area(b) - inter
     hull = (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
     return inter / union - (hull - union) / hull
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`iou` of every row of the (N, 4) corner-form array ``a`` with
+    every row of ``b``, shape (N, M)."""
+    rows, cols = ([BoundingBox(*box) for box in boxes.tolist()] for boxes in (a, b))
+    return np.array([[iou(p, q) for q in cols] for p in rows]).reshape(len(rows), len(cols))
 
 
 def localization_cost(a: BoundingBox, b: BoundingBox) -> float:

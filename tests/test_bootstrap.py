@@ -45,6 +45,8 @@ def test_config_validation():
             BootstrapConfig(seed=seed)
     with pytest.raises(ConfigError, match=re.escape("seed must be an integer, got 1.5")):
         BootstrapConfig(seed=1.5)
+    with pytest.raises(ConfigError, match=re.escape("trials must be an integer, got 2.5")):
+        BootstrapConfig(trials=2.5)
     with pytest.raises(ConfigError, match=re.escape("population must be >= 1, got 0")):
         trial_sample(BootstrapConfig(), 0, 0)
     with pytest.raises(ConfigError, match=re.escape("trial must be >= 0, got -1")):

@@ -15,8 +15,8 @@ from oceval import (
     build_problem,
     dataset_map,
     image_oc_cost,
+    image_maps,
     nms,
-    single_image_map,
 )
 from oceval.cli import main
 from oceval.costs import detection_arrays, ground_truth_arrays
@@ -55,7 +55,9 @@ def test_every_entry_point_gives_the_same_on_both_forms(rng):
                   for d, g in ((cols, gt_cols), (dets, gts))]
         for field in ("scores", "flags", "image", "category", "categories", "gt_count", "offsets"):
             np.testing.assert_array_equal(getattr(tables[0], field), getattr(tables[1], field))
-        assert single_image_map(cols, gt_cols, map_params) == single_image_map(dets, gts, map_params)
+        assert image_maps(build_match_table([(7, cols, gt_cols)], map_params)) == image_maps(
+            build_match_table([(7, dets, gts)], map_params)
+        )
         inputs = [(1, dets, gts), (2, kept, gts)]
         columnar = [(1, cols, gt_cols), (2, detection_arrays(kept), gt_cols)]
         assert dataset_map(columnar, map_params) == dataset_map(inputs, map_params)

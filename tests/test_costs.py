@@ -14,10 +14,10 @@ from oceval import (
     build_problem,
     image_oc_cost,
     pairwise_giou,
-    pairwise_iou,
 )
 from oceval.costs import _blend, _pair_terms
 from oceval.geometry import boxes_to_array
+from oceval.map_metric import _pair_ious
 
 from oracles import classification_cost, giou, iou, localization_cost, unit_cost
 
@@ -167,7 +167,8 @@ def test_costs_stay_in_range_on_huge_and_subpixel_boxes(scene, loc_weight, dummy
             assert 0.0 <= iou(det.box, gt.box) <= 1.0
             assert -1.0 <= giou(det.box, gt.box) <= 1.0
     a, b = boxes_to_array(d.box for d in dets), boxes_to_array(g.box for g in gts)
-    assert ((pairwise_iou(a, b) >= 0.0) & (pairwise_iou(a, b) <= 1.0)).all()
+    listed = _pair_ious(a, b, np.zeros(len(a), int), np.full(len(a), len(b)), -1.0)[2]
+    assert len(listed) == len(a) * len(b) and ((listed >= 0.0) & (listed <= 1.0)).all()
     assert ((pairwise_giou(a, b) >= -1.0) & (pairwise_giou(a, b) <= 1.0)).all()
     for terms in _pair_terms(dets, gts):
         assert ((terms >= 0.0) & (terms <= 1.0)).all()

@@ -14,10 +14,10 @@ from oceval import (
     GroundTruthInstance,
     MapParams,
     dataset_map,
-    single_image_map,
 )
+from oceval import map_metric
 from oceval.costs import DetectionArrays, GroundTruthArrays, detection_arrays, ground_truth_arrays
-from oceval.geometry import boxes_to_array, pairwise_iou
+from oceval.geometry import boxes_to_array
 from oceval.map_metric import (
     COCO_IOU_THRESHOLDS,
     MapReport,
@@ -29,6 +29,8 @@ from oceval.map_metric import (
     image_maps,
     map_from_table,
 )
+
+from oracles import iou_matrix
 
 B1 = BoundingBox(0, 0, 10, 10)
 B2 = BoundingBox(100, 0, 110, 10)
@@ -68,7 +70,7 @@ def _match_image(dets, gts, thresholds, max_detections=None):
     ranked = np.argsort(-scores, kind="stable")[:max_detections]
     labels = dets.labels[ranked]
     gt_labels = gts.labels
-    iou = pairwise_iou(dets.boxes[ranked], gts.boxes)
+    iou = iou_matrix(dets.boxes[ranked], gts.boxes)
     matched = {}
     for cat in sorted(set(labels.tolist()) | set(gt_labels.tolist())):
         rows = np.flatnonzero(labels == cat)
@@ -191,6 +193,11 @@ def test_params_validation():
         MapParams(recall_points=1)
     with pytest.raises(ConfigError, match="max_detections must be >= 1, got 0"):
         MapParams(max_detections=0)
+    # a fractional cap or sample count is an error, not a rounded value
+    with pytest.raises(ConfigError, match="max_detections must be an integer, got 1.5"):
+        MapParams(max_detections=1.5)
+    with pytest.raises(ConfigError, match="recall_points must be an integer, got 2.0"):
+        MapParams(recall_points=2.0)
     assert MapParams().iou_thresholds == COCO_IOU_THRESHOLDS
 
 
@@ -302,19 +309,38 @@ def test_dataset_map_image_order_invariance(rng):
     assert dataset_map(shuffled).mean_ap == base
 
 
+def one_image_map(dets, gts, params=MapParams()):
+    """mAP of one image treated as a one-sample dataset."""
+    return image_maps(build_match_table([(None, dets, gts)], params))[0]
+
+
 def test_single_image_conventions():
-    assert single_image_map([], []) == 1.0
-    assert single_image_map([], [GroundTruthInstance(B1, 1)]) == 0.0
-    assert single_image_map([Detection(B1, 1, 0.9)], []) == 0.0
-    assert single_image_map([Detection(B1, 1, 0.9)], [GroundTruthInstance(B1, 1)]) == 1.0
+    assert one_image_map([], []) == 1.0
+    assert one_image_map([], [GroundTruthInstance(B1, 1)]) == 0.0
+    assert one_image_map([Detection(B1, 1, 0.9)], []) == 0.0
+    assert one_image_map([Detection(B1, 1, 0.9)], [GroundTruthInstance(B1, 1)]) == 1.0
 
 
 def test_single_image_map_scores_only_kept_detections():
     # the capped-away category-2 detection has no ground truth and is not scored
     dets = [Detection(B1, 1, 0.9), Detection(B2, 2, 0.2)]
     gts = [GroundTruthInstance(B1, 1)]
-    assert single_image_map(dets, gts, MapParams(max_detections=1)) == 1.0
-    assert single_image_map(dets, gts) == 0.5
+    assert one_image_map(dets, gts, MapParams(max_detections=1)) == 1.0
+    assert one_image_map(dets, gts) == 0.5
+
+
+def test_pair_at_exactly_the_lowest_threshold_is_kept():
+    # the wide detection overlaps A by exactly 1/2, the lowest threshold,
+    # and B by 1/3, below it; a higher-scored rival takes B (the wide one
+    # matches A) or A (the wide one matches nothing)
+    a, b, wide = BoundingBox(0, 0, 1, 1), BoundingBox(1, 0, 3, 1), BoundingBox(0, 0, 2, 1)
+    gts = [GroundTruthInstance(a, 1), GroundTruthInstance(b, 1)]
+    params = MapParams(iou_thresholds=(0.5, 0.75))
+    for rival, wide_flags in ((b, [True, False]), (a, [False, False])):
+        inputs = [(0, [Detection(rival, 1, 0.9), Detection(wide, 1, 0.5)], gts)]
+        table = build_match_table(inputs, params)
+        assert_same_entries(oracle_table(inputs, params), table_entries(table))
+        assert table.flags.tolist() == [[True, True], wide_flags]
 
 
 def test_match_table_multiset_counting():
@@ -431,7 +457,7 @@ def test_lockstep_segments_match_scalar_oracle(matrices, thresholds):
 @settings(max_examples=200, deadline=None)
 @given(dets=grid_boxes, gts=grid_boxes, thresholds=threshold_sets)
 def test_greedy_flags_on_duplicate_boxes(dets, gts, thresholds):
-    _check_against_scalar([pairwise_iou(dets, gts)], thresholds)
+    _check_against_scalar([iou_matrix(dets, gts)], thresholds)
 
 
 @settings(max_examples=200, deadline=None)
@@ -537,12 +563,14 @@ labeled_gts = st.lists(st.builds(GroundTruthInstance, coarse_boxes, st.sampled_f
     max_detections=st.none() | st.integers(1, 4),
     thresholds=threshold_sets.filter(lambda thrs: thrs[0] > 0.0),
     recall_points=st.sampled_from((11, 101)),
+    block=st.sampled_from((1, 2, 3, 7, 1 << 14)),
     data=st.data(),
 )
-def test_flat_table_equals_oracle(images, max_detections, thresholds, recall_points, data):
+def test_flat_table_equals_oracle(images, max_detections, thresholds, recall_points, block, data):
     """Multi-image inputs with score and IoU ties, object labels, empty
-    images and categories with only ground truths: the flat table and every
-    kernel over it equal the per-image oracle bit for bit."""
+    images and categories with only ground truths, with the IoU of the
+    listed pairs computed in blocks as small as one pair: the flat table
+    and every kernel over it equal the per-image oracle bit for bit."""
     params = MapParams(
         iou_thresholds=tuple(thresholds), recall_points=recall_points, max_detections=max_detections
     )
@@ -554,7 +582,9 @@ def test_flat_table_equals_oracle(images, max_detections, thresholds, recall_poi
     score_threshold = data.draw(st.sampled_from(SCORES))
 
     entries = oracle_table(inputs, params)
-    table = build_match_table(inputs, params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(map_metric, "_BLOCK_PAIRS", block)
+        table = build_match_table(inputs, params)
     kept = oracle_filter(entries, score_threshold)
     sliced = filter_table(table, score_threshold)
     assert_same_entries(entries, table_entries(table))

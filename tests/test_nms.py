@@ -25,6 +25,7 @@ from oceval.nms import DEFAULT_IOU_THRESHOLDS, DEFAULT_SCORE_THRESHOLDS
 from oracles import scalar_nms
 
 nms_module = importlib.import_module("oceval.nms")  # the package's ``nms`` is the function
+map_metric_module = importlib.import_module("oceval.map_metric")
 
 B1 = BoundingBox(0, 0, 10, 10)
 B1_SHIFT = BoundingBox(1, 0, 11, 10)
@@ -253,7 +254,7 @@ B0 = BoundingBox(0, 0, 2, 2)
 )
 def test_batched_passes_match_the_scalar_loop(images, points, block):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nms_module, "_BLOCK_PAIRS", block)
+        patch.setattr(map_metric_module, "_BLOCK_PAIRS", block)
         found = nms_module._nms_passes([detection_arrays(dets) for dets in images], points)
     assert len(found) == len(images)
     for dets, kept in zip(images, found):
