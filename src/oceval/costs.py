@@ -8,12 +8,14 @@ m x n block of these costs for one image's m detections and n ground
 truths, plus ``dummy_cost``: the price of leaving a detection unmatched
 (a false positive) or a ground truth unmatched (a false negative).
 
-The two terms do not depend on ``loc_weight``, so the one pricing
-kernel, ``_image_costs`` in :mod:`oceval.occost`, computes them once per
-image for every entry point, blends them once per weight (the lambda
-sweep) and takes row subsets for subsets of the detections (the NMS
-tuner). Every cell depends on its own detection and ground truth only,
-so a row subset of the blend equals the blend of the subset bit for bit.
+Every cell depends on its own detection and ground truth only, so the
+terms are computed cell by cell (:func:`_cell_terms`) over any list of
+(detection, ground truth) pairs: the one pricing kernel, ``_price`` in
+:mod:`oceval.occost`, lists the cells of many problems at once, and
+:func:`build_problem` those of one image. The two terms do not depend
+on ``loc_weight``, so the kernel computes them once per cell and blends
+them once per weight (the lambda sweep). A cell's terms, blend and gain
+are the same bits whichever list it is computed in.
 
 Every kernel reads one image's detections and ground truths as columns
 (:class:`DetectionArrays`, :class:`GroundTruthArrays`): the COCO loader
@@ -31,7 +33,7 @@ from typing import Any, Hashable
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import BoundingBox, boxes_to_array, pairwise_giou
+from .geometry import BoundingBox, _iou, boxes_to_array
 
 __all__ = [
     "Detection",
@@ -201,29 +203,35 @@ class CostMatrix:
     dummy_cost: float
 
 
+def _cell_terms(
+    dets: DetectionArrays, gts: GroundTruthArrays, det_rows: np.ndarray, gt_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The weight-independent localization and classification costs of
+    each cell c: detection ``det_rows[c]`` against ground truth
+    ``gt_rows[c]``."""
+    boxes = np.take(dets.boxes, det_rows, axis=0)
+    loc = (1.0 - _iou(boxes, np.take(gts.boxes, gt_rows, axis=0), generalized=True)) / 2.0
+    scores = dets.scores.take(det_rows)
+    same = dets.labels.take(det_rows) == gts.labels.take(gt_rows)
+    cls = np.where(same, (1.0 - scores) / 2.0, (1.0 + scores) / 2.0)
+    return loc, cls
+
+
 def _pair_terms(
     dets: Sequence[Detection], gts: Sequence[GroundTruthInstance]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The weight-independent m x n localization and classification costs."""
     m, n = len(dets), len(gts)
-    if not (m and n):
-        empty = np.zeros((m, n), dtype=np.float64)
-        return empty, empty
-    dets, gts = detection_arrays(dets), ground_truth_arrays(gts)
-    loc = (1.0 - pairwise_giou(dets.boxes, gts.boxes)) / 2.0
-    scores = dets.scores[:, None]
-    cls = np.where(
-        dets.labels[:, None] == gts.labels[None, :],
-        (1.0 - scores) / 2.0,
-        (1.0 + scores) / 2.0,
-    )
-    return loc, cls
+    rows, cols = np.divmod(np.arange(m * n), max(n, 1))
+    cells = _cell_terms(detection_arrays(dets), ground_truth_arrays(gts), rows, cols)
+    return cells[0].reshape(m, n), cells[1].reshape(m, n)
 
 
-def _blend(loc: np.ndarray, cls: np.ndarray, params: OcCostParams) -> CostMatrix:
-    """The problem of :func:`_pair_terms` output under ``params``."""
+def _blend(loc: np.ndarray, cls: np.ndarray, params: OcCostParams) -> np.ndarray:
+    """The unit costs of cells (or pairs) with terms ``loc`` and ``cls``
+    under ``params``."""
     w = params.loc_weight
-    return CostMatrix(entries=w * loc + (1.0 - w) * cls, dummy_cost=params.dummy_cost)
+    return w * loc + (1.0 - w) * cls
 
 
 def build_problem(
@@ -239,4 +247,4 @@ def build_problem(
     (1 + s_i) / 2 when they differ, s_i the detection's score. Either side
     may be empty.
     """
-    return _blend(*_pair_terms(dets, gts), params)
+    return CostMatrix(_blend(*_pair_terms(dets, gts), params), params.dummy_cost)

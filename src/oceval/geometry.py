@@ -19,6 +19,11 @@ __all__ = [
     "pairwise_giou",
 ]
 
+# Box pairs per block of a batched IoU or GIoU computation: the pair
+# kernel of NMS and mAP matching and the cells of the OC-cost pricing
+# kernel are both computed a block of at most this many at a time.
+_BLOCK_PAIRS = 1 << 12
+
 
 @dataclass(frozen=True)
 class BoundingBox:

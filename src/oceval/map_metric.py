@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry
 from .costs import ImageInput, image_arrays
 from .errors import ConfigError, ValidationError
 from .geometry import _iou
@@ -87,10 +88,9 @@ class MapReport:
     params: MapParams = field(default_factory=MapParams)
 
 
-# Block sizes: listed pairs per block of the IoU computation, rows per
-# lockstep iteration, and (row, threshold) or (segment, threshold, recall
-# point) cells per block of the AP kernel.
-_BLOCK_PAIRS = 1 << 10
+# Block sizes: rows per lockstep iteration, and (row, threshold) or
+# (segment, threshold, recall point) cells per block of the AP kernel.
+# The IoU computation takes ``geometry._BLOCK_PAIRS`` pairs per block.
 _BLOCK_ROWS = 1 << 10
 _BLOCK_CELLS = 1 << 14
 
@@ -108,13 +108,13 @@ def _pair_ious(
     """Every pair (i, j), j in ``starts[i]:stops[i]``, whose boxes ``a[i]``
     and ``b[j]`` overlap by an IoU above ``least``: i, j and that IoU,
     sorted by (i, j). The IoU is computed a block of at most
-    ``_BLOCK_PAIRS`` pairs (or of one row's pairs) at a time."""
+    ``geometry._BLOCK_PAIRS`` pairs (or of one row's pairs) at a time."""
     sizes = stops - starts
     through = np.cumsum(sizes)
     pairs = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
-    lo = 0
+    lo, budget = 0, geometry._BLOCK_PAIRS
     while lo < len(sizes):
-        fit = int(np.searchsorted(through, through[lo] - sizes[lo] + _BLOCK_PAIRS, "right"))
+        fit = int(np.searchsorted(through, through[lo] - sizes[lo] + budget, "right"))
         hi = max(fit, lo + 1)
         row = np.repeat(np.arange(lo, hi), sizes[lo:hi])
         col = _ranges(starts[lo:hi], stops[lo:hi])

@@ -19,10 +19,11 @@ suppresses in lockstep over all groups and passes. Then:
 - greedy mAP matching runs in score order, so one match table per IoU
   threshold, cut to each score threshold by
   :func:`~oceval.map_metric.filter_table`, serves the mAP objective;
-- one task per image, given its passes, lists the rows that survive
-  each grid point and hands the lists to the pricing kernel of
-  :mod:`oceval.occost`, which solves each distinct set of survivors once
-  however many grid points share it.
+- for the oc-cost objective, each process lists the rows of its images
+  that survive each grid point as the pricing kernel of
+  :mod:`oceval.occost` takes them, block by block; the kernel solves
+  each distinct set of survivors once however many grid points share
+  it.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .map_metric import (
     filter_table,
     map_from_table,
 )
-from .occost import _image_costs, check_jobs, map_images
+from .occost import _price, check_jobs, map_images
 
 __all__ = [
     "DEFAULT_SCORE_THRESHOLDS",
@@ -264,15 +265,19 @@ def _kept_rows(
 def _grid_costs(
     candidates: Sequence[NmsParams],
     params: OcCostParams,
-    task: tuple[ImageInput, dict[float, np.ndarray]],
-) -> list[tuple[float, int]]:
-    """One image's ``(cost, k)`` at each grid point, from its NMS passes.
+    tasks: Sequence[tuple[ImageInput, dict[float, np.ndarray]]],
+) -> list[list[tuple[float, int]]]:
+    """Each image's ``(cost, k)`` at each grid point, from its NMS passes.
 
     It only lists the rows that survive each point; the pricing kernel
-    solves each distinct list once. Listing them here, in the process that
-    prices the image, keeps one image's lists alive at a time.
+    solves each distinct list once. The lists are made as the kernel
+    takes the images, in the process that prices them, so only those of
+    the block being priced are alive at a time.
     """
-    item, passes = task
-    _, dets, _ = item
-    survivors = [_kept_rows(passes, dets, point) for point in candidates]
-    return _image_costs([params], (item, survivors))
+    return _price(
+        [params],
+        (
+            (item, [_kept_rows(passes, item[1], point) for point in candidates])
+            for item, passes in tasks
+        ),
+    )

@@ -10,39 +10,45 @@ sum divided by m + n - k. It lies in [0, 1] whenever the dummy cost
 does, is 0 exactly for a perfect result, and equals the dummy cost exactly
 when one side of the image is empty.
 
-One kernel, :func:`_image_costs`, prices every image of every entry
-point: :func:`image_oc_cost`, :func:`dataset_oc_cost`,
-:func:`lambda_sweep` and the NMS tuner. It takes one image with a list
-of params and a list of subsets of its detection rows, computes the
-pair terms once, and solves each distinct subset, keyed by its content,
-once per params; no caller deduplicates. The drivers fan its tasks out
-with :func:`map_images`, whose workers send back plain ``(cost, k)``
-pairs.
+One kernel, :func:`_price`, prices every image of every entry point:
+:func:`image_oc_cost`, :func:`dataset_oc_cost`, :func:`lambda_sweep`
+and the NMS tuner. It takes a list of params and a sequence of images,
+each with a list of subsets of its detection rows. A problem is one
+image with one distinct subset; no caller deduplicates. The kernel
+prices the problems of contiguous images in blocks: it computes the
+pair terms of every cell of a block in one pass, blends and checks them
+once per params, and settles every problem's plan at once
+(:func:`~oceval.transport._plans`). The drivers cut their images into
+contiguous ranges with :func:`map_images`, one per process, and each
+process prices its range block by block; workers send back plain
+``(cost, k)`` pairs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context
 from typing import TYPE_CHECKING, Any, Hashable, TypeVar
 
 import numpy as np
 
+from . import geometry
 from .costs import (
-    CostMatrix,
     Detection,
+    DetectionArrays,
+    GroundTruthArrays,
     GroundTruthInstance,
     ImageInput,
     OcCostParams,
     _blend,
-    _pair_terms,
+    _cell_terms,
     image_arrays,
 )
 from .errors import ConfigError, ValidationError
-from .transport import _checked_gains, _match
+from .transport import _checked_gains, _plans
 
 if TYPE_CHECKING:  # imported by the first fan-out, not by every start-up
     from multiprocessing.connection import Connection
@@ -118,7 +124,7 @@ def image_oc_cost(
     then the unmatched ground truths.
     """
     breakdowns: list[tuple[PairCost, ...]] | None = [] if with_breakdown else None
-    [(oc, k)] = _image_costs([params], _whole_image((image_id, dets, gts)), breakdowns)
+    [[(oc, k)]] = _price([params], [_whole_image((image_id, dets, gts))], breakdowns)
     return ImageEvalResult(
         image_id=image_id,
         oc_cost=oc,
@@ -129,93 +135,172 @@ def image_oc_cost(
     )
 
 
-def _whole_image(item: ImageInput) -> tuple[ImageInput, list[slice]]:
+# A kernel task: one image's input in columns and the subsets of its
+# detection rows (index arrays or slices) to price.
+_Task = tuple[tuple[Hashable, DetectionArrays, GroundTruthArrays], Sequence[np.ndarray | slice]]
+# An image of a block: its detections and ground truths, its distinct
+# problems (detection row arrays) and the problem of each of its subsets.
+_Listed = tuple[DetectionArrays, GroundTruthArrays, list[np.ndarray], list[int]]
+
+
+def _whole_image(item: ImageInput) -> _Task:
     """The kernel task of one whole image: its input in columns, with all
     of its detection rows as the one subset."""
     return image_arrays(item), [slice(None)]
 
 
-def _image_costs(
+def _price(
     param_list: Sequence[OcCostParams],
-    task: tuple[ImageInput, Sequence[np.ndarray | slice]],
+    tasks: Iterable[_Task],
     breakdowns: list[tuple[PairCost, ...]] | None = None,
-) -> list[tuple[float, int]]:
-    """The pricing kernel: one image's correction cost and matched-pair
-    count ``(cost, k)`` under each params at each subset of its detection
-    rows (an index array or a slice), params-major.
+) -> list[list[tuple[float, int]]]:
+    """The pricing kernel: for each task, the correction cost and
+    matched-pair count ``(cost, k)`` of its image under each params at
+    each subset of its detection rows, params-major.
 
-    Every OC-cost entry point prices its images here. Subsets that select
-    the same rows in the same order are one problem, solved once per
-    params however many times it is listed. The pair terms are computed
-    once, and blended, checked and turned into gains once per params: a
-    subset's problem and gains are its rows of the whole image's, bit for
-    bit. Given a list ``breakdowns``, it appends the paying units of each
-    problem it solves, ordered as :func:`image_oc_cost` describes.
+    Every OC-cost entry point prices its images here. A problem is an
+    image with one subset of its rows; subsets that select the same rows
+    in the same order are one problem, solved once per params however
+    many times they are listed. The tasks are taken in order and priced
+    in blocks of contiguous images whose problems hold at most
+    ``geometry._BLOCK_PAIRS`` cells together (an image with more is a
+    block of its own), so an iterable that lists subsets lazily keeps
+    one block's lists alive at a time. Given a list ``breakdowns``, it
+    appends the paying units of each problem it solves, ordered as
+    :func:`image_oc_cost` describes: for each block, params by params,
+    problem by problem.
     """
-    (_, dets, gts), subsets = task
-    every = np.arange(len(dets))
-    keys = [every[rows].tobytes() for rows in subsets]
-    loc, cls = _pair_terms(dets, gts)
-    priced = []
-    for params in param_list:
-        cost = _blend(loc, cls, params)
-        gains = _checked_gains(cost)
-        solved: dict[bytes, tuple[float, int]] = {}
-        for key, rows in zip(keys, subsets):
-            if key not in solved:
-                oc, at, to = _plan_cost(cost.entries[rows], gains[rows], params.dummy_cost)
-                solved[key] = oc, len(at)
-                if breakdowns is not None:
-                    breakdowns.append(_paying_units(cost, loc, cls, every[rows], at, to))
-            priced.append(solved[key])
+    priced: list[list[tuple[float, int]]] = []
+    block: list[_Listed] = []
+    cells = 0
+    for (_, dets, gts), subsets in tasks:
+        every = np.arange(len(dets))
+        distinct: dict[bytes, int] = {}
+        problems, listed = [], []
+        for subset in subsets:
+            rows = every[subset]
+            listed.append(distinct.setdefault(rows.tobytes(), len(problems)))
+            if listed[-1] == len(problems):
+                problems.append(rows)
+        size = sum(map(len, problems)) * len(gts)
+        if block and cells + size > geometry._BLOCK_PAIRS:
+            priced += _price_block(param_list, block, breakdowns)
+            block, cells = [], 0
+        block.append((dets, gts, problems, listed))
+        cells += size
+    if block:
+        priced += _price_block(param_list, block, breakdowns)
     return priced
 
 
+def _price_block(
+    param_list: Sequence[OcCostParams],
+    block: Sequence[_Listed],
+    breakdowns: list[tuple[PairCost, ...]] | None,
+) -> list[list[tuple[float, int]]]:
+    """:func:`_price` of one block of images."""
+    det_sides = [dets for dets, _, _, _ in block]
+    gt_sides = [gts for _, gts, _, _ in block]
+    problems = [rows for _, _, distinct, _ in block for rows in distinct]
+    per_image = [len(distinct) for _, _, distinct, _ in block]
+    owner = np.repeat(np.arange(len(block)), per_image)
+    det_base = _starts(np.array([len(dets) for dets in det_sides], dtype=np.int64))[owner]
+    gt_sizes = np.array([len(gts) for gts in gt_sides], dtype=np.int64)
+    heights = np.array([len(rows) for rows in problems], dtype=np.int64)
+    widths = gt_sizes[owner]
+    # the rows of every problem among the block's detections, and every
+    # cell, problem by problem and column by column within one: a column
+    # is one ground truth against the rows of its problem
+    rows = np.concatenate([np.zeros(0, dtype=np.int64), *problems])
+    rows += np.repeat(det_base, heights)
+    columns = np.where(heights > 0, widths, 0)
+    height = np.repeat(heights, columns)
+    gt = np.arange(len(height)) - np.repeat(_starts(columns) - _starts(gt_sizes)[owner], columns)
+    row_of_cell = np.arange(height.sum())
+    row_of_cell -= np.repeat(_starts(height) - np.repeat(_starts(heights), columns), height)
+    dets = DetectionArrays(
+        np.concatenate([d.boxes for d in det_sides]),
+        np.concatenate([d.labels for d in det_sides]),
+        np.concatenate([d.scores for d in det_sides]),
+    )
+    gts = GroundTruthArrays(
+        np.concatenate([g.boxes for g in gt_sides]),
+        np.concatenate([g.labels for g in gt_sides]),
+        np.concatenate([g.crowd for g in gt_sides]),
+    )
+    loc, cls = _cell_terms(dets, gts, rows[row_of_cell], np.repeat(gt, height))
+
+    solved = []
+    for params in param_list:
+        beta = params.dummy_cost
+        entries = _blend(loc, cls, params)
+        matched, counts = _plans(_checked_gains(entries, beta), heights, widths)
+        values = entries[matched].tolist()
+        costs, done = [], 0
+        for m, n, k in zip(heights.tolist(), widths.tolist(), counts.tolist()):
+            costs.append((_problem_cost(values[done : done + k], beta, m, n), k))
+            done += k
+        solved.append(costs)
+        if breakdowns is not None:
+            ends = np.cumsum(counts)
+            first = _starts(heights * widths)
+            for p, problem in enumerate(problems):
+                cells = matched[ends[p] - counts[p] : ends[p]]
+                terms = (t[cells] for t in (entries, loc, cls))
+                breakdowns.append(
+                    _paying_units(problem, int(widths[p]), beta, cells - first[p], *terms)
+                )
+    firsts = _starts(np.array(per_image)).tolist()
+    return [
+        [costs[offset + i] for costs in solved for i in listed]
+        for offset, (_, _, _, listed) in zip(firsts, block)
+    ]
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    """Where each of consecutive runs of ``sizes`` starts."""
+    return np.cumsum(sizes) - sizes
+
+
+def _problem_cost(paid: list[float], beta: float, m: int, n: int) -> float:
+    """The correction cost of an m x n problem whose plan matches pairs
+    costing ``paid``: the exact (``math.fsum``) sum of its m + n - k
+    paying units over their count, 0 for an empty problem and ``beta``
+    for a one-sided one."""
+    if not (m and n):
+        return beta if m or n else 0.0
+    k = len(paid)
+    return math.fsum(paid + [beta] * (m + n - 2 * k)) / (m + n - k)
+
+
 def _paying_units(
-    cost: CostMatrix,
+    rows: np.ndarray,
+    n: int,
+    beta: float,
+    cells: np.ndarray,
+    cost: np.ndarray,
     loc: np.ndarray,
     cls: np.ndarray,
-    rows: np.ndarray,
-    at: np.ndarray,
-    to: np.ndarray,
 ) -> tuple[PairCost, ...]:
-    """The paying units of the plan (``at``, ``to``) of the problem at
-    detection ``rows`` of ``cost``: its matched pairs, then its unmatched
-    detections and ground truths, indexed in the whole image."""
+    """The paying units of the problem of detection ``rows`` (indexed in
+    the whole image) and ``n`` ground truths whose plan matches ``cells``
+    (its cells counted column by column, ordered by row), with their cost
+    and terms: the matched pairs, then the unmatched detections and
+    ground truths."""
+    to, at = np.divmod(cells, max(len(rows), 1))
     det_rows, gt_cols = rows[at].tolist(), to.tolist()
-    beta = cost.dummy_cost
     pairs = [
-        PairCost(
-            det_index=i,
-            gt_index=j,
-            cost=float(cost.entries[i, j]),
-            loc_cost=float(loc[i, j]),
-            cls_cost=float(cls[i, j]),
-        )
-        for i, j in zip(det_rows, gt_cols)
+        PairCost(det_index=i, gt_index=j, cost=c, loc_cost=lc, cls_cost=cc)
+        for i, j, c, lc, cc in zip(det_rows, gt_cols, cost.tolist(), loc.tolist(), cls.tolist())
     ]
     pairs += [PairCost(i, None, beta) for i in _unmatched(rows.tolist(), det_rows)]
-    pairs += [PairCost(None, j, beta) for j in _unmatched(range(cost.entries.shape[1]), gt_cols)]
+    pairs += [PairCost(None, j, beta) for j in _unmatched(range(n), gt_cols)]
     return tuple(pairs)
 
 
 def _unmatched(units: Sequence[int], matched: list[int]) -> list[int]:
     taken = set(matched)
     return [i for i in units if i not in taken]
-
-
-def _plan_cost(
-    entries: np.ndarray, gains: np.ndarray, dummy_cost: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """The correction cost of one image's problem, given its checked
-    credited gains, and the pairs (rows, cols) of its optimal plan."""
-    rows, cols = _match(gains)
-    m, n = entries.shape
-    k = len(rows)
-    if m == 0 or n == 0:
-        return (dummy_cost if m or n else 0.0), rows, cols
-    terms = entries[rows, cols].tolist()
-    return math.fsum(terms + [dummy_cost] * (m + n - 2 * k)) / (m + n - k), rows, cols
 
 
 def check_jobs(jobs: int) -> None:
@@ -230,8 +315,11 @@ def check_jobs(jobs: int) -> None:
         )
 
 
-def map_images(fn: Callable[..., R], tasks: Sequence[T], jobs: int, *shared: Any) -> list[R]:
-    """``fn(*shared, task)`` for one task per image, in input order.
+def map_images(
+    fn: Callable[..., list[R]], tasks: Sequence[T], jobs: int, *shared: Any
+) -> list[R]:
+    """The results of one task per image, in input order, where
+    ``fn(*shared, tasks[a:b])`` returns those of a contiguous range.
 
     The arguments every image shares are bound to ``fn`` once, so no task
     carries them. Images are independent, so ``jobs > 1`` cuts the tasks
@@ -240,15 +328,16 @@ def map_images(fn: Callable[..., R], tasks: Sequence[T], jobs: int, *shared: Any
     inherits ``fn``, the shared arguments and the tasks, so none of them
     is pickled; it sends its range's results back once (they must be
     picklable), or the exception it raised. The results are joined in input
-    order, so they are identical for any job count.
+    order; ``fn`` must return the same results for a task in any range
+    that holds it, and then they are identical for any job count.
     """
+    check_jobs(jobs)
     if not tasks:
         raise ValidationError("cannot evaluate an empty image sequence")
-    check_jobs(jobs)
     fn = functools.partial(fn, *shared)
     ranges = min(jobs, len(tasks))
     if ranges == 1:
-        return [fn(task) for task in tasks]
+        return fn(tasks)
     bounds = [len(tasks) * r // ranges for r in range(ranges + 1)]
     context = get_context("fork")
     workers = []
@@ -259,7 +348,7 @@ def map_images(fn: Callable[..., R], tasks: Sequence[T], jobs: int, *shared: Any
             worker.start()
             sender.close()
             workers.append((worker, receiver))
-        results = [fn(task) for task in tasks[: bounds[1]]]
+        results = fn(tasks[: bounds[1]])
         for worker, receiver in workers:
             try:
                 failed, value = receiver.recv()
@@ -283,12 +372,16 @@ def map_images(fn: Callable[..., R], tasks: Sequence[T], jobs: int, *shared: Any
 
 
 def _send_range(
-    fn: Callable[[T], R], tasks: Sequence[T], start: int, stop: int, sender: Connection
+    fn: Callable[[Sequence[T]], list[R]],
+    tasks: Sequence[T],
+    start: int,
+    stop: int,
+    sender: Connection,
 ) -> None:
     """A worker's body: send ``(False, results)`` for ``tasks[start:stop]``,
-    or ``(True, exception)`` if one of them raised."""
+    or ``(True, exception)`` if ``fn`` raised."""
     try:
-        reply = (False, [fn(task) for task in tasks[start:stop]])
+        reply = (False, fn(tasks[start:stop]))
     except BaseException as exc:  # the parent re-raises it
         reply = (True, exc)
     sender.send(reply)
@@ -308,7 +401,7 @@ def dataset_oc_cost(
     both sides still count, contributing 0.
     """
     tasks = [_whole_image(item) for item in per_image_inputs]
-    priced = map_images(_image_costs, tasks, jobs, [params])
+    priced = map_images(_price, tasks, jobs, [params])
     results = [
         ImageEvalResult(
             image_id=image_id,
@@ -337,15 +430,15 @@ def lambda_sweep(
 ) -> list[tuple[float, float]]:
     """Dataset mean cost for each localization weight.
 
-    Each image is evaluated at every weight in one task, from one
-    computation of its weight-independent cost terms, so ``jobs > 1``
-    forks one set of workers for the whole sweep.
+    Each image is evaluated at every weight in one pass of the pricing
+    kernel, from one computation of its weight-independent cost terms, so
+    ``jobs > 1`` forks one set of workers for the whole sweep.
     """
     if len(lambdas) == 0:
         raise ConfigError("lambda list is empty")
     param_list = [OcCostParams(loc_weight=lam, dummy_cost=beta) for lam in lambdas]
     tasks = [_whole_image(item) for item in per_image_inputs]
-    priced = map_images(_image_costs, tasks, jobs, param_list)
+    priced = map_images(_price, tasks, jobs, param_list)
     return [
         (lam, math.fsum(oc for oc, _ in column) / len(priced))
         for lam, column in zip(lambdas, zip(*priced))

@@ -1,4 +1,4 @@
-"""Exact solver for one image's detection-correction problem.
+"""Exact solver for detection-correction problems, one image's each.
 
 Every detection and every ground truth is one unit. A unit is either
 matched to one unit of the other side at the pair's cost c_ij, or left
@@ -25,6 +25,12 @@ two ways, cheapest first, and both are exact:
    candidate, with gains clipped at 0 and the shorter side assigned. A
    pair outside the block is never worth matching, and a clipped cell
    only pads the assignment, so the pairs of negative gain are kept.
+
+One code path, ``_plans``, settles a block of many problems at once:
+the pricing kernel of :mod:`oceval.occost` hands it the cells of
+many images, and ``solve`` the one problem it is given. It finds every
+problem's certificate with segment reductions over the block's cells,
+and runs the assignment only on the problems whose certificates fail.
 
 On detector output the certificate settles most images. The assignment
 takes O(r^2 c) time on an r x c block (r <= c), and a start that gives
@@ -103,16 +109,12 @@ class TransportPlan:
         return len(self.det_indices)
 
 
-def _checked_gains(cost: CostMatrix) -> np.ndarray:
-    """Validate ``cost`` and return the credited gain (c_ij - ε) - β of
-    every pair; only negative gains are worth matching. Every cell depends
-    on its own cost only, so a row subset of the gains equals the gains of
-    that row subset of the problem bit for bit."""
-    entries = cost.entries
-    if entries.ndim != 2:
-        raise ConfigError(f"cost matrix must be 2-D (m x n), got shape {entries.shape}")
+def _checked_gains(entries: np.ndarray, beta: float) -> np.ndarray:
+    """Validate pair costs ``entries`` (of any shape) and dummy cost
+    ``beta``, and return the credited gain (c_ij - ε) - β of every pair;
+    only negative gains are worth matching. Every gain depends on its own
+    cost only, so the gains of any list of cells are the same bits."""
     # one min and one max reject NaN, infinities and negatives alike
-    beta = cost.dummy_cost
     if (entries.size and not 0.0 <= entries.min() <= entries.max() < math.inf) or not (
         0.0 <= beta < math.inf
     ):
@@ -208,20 +210,64 @@ def _augment(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows.take(at_rows), cols.take(at_cols)
 
 
+def _plans(
+    gains: np.ndarray, heights: np.ndarray, widths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The optimal plans of a block of problems under the credited gains.
+
+    Problem p is ``heights[p]`` x ``widths[p]``; ``gains`` lists its cells
+    column by column (column j holds the gains of rows 0, 1, ... against
+    column j) after those of problem p - 1. Returns the cell, an index
+    into ``gains``, of every matched pair, grouped by problem and ordered
+    by row within one, and each problem's count of pairs.
+
+    The certificate of every problem is settled at once: each column's
+    least gain and the first row that reaches it (``argmin``'s tie rule).
+    A problem whose columns with a negative least gain pick distinct rows
+    takes those pairs; every other one is handed to :func:`_augment`.
+    """
+    columns = np.where(heights > 0, widths, 0)
+    height = np.repeat(heights, columns)
+    start = np.cumsum(height) - height
+    if len(start):
+        # each column's least gain and the first of its cells that holds it
+        least = np.minimum.reduceat(gains, start)
+        holds = np.where(gains == np.repeat(least, height), np.arange(len(gains)), len(gains))
+        pick = np.minimum.reduceat(holds, start)
+    else:
+        least = pick = start
+    negative = least < 0
+    cells = pick[negative]
+    problem = np.repeat(np.arange(len(heights)), columns)[negative]
+    # the picks by problem, then row: a repeated row is a collision
+    key = cells - start[negative] + (np.cumsum(heights) - heights)[problem]
+    order = np.argsort(key, kind="stable")
+    cells, problem, key = cells.take(order), problem.take(order), key.take(order)
+    clash = key[1:] == key[:-1]
+    if clash.any():
+        clashing = np.zeros(len(heights), dtype=bool)
+        clashing[problem[1:][clash]] = True
+        settled = ~clashing[problem]
+        found, owner = [cells[settled]], [problem[settled]]
+        first = (np.cumsum(heights * widths) - heights * widths).tolist()
+        for p in np.flatnonzero(clashing).tolist():
+            m, n = int(heights[p]), int(widths[p])
+            rows, cols = _augment(gains[first[p] : first[p] + m * n].reshape(n, m).T)
+            found.append(cols * m + rows + first[p])
+            owner.append(np.repeat(p, len(rows)))
+        owner = np.concatenate(owner)
+        order = np.argsort(owner, kind="stable")
+        cells, problem = np.concatenate(found).take(order), owner.take(order)
+    return cells, np.bincount(problem, minlength=len(heights))
+
+
 def _match(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (rows, cols), ordered by row, of an optimal plan under the
-    credited ``gains``: the certificate from the ground-truth side, else
-    the augmenting-path solver."""
+    """The pairs (rows, cols), ordered by row, of an optimal plan of one
+    problem under the credited ``gains``, found by :func:`_plans`."""
     m, n = gains.shape
-    if m == 0 or n == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    picks = gains.argmin(axis=0)
-    negative = gains[picks, np.arange(n)] < 0
-    rows = picks[negative]
-    if len(set(rows.tolist())) == len(rows):
-        order = rows.argsort()
-        return rows.take(order), negative.nonzero()[0].take(order)
-    return _augment(gains)
+    cells, _ = _plans(gains.T.ravel(), np.array([m]), np.array([n]))
+    cols, rows = np.divmod(cells, max(m, 1))
+    return rows, cols
 
 
 def _plan(cost: CostMatrix, rows: np.ndarray, cols: np.ndarray) -> TransportPlan:
@@ -238,4 +284,7 @@ def solve(cost: CostMatrix) -> TransportPlan:
     the module docstring, so among plans of equal objective one with the
     most matched pairs.
     """
-    return _plan(cost, *_match(_checked_gains(cost)))
+    entries = cost.entries
+    if entries.ndim != 2:
+        raise ConfigError(f"cost matrix must be 2-D (m x n), got shape {entries.shape}")
+    return _plan(cost, *_match(_checked_gains(entries, cost.dummy_cost)))

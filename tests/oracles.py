@@ -98,7 +98,9 @@ def brute_force_solve(cost: CostMatrix) -> TransportPlan:
     matching only pairs of negative gain, preferring more matches on ties.
     Enumeration is bounded to small instances by design.
     """
-    gains = _checked_gains(cost)
+    if cost.entries.ndim != 2:
+        raise ConfigError(f"cost matrix must be 2-D (m x n), got shape {cost.entries.shape}")
+    gains = _checked_gains(cost.entries, cost.dummy_cost)
     m, n = cost.entries.shape
     if m > MAX_BRUTE_FORCE_SIDE or n > MAX_BRUTE_FORCE_SIDE:
         raise ConfigError(

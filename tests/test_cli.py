@@ -410,6 +410,20 @@ def test_tune_nms_on_no_images_exits_4(tmp_path, capsys, objective):
     assert "cannot evaluate an empty image sequence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["evaluate"], ["sweep-lambda"], ["tune-nms"], ["bootstrap", "--metric", "oc-cost"]],
+)
+def test_jobs_below_one_on_no_images_is_a_usage_error(tmp_path, capsys, command):
+    # the job count is checked before the images, on every subcommand
+    gt, dt = tmp_path / "gt.json", tmp_path / "dt.json"
+    gt.write_text(json.dumps({"images": [], "annotations": [],
+                              "categories": [{"id": 1, "name": "a"}]}))
+    dt.write_text("[]")
+    assert main([*command, "--gt", str(gt), "--dt", str(dt), "--jobs", "0"]) == 2
+    assert capsys.readouterr().err.strip() == "usage error: jobs must be >= 1, got 0"
+
+
 def test_tune_nms_single_point_grid(tmp_path, capsys):
     gt, dt = run_fixture(tmp_path, images=2, gts_per_image=2)
     assert main(

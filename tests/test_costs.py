@@ -118,8 +118,8 @@ def test_build_problem_is_the_blend_of_one_precompute(rng):
             params = OcCostParams(lam, 0.6)
             blended = _blend(loc, cls, params)
             direct = build_problem(dets, gts, params)
-            np.testing.assert_array_equal(blended.entries, direct.entries)
-            assert blended.dummy_cost == direct.dummy_cost
+            np.testing.assert_array_equal(blended, direct.entries)
+            assert direct.dummy_cost == params.dummy_cost
             rows = [i for i in range(len(dets)) if rng.uniform() < 0.5][::-1]
             subset = build_problem([dets[i] for i in rows], gts, params)
             np.testing.assert_array_equal(direct.entries[rows].reshape(subset.entries.shape), subset.entries)

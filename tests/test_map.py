@@ -15,7 +15,7 @@ from oceval import (
     MapParams,
     dataset_map,
 )
-from oceval import map_metric
+from oceval import geometry, map_metric
 from oceval.costs import DetectionArrays, GroundTruthArrays, detection_arrays, ground_truth_arrays
 from oceval.geometry import boxes_to_array
 from oceval.map_metric import (
@@ -583,7 +583,7 @@ def test_flat_table_equals_oracle(images, max_detections, thresholds, recall_poi
 
     entries = oracle_table(inputs, params)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(map_metric, "_BLOCK_PAIRS", block)
+        patch.setattr(geometry, "_BLOCK_PAIRS", block)
         table = build_match_table(inputs, params)
     kept = oracle_filter(entries, score_threshold)
     sliced = filter_table(table, score_threshold)

@@ -25,7 +25,7 @@ from oceval.nms import DEFAULT_IOU_THRESHOLDS, DEFAULT_SCORE_THRESHOLDS
 from oracles import scalar_nms
 
 nms_module = importlib.import_module("oceval.nms")  # the package's ``nms`` is the function
-map_metric_module = importlib.import_module("oceval.map_metric")
+geometry_module = importlib.import_module("oceval.geometry")
 
 B1 = BoundingBox(0, 0, 10, 10)
 B1_SHIFT = BoundingBox(1, 0, 11, 10)
@@ -254,7 +254,7 @@ B0 = BoundingBox(0, 0, 2, 2)
 )
 def test_batched_passes_match_the_scalar_loop(images, points, block):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(map_metric_module, "_BLOCK_PAIRS", block)
+        patch.setattr(geometry_module, "_BLOCK_PAIRS", block)
         found = nms_module._nms_passes([detection_arrays(dets) for dets in images], points)
     assert len(found) == len(images)
     for dets, kept in zip(images, found):
@@ -343,17 +343,18 @@ def test_tune_jobs_bit_identical_with_one_pool(rng, count_pools):
 def test_tune_solves_each_distinct_survivor_set_once(rng, count_calls):
     # the pricing kernel keys survivor sets by content: an image is solved
     # once per distinct set the grid keeps, however many points share it
-    solves = count_calls("_plan_cost")
+    plans = count_calls("_plans")
     grid = [NmsParams(s, t) for s in (0.0, 0.2, 0.4, 0.6, 0.8) for t in (0.3, 0.5, 0.7, 1.0)]
     shared = 0
     for _ in range(5):
         inputs = _raw_dataset(rng, images=8)
-        solves.clear()
+        plans.clear()
         tune(inputs, "oc-cost", grid, jobs=1)
         distinct = [
             len({frozenset(map(id, scalar_nms(dets, point))) for point in grid})
             for _, dets, _ in inputs
         ]
-        assert len(solves) == sum(distinct)
+        # _plans(gains, heights, widths) settles one problem per height
+        assert sum(len(heights) for _, heights, _ in plans) == sum(distinct)
         shared += len(grid) * len(inputs) - sum(distinct)
     assert shared > 0

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oceval.occost
+import oceval.transport
+from oceval import geometry
 from oceval import (
     BoundingBox,
     ConfigError,
@@ -19,14 +21,17 @@ from oceval import (
     Detection,
     GroundTruthInstance,
     OcCostParams,
+    PairCost,
     ValidationError,
+    build_problem,
     dataset_oc_cost,
     image_oc_cost,
     lambda_sweep,
     solve,
 )
+from oceval.costs import _pair_terms, image_arrays
 from oceval.occost import map_images
-from oceval.transport import _TIE_EPSILON, _checked_gains
+from oceval.transport import _TIE_EPSILON, _checked_gains, _match
 
 from conftest import random_scene, transformed
 from oracles import brute_force_solve
@@ -181,20 +186,132 @@ def test_dataset_jobs_bit_identical(rng):
 
 
 def test_pair_terms_and_solves_once_per_image(rng, count_calls):
-    terms, solves = count_calls("_pair_terms"), count_calls("_plan_cost")
+    # the kernel computes the terms of each image's cells once however many
+    # params price them, and settles each problem once per params, in any
+    # cut of the images into blocks
+    terms, plans = count_calls("_cell_terms"), count_calls("_plans")
+
+    def counted():
+        # _cell_terms(dets, gts, det_rows, gt_rows) gets one row per cell;
+        # _plans(gains, heights, widths) one height per problem
+        found = sum(len(rows) for _, _, rows, _ in terms), sum(len(h) for _, h, _ in plans)
+        terms.clear()
+        plans.clear()
+        return found
+
     inputs = [(image_id, *random_scene(rng)) for image_id in range(12)]
-    dataset_oc_cost(inputs, OcCostParams())
-    assert (len(terms), len(solves)) == (12, 12)
-    terms.clear()
-    solves.clear()
-    lambda_sweep(inputs, [0.0, 0.25, 0.5, 0.75, 1.0], beta=0.6)
-    assert (len(terms), len(solves)) == (12, 60)
-    terms.clear()
-    solves.clear()
+    cells = sum(len(dets) * len(gts) for _, dets, gts in inputs)
+    for block in (1, 7, 1 << 14):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "_BLOCK_PAIRS", block)
+            dataset_oc_cost(inputs, OcCostParams())
+            assert counted() == (cells, 12)
+            lambda_sweep(inputs, [0.0, 0.25, 0.5, 0.75, 1.0], beta=0.6)
+            assert counted() == (cells, 60)
     dets, gts = random_scene(rng, max_m=6, max_n=6)
     result = image_oc_cost(dets, gts, OcCostParams(), with_breakdown=True)
-    assert (len(terms), len(solves)) == (1, 1)
+    assert counted() == (len(dets) * len(gts), 1)
     assert len(result.per_pair_breakdown) == len(dets) + len(gts) - result.matched_pairs
+
+
+# boxes that tie and overlap often, so that certificates collide
+KERNEL_BOXES = (BOX, BOX, BoundingBox(1, 1, 11, 11), BoundingBox(5, 0, 15, 10), FAR_BOX)
+
+
+@st.composite
+def kernel_images(draw):
+    """One image with int64 labels or labels past int64, and the subsets
+    of its detection rows to price: in any order, some empty, some
+    repeated, some the whole image as a slice."""
+    labels = st.sampled_from((1, 2**70) if draw(st.booleans()) else (1, 2))
+    scores = st.sampled_from((0.3, 0.9)) | st.floats(0.0, 1.0)
+    boxes = st.sampled_from(KERNEL_BOXES)
+    dets = draw(st.lists(st.builds(Detection, boxes, labels, scores), max_size=6))
+    gts = draw(st.lists(st.builds(GroundTruthInstance, boxes, labels), max_size=4))
+    subset = st.permutations(range(len(dets))).flatmap(
+        lambda order: st.integers(0, len(order)).map(lambda size: np.array(order[:size], int))
+    )
+    subsets = draw(st.lists(subset | st.just(slice(None)), min_size=1, max_size=4))
+    return dets, gts, subsets + subsets[: draw(st.integers(0, len(subsets)))]
+
+
+kernel_params = st.lists(
+    st.builds(OcCostParams, st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0),
+              st.sampled_from((0.3, 0.6, 1.0)) | st.floats(0.0, 1.0)),
+    min_size=1,
+    max_size=3,
+)
+
+
+def check_kernel(images, param_list):
+    """The kernel prices every (params, image, subset) of a multi-image
+    call as ``solve(build_problem(...))`` of that image's subset does: the
+    same cost, the same k and the same plan in its breakdown."""
+    tasks = [(image_arrays((i, dets, gts)), subsets) for i, (dets, gts, subsets) in enumerate(images)]
+    alones = []
+    for params in param_list:
+        breakdowns = []
+        alone = oceval.occost._price([params], tasks, breakdowns)
+        alones.append(alone)
+        units = iter(breakdowns)
+        for (dets, gts, subsets), got in zip(images, alone):
+            seen = set()
+            for subset, (cost, k) in zip(subsets, got):
+                rows = np.arange(len(dets))[subset]
+                picked = [dets[r] for r in rows.tolist()]
+                problem = build_problem(picked, gts, params)
+                plan = solve(problem)
+                at, to = plan.det_indices.tolist(), plan.gt_indices.tolist()
+                assert (cost, k) == (plan_cost(problem.entries, params.dummy_cost, at, to), len(at))
+                if rows.tobytes() in seen:
+                    continue
+                seen.add(rows.tobytes())
+                loc, cls = _pair_terms(picked, gts)
+                beta = params.dummy_cost
+                assert next(units) == (
+                    *(PairCost(int(rows[i]), j, problem.entries[i, j], loc[i, j], cls[i, j])
+                      for i, j in zip(at, to)),
+                    *(PairCost(r, None, beta) for i, r in enumerate(rows.tolist()) if i not in at),
+                    *(PairCost(None, j, beta) for j in range(len(gts)) if j not in to),
+                )
+        assert next(units, None) is None
+    # all params in one call: each image's results, params-major
+    joint = [[pair for alone in alones for pair in alone[i]] for i in range(len(images))]
+    assert oceval.occost._price(param_list, tasks) == joint
+
+
+@settings(max_examples=150, deadline=None)
+@given(images=st.lists(kernel_images(), min_size=1, max_size=5), param_list=kernel_params,
+       block=st.sampled_from((1, 2, 3, 7, 1 << 14)))
+def test_blocked_kernel_prices_every_problem_as_solve_does(images, param_list, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_BLOCK_PAIRS", block)
+        check_kernel(images, param_list)
+
+
+def test_blocked_kernel_reaches_the_assignment_and_splits_blocks(count_calls):
+    # two ground truths pick one detection (the certificates collide), at
+    # lambda 0 every ground truth of a label is the same column, labels
+    # past int64 sit next to int64 ones, and one image has more cells than
+    # a block holds
+    duplicate = [Detection(BOX, 1, 0.9), Detection(BOX, 1, 0.5), Detection(FAR_BOX, 2, 0.7)]
+    images = [
+        (duplicate, [GroundTruthInstance(BOX, 1)] * 2, [slice(None), np.array([1, 0]), np.array([], int)]),
+        ([], [], [slice(None)]),
+        ([Detection(BOX, 2**70, 0.8)], [], [slice(None)]),
+        ([], [GroundTruthInstance(BOX, 2**70)], [slice(None), slice(None)]),
+        ([Detection(BOX, 2**70, 0.8), Detection(BOX, 1, 0.6)],
+         [GroundTruthInstance(BOX, 2**70), GroundTruthInstance(BOX, 1)], [np.array([1, 0])]),
+    ]
+    params = [OcCostParams(0.0, 0.6), OcCostParams(0.5, 0.6)]
+    augments = []
+    augment = oceval.transport._augment
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_BLOCK_PAIRS", 4)
+        patch.setattr(oceval.transport, "_augment", lambda gains: augments.append(1) or augment(gains))
+        blocks = count_calls("_price_block")
+        check_kernel(images, params)
+    assert augments and len(blocks) > 1
 
 
 def test_dataset_jobs_one_fan_out(rng, count_pools):
@@ -223,15 +340,16 @@ def deadline(seconds):
 
 def test_map_images_leaves_no_worker_behind():
     with deadline(60):
-        assert map_images(lambda task: task * task, list(range(7)), 3) == [i * i for i in range(7)]
+        squares = map_images(lambda tasks: [t * t for t in tasks], list(range(7)), 3)
+        assert squares == [i * i for i in range(7)]
     assert multiprocessing.active_children() == []
 
 
 def test_worker_exception_reaches_the_caller():
-    def check(task):
-        if task == 3:  # in the worker's range [2, 4)
-            raise ValueError(f"image {task} is bad")
-        return task
+    def check(tasks):
+        if 3 in tasks:  # in the worker's range [2, 4)
+            raise ValueError("image 3 is bad")
+        return tasks
 
     with deadline(60), pytest.raises(ValueError, match=r"^image 3 is bad$"):
         map_images(check, list(range(4)), 2)
@@ -241,10 +359,10 @@ def test_worker_exception_reaches_the_caller():
 def test_worker_that_dies_without_sending_fails_the_call():
     parent = os.getpid()
 
-    def die_in_worker(task):
+    def die_in_worker(tasks):
         if os.getpid() != parent:
             os._exit(1)
-        return task
+        return tasks
 
     message = r"^a worker exited with code 1 before sending its results$"
     with deadline(60), pytest.raises(RuntimeError, match=message):
@@ -257,7 +375,7 @@ def test_more_jobs_than_images(rng, count_pools):
     with deadline(60):
         serial = dataset_oc_cost(inputs, OcCostParams())
         assert dataset_oc_cost(inputs, OcCostParams(), jobs=8) == serial
-        pids = map_images(lambda task: os.getpid(), inputs, 8)
+        pids = map_images(lambda tasks: [os.getpid()] * len(tasks), inputs, 8)
     assert count_pools() == 2
     # the caller computes the first image, one worker each of the other two
     assert pids[0] == os.getpid()
@@ -376,9 +494,11 @@ def test_mass_normalization_example():
 
 
 def kernel_step(entries, beta):
-    """The per-problem step of the pricing kernel: the cost and the plan
+    """The per-problem steps of the pricing kernel: the cost and the plan
     (rows, cols) of one image's problem."""
-    return oceval.occost._plan_cost(entries, _checked_gains(CostMatrix(entries, beta)), beta)
+    rows, cols = _match(_checked_gains(entries, beta))
+    paid = entries[rows, cols].tolist()
+    return oceval.occost._problem_cost(paid, beta, *entries.shape), rows, cols
 
 
 def plan_cost(entries, beta, rows, cols):
@@ -429,7 +549,7 @@ def credit_matches_above_beta(entries, beta):
     """Whether the tie credit makes a pair costing more than beta worth
     matching: one costing less than beta + eps, up to the rounding of its
     gain."""
-    gains = _checked_gains(CostMatrix(entries, beta))
+    gains = _checked_gains(entries, beta)
     return bool((entries[gains < 0] > beta).any())
 
 

@@ -342,6 +342,10 @@ def picks(gains):
     return rows[negative], negative.nonzero()[0]
 
 
+def gains_of(cost):
+    return _checked_gains(cost.entries, cost.dummy_cost)
+
+
 def distinct(indices):
     return len(set(indices.tolist())) == len(indices)
 
@@ -349,7 +353,7 @@ def distinct(indices):
 def tier_of(cost):
     """Which way ``solve`` settles ``cost``: the certificate from the
     ground-truth side, or the assignment."""
-    if distinct(picks(_checked_gains(cost))[0]):
+    if distinct(picks(gains_of(cost))[0]):
         return "ground truths"
     return "assignment"
 
@@ -368,7 +372,7 @@ def test_detection_certificate():
     # is the plan
     cost = problem([[0.1, 0.2, 0.9], [0.9, 0.3, 0.9]])
     assert tier_of(cost) == "assignment"
-    assert [p.tolist() for p in picks(_checked_gains(cost).T)] == [[0, 1], [0, 1]]
+    assert [p.tolist() for p in picks(gains_of(cost).T)] == [[0, 1], [0, 1]]
     plan = solve(cost)
     assert plan.det_indices.tolist() == [0, 1] and plan.gt_indices.tolist() == [0, 1]
 
@@ -378,7 +382,7 @@ def test_detection_certificate():
 def test_distinct_detection_picks_are_the_plan(cost):
     # whenever no two detections pick the same least-gain ground truth,
     # those pairs are optimal and the assignment's start returns them as is
-    cols, rows = picks(_checked_gains(cost).T)
+    cols, rows = picks(gains_of(cost).T)
     if distinct(cols):
         plan = solve(cost)
         np.testing.assert_array_equal(plan.det_indices, rows)
