@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import ImageInput, OcCostParams
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, _check_integer, _check_real
 from .map_metric import MapParams, build_match_table, map_from_table
 from .occost import check_jobs, dataset_oc_cost
 
@@ -42,16 +42,9 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trials, int):
-            raise ConfigError(f"trials must be an integer, got {self.trials!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if not 0.0 < self.sample_fraction <= 1.0:
-            raise ConfigError(f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < 2**128:
-            raise ConfigError(f"seed must be in [0, 2**128), got {self.seed}")
+        _check_integer("trials", self.trials, 1)
+        _check_real("sample_fraction", self.sample_fraction, 0, 1, open_low=True)
+        _check_integer("seed", self.seed, 0, bits=128)
 
 
 @dataclass(frozen=True)
@@ -85,11 +78,9 @@ def trial_sample(config: BootstrapConfig, trial: int, population: int) -> np.nda
     starts at the trial number, so any trial can be drawn independently
     and the result never depends on evaluation order.
     """
-    if population < 1:
-        raise ConfigError(f"population must be >= 1, got {population}")
-    if not 0 <= trial:
-        raise ConfigError(f"trial must be >= 0, got {trial}")
-    rng = np.random.Generator(np.random.Philox(key=config.seed, counter=[trial, 0, 0, 0]))
+    _check_integer("population", population, 1)
+    _check_integer("trial", trial, 0)
+    rng = np.random.Generator(np.random.Philox(key=config.seed, counter=trial))
     k = sample_size(config.sample_fraction, population)
     if config.with_replacement:
         return rng.integers(0, population, size=k, dtype=np.int64)

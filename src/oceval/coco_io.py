@@ -506,7 +506,8 @@ def write_report(payload: dict, path: str, format: str = "json") -> None:
     try:
         if format == "json":
             with open(path, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2)
+                # a setting may be a numpy scalar, which json writes only as its item
+                json.dump(payload, handle, indent=2, default=lambda value: value.item())
                 handle.write("\n")
         else:
             table = _csv_table(payload)

@@ -32,7 +32,7 @@ from typing import Any, Hashable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import _check_real, _is_integer
 from .geometry import BoundingBox, _iou, boxes_to_array
 
 __all__ = [
@@ -58,6 +58,8 @@ class Detection:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
             raise ValueError(f"detection score must lie in [0, 1], got {self.score!r}")
+        if not _is_integer(self.label):
+            raise ValueError(f"detection label must be an integer, got {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,10 @@ class GroundTruthInstance:
 
     box: BoundingBox
     label: int
+
+    def __post_init__(self) -> None:
+        if not _is_integer(self.label):
+            raise ValueError(f"ground truth label must be an integer, got {self.label!r}")
 
 
 def id_array(ids: Sequence[Any]) -> np.ndarray:
@@ -177,17 +183,15 @@ class OcCostParams:
         ``--beta``. It caps the cost a matched pair may incur: pairs whose
         unit cost exceeds it are cheaper to reject than to match.
 
-    Both must lie in [0, 1]; that keeps the final per-image cost in [0, 1].
+    Both must be in [0, 1]; that keeps the final per-image cost in [0, 1].
     """
 
     loc_weight: float = 0.5
     dummy_cost: float = 0.6
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.loc_weight) and 0.0 <= self.loc_weight <= 1.0):
-            raise ConfigError(f"loc_weight must lie in [0, 1], got {self.loc_weight!r}")
-        if not (math.isfinite(self.dummy_cost) and 0.0 <= self.dummy_cost <= 1.0):
-            raise ConfigError(f"dummy_cost must lie in [0, 1], got {self.dummy_cost!r}")
+        _check_real("loc_weight", self.loc_weight, 0, 1)
+        _check_real("dummy_cost", self.dummy_cost, 0, 1)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import _check_integer, _check_real
 
 __all__ = ["FixtureSpec", "generate_fixture"]
 
@@ -45,22 +45,15 @@ class FixtureSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.images < 1:
-            raise ConfigError(f"images must be >= 1, got {self.images}")
-        if self.gts_per_image < 0 or self.noise_per_image < 0:
-            raise ConfigError("instance counts must be >= 0")
-        if self.categories < 1:
-            raise ConfigError(f"categories must be >= 1, got {self.categories}")
-        if self.image_size < 64:
-            raise ConfigError(f"image_size must be >= 64, got {self.image_size}")
-        if not 0.0 <= self.jitter <= 0.1:
-            raise ConfigError(f"jitter must be in [0, 0.1], got {self.jitter}")
-        for name in ("det_score", "noise_score"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if not 0 <= self.seed < 2**128:
-            raise ConfigError(f"seed must be in [0, 2**128), got {self.seed}")
+        _check_integer("images", self.images, 1)
+        _check_integer("gts_per_image", self.gts_per_image, 0)
+        _check_integer("noise_per_image", self.noise_per_image, 0)
+        _check_integer("categories", self.categories, 1)
+        _check_integer("image_size", self.image_size, 64)
+        _check_real("jitter", self.jitter, 0, 0.1)
+        _check_real("det_score", self.det_score, 0, 1)
+        _check_real("noise_score", self.noise_score, 0, 1)
+        _check_integer("seed", self.seed, 0, bits=128)
 
 
 def _cell_box(rng: np.random.Generator, cell_x: float, cell_y: float, cell: float) -> tuple:

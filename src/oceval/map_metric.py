@@ -28,7 +28,7 @@ import numpy as np
 
 from . import geometry
 from .costs import ImageInput, image_arrays
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, _check_integer, _check_real
 from .geometry import _iou
 
 __all__ = [
@@ -61,22 +61,17 @@ class MapParams:
     max_detections: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.recall_points, int):
-            raise ConfigError(f"recall_points must be an integer, got {self.recall_points!r}")
-        if not isinstance(self.max_detections, int | None):
-            raise ConfigError(f"max_detections must be an integer, got {self.max_detections!r}")
+        _check_integer("recall_points", self.recall_points, 2)
+        if self.max_detections is not None:
+            _check_integer("max_detections", self.max_detections, 1)
         thrs = tuple(self.iou_thresholds)
         object.__setattr__(self, "iou_thresholds", thrs)
+        for i, t in enumerate(thrs):
+            _check_real(f"iou_thresholds[{i}]", t, 0, 1, open_low=True)
         if not thrs:
             raise ConfigError("at least one IoU threshold is required")
         if list(thrs) != sorted(set(thrs)):
             raise ConfigError(f"IoU thresholds must be sorted and unique, got {thrs}")
-        if not all(0.0 < t <= 1.0 for t in thrs):
-            raise ConfigError(f"IoU thresholds must lie in (0, 1], got {thrs}")
-        if self.recall_points < 2:
-            raise ConfigError(f"recall_points must be >= 2, got {self.recall_points}")
-        if self.max_detections is not None and self.max_detections < 1:
-            raise ConfigError(f"max_detections must be >= 1, got {self.max_detections}")
 
 
 @dataclass(frozen=True)

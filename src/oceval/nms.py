@@ -42,7 +42,7 @@ from .costs import (
     detection_arrays,
     image_arrays,
 )
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, _check_real
 from .map_metric import (
     MapParams,
     _lockstep_steps,
@@ -83,10 +83,8 @@ class NmsParams:
     iou_threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.score_threshold <= 1.0:
-            raise ConfigError(f"score_threshold must be in [0, 1], got {self.score_threshold}")
-        if not 0.0 <= self.iou_threshold <= 1.0:
-            raise ConfigError(f"iou_threshold must be in [0, 1], got {self.iou_threshold}")
+        _check_real("score_threshold", self.score_threshold, 0, 1)
+        _check_real("iou_threshold", self.iou_threshold, 0, 1)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from .costs import (
     _cell_terms,
     image_arrays,
 )
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, _check_integer
 from .transport import _checked_gains, _plans
 
 if TYPE_CHECKING:  # imported by the first fan-out, not by every start-up
@@ -306,8 +306,7 @@ def _unmatched(units: Sequence[int], matched: list[int]) -> list[int]:
 def check_jobs(jobs: int) -> None:
     """Reject a worker process count below 1, and above 1 where processes
     cannot be forked."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    _check_integer("jobs", jobs, 1)
     if jobs > 1 and "fork" not in get_all_start_methods():
         raise ConfigError(
             f"jobs must be 1 on this platform, got {jobs}: worker processes are "
@@ -331,7 +330,6 @@ def map_images(
     order; ``fn`` must return the same results for a task in any range
     that holds it, and then they are identical for any job count.
     """
-    check_jobs(jobs)
     if not tasks:
         raise ValidationError("cannot evaluate an empty image sequence")
     fn = functools.partial(fn, *shared)
@@ -400,6 +398,7 @@ def dataset_oc_cost(
     report is byte-identical for any job count. Images that are empty on
     both sides still count, contributing 0.
     """
+    check_jobs(jobs)
     tasks = [_whole_image(item) for item in per_image_inputs]
     priced = map_images(_price, tasks, jobs, [params])
     results = [
@@ -434,6 +433,7 @@ def lambda_sweep(
     kernel, from one computation of its weight-independent cost terms, so
     ``jobs > 1`` forks one set of workers for the whole sweep.
     """
+    check_jobs(jobs)
     if len(lambdas) == 0:
         raise ConfigError("lambda list is empty")
     param_list = [OcCostParams(loc_weight=lam, dummy_cost=beta) for lam in lambdas]

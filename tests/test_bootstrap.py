@@ -33,6 +33,16 @@ def varied_inputs(rng, count=10):
     return inputs
 
 
+def test_every_trial_number_draws_its_own_sample():
+    # the counter takes the trial as a 256-bit integer: trials from 2**63
+    # on are not rounded through a float, so neighbours draw apart
+    config = BootstrapConfig(sample_fraction=1.0, with_replacement=True)
+    for trial in (2**63, 2**64 - 2, 2**200):
+        assert not np.array_equal(trial_sample(config, trial, 1000), trial_sample(config, trial + 1, 1000))
+    rng = np.random.Generator(np.random.Philox(key=0, counter=[5, 0, 0, 0]))
+    assert np.array_equal(trial_sample(config, 5, 1000), rng.integers(0, 1000, size=1000, dtype=np.int64))
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         BootstrapConfig(trials=0)

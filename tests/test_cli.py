@@ -437,7 +437,7 @@ def test_gen_fixture_rejects_bad_spec(tmp_path, capsys):
     argv = ["gen-fixture", "--gt-out", str(tmp_path / "g.json"), "--dt-out", str(tmp_path / "d.json")]
     for flag, message in [
         (["--jitter", "0.5"], "jitter must be in [0, 0.1], got 0.5"),
-        (["--gts-per-image", "-1"], "instance counts must be >= 0"),
+        (["--gts-per-image", "-1"], "gts_per_image must be >= 0, got -1"),
         (["--image-size", "32"], "image_size must be >= 64, got 32"),
     ]:
         assert main(argv + flag) == 2

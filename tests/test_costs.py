@@ -31,6 +31,27 @@ def test_detection_score_validation():
         Detection(BOX, 1, -0.1)
 
 
+@pytest.mark.parametrize("label", ["1", " 7 ", 1.5, 1.0, True, None])
+def test_a_label_that_is_no_integer_is_rejected(label):
+    # a label is compared as it is, never parsed or truncated into a class id
+    with pytest.raises(ValueError, match="^detection label must be an integer"):
+        Detection(BOX, label, 1.0)
+    with pytest.raises(ValueError, match="^ground truth label must be an integer"):
+        GroundTruthInstance(BOX, label)
+
+
+@pytest.mark.parametrize("label", [1, np.int64(1), 2**70])
+def test_integer_labels_price_as_the_scalar_oracle(label):
+    params = OcCostParams(0.5, 0.6)
+    dets = [Detection(BOX, label, 0.9), Detection(BoundingBox(2, 2, 12, 12), 2, 0.8)]
+    gts = [GroundTruthInstance(BOX, int(label)), GroundTruthInstance(BoundingBox(1, 0, 11, 10), 2)]
+    cm = build_problem(dets, gts, params)
+    for i, det in enumerate(dets):
+        for j, gt in enumerate(gts):
+            assert cm.entries[i, j] == unit_cost(det, gt, params)
+    assert cm.entries[0, 0] == unit_cost(dets[0], gts[0], params) == (1.0 - 0.9) / 4
+
+
 def test_params_validation():
     with pytest.raises(ConfigError):
         OcCostParams(loc_weight=1.5)

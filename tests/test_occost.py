@@ -280,6 +280,7 @@ def check_kernel(images, param_list):
     assert oceval.occost._price(param_list, tasks) == joint
 
 
+@pytest.mark.slow
 @settings(max_examples=150, deadline=None)
 @given(images=st.lists(kernel_images(), min_size=1, max_size=5), param_list=kernel_params,
        block=st.sampled_from((1, 2, 3, 7, 1 << 14)))
@@ -472,7 +473,7 @@ def test_lambda_sweep_repeated_lambda(rng):
 
 def test_lambda_sweep_validation():
     for bad in (1.5, -0.1, math.nan, math.inf):
-        with pytest.raises(ConfigError, match="loc_weight must lie in"):
+        with pytest.raises(ConfigError, match=r"^loc_weight must be in \[0, 1\]"):
             lambda_sweep([(1, [], [])], [0.5, bad], beta=0.6)
     with pytest.raises(ConfigError, match="lambda list is empty"):
         lambda_sweep([(1, [], [])], [], beta=0.6)
