@@ -1,7 +1,8 @@
 """Bootstrap consistency analysis over resampled image subsets.
 
 Each trial draws a multiset of image indices with a counter-based
-generator keyed by (seed, trial), so trial streams are independent of
+generator keyed by the seed, on a stream of its own that starts at
+counter ``trial * 2**64``, so trial streams are independent of
 scheduling and of each other. Every detector is evaluated on the same
 multiset within a trial (paired comparison), which isolates ranking
 stability from sampling noise. Per-image costs and match tables are
@@ -74,13 +75,15 @@ def sample_size(fraction: float, population: int) -> int:
 def trial_sample(config: BootstrapConfig, trial: int, population: int) -> np.ndarray:
     """Image indices drawn for one trial.
 
-    The generator is counter-based: the key is the seed and the counter
-    starts at the trial number, so any trial can be drawn independently
-    and the result never depends on evaluation order.
+    The generator is counter-based: the key is the seed and the trial
+    number fills the counter's upper three 64-bit words. Philox counts its
+    blocks in the lowest word, so every trial owns 2**64 blocks of its
+    own, no trial's draws overlap another's, any trial can be drawn
+    independently and the result never depends on evaluation order.
     """
     _check_integer("population", population, 1)
-    _check_integer("trial", trial, 0)
-    rng = np.random.Generator(np.random.Philox(key=config.seed, counter=trial))
+    _check_integer("trial", trial, 0, bits=192)
+    rng = np.random.Generator(np.random.Philox(key=config.seed, counter=int(trial) << 64))
     k = sample_size(config.sample_fraction, population)
     if config.with_replacement:
         return rng.integers(0, population, size=k, dtype=np.int64)

@@ -13,6 +13,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -242,10 +243,11 @@ def cmd_gen_fixture(args: argparse.Namespace, config: dict[str, str]) -> int:
     spec = FixtureSpec(**_given(args, config, *(field.name for field in fields(FixtureSpec))))
     gt_doc, det_records = generate_fixture(spec)
     try:
+        # json.dumps, unlike json.dump, writes through the C encoder
         with open(args.gt_out, "w", encoding="utf-8") as handle:
-            json.dump(gt_doc, handle)
+            handle.write(json.dumps(gt_doc))
         with open(args.dt_out, "w", encoding="utf-8") as handle:
-            json.dump(det_records, handle)
+            handle.write(json.dumps(det_records))
     except OSError as exc:
         raise ParseError(f"cannot write fixture: {exc}") from exc
     print(
@@ -301,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run(p)
     p.add_argument("--dt", required=True, help="COCO results JSON")
     _flag(p, "with_map", action="store_true")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("bootstrap", help="resampled metric distributions per detector")
     _add_data(p)
@@ -314,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     replacement = p.add_mutually_exclusive_group()
     _flag(replacement, "with_replacement", action="store_true")
     replacement.add_argument("--no-replacement", dest="with_replacement", action="store_false")
-    p.set_defaults(func=cmd_bootstrap)
 
     # without abbreviations, a stray --lambda is an error, not --lambdas
     p = sub.add_parser(
@@ -325,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run(p)
     p.add_argument("--dt", required=True)
     _flag(p, "lambdas")
-    p.set_defaults(func=cmd_sweep_lambda)
 
     p = sub.add_parser("tune-nms", help="grid-search NMS thresholds")
     _add_data(p)
@@ -336,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     _flag(p, "score_thresholds")
     _flag(p, "iou_thresholds")
     p.add_argument("--emit-count-histogram", help="write detection-count histogram here")
-    p.set_defaults(func=cmd_tune_nms)
 
     p = sub.add_parser("gen-fixture", help="generate a synthetic COCO dataset")
     p.add_argument("--config", help="key=value settings file")
@@ -344,17 +342,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt-out", required=True)
     for field in fields(FixtureSpec):
         _flag(p, field.name)
-    p.set_defaults(func=cmd_gen_fixture)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built at its first call in a process."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at each call, so a replaced cmd_* function takes effect
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         config = read_config(args.config) if getattr(args, "config", None) else {}
-        return args.func(args, config)
+        return command(args, config)
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

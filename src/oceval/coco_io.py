@@ -505,10 +505,10 @@ def write_report(payload: dict, path: str, format: str = "json") -> None:
         raise ConfigError(f"cannot serialize report of type {type(payload).__name__}")
     try:
         if format == "json":
+            # a setting may be a numpy scalar, which json writes only as its item
+            text = json.dumps(payload, indent=2, default=lambda value: value.item())
             with open(path, "w", encoding="utf-8") as handle:
-                # a setting may be a numpy scalar, which json writes only as its item
-                json.dump(payload, handle, indent=2, default=lambda value: value.item())
-                handle.write("\n")
+                handle.write(text + "\n")
         else:
             table = _csv_table(payload)
             with open(path, "w", encoding="utf-8", newline="") as handle:

@@ -38,10 +38,10 @@ def _check_integer(name: str, value: object, floor: int, bits: int | None = None
     ``bits`` is given, is not below 2**bits."""
     if not _is_integer(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if bits is not None and not floor <= value < 2**bits:
-        raise ConfigError(f"{name} must be in [{floor}, 2**{bits}), got {value}")
     if value < floor:
         raise ConfigError(f"{name} must be >= {floor}, got {value}")
+    if bits is not None and value >= 2**bits:
+        raise ConfigError(f"{name} must be in [{floor}, 2**{bits}), got {value}")
 
 
 def _check_real(name: str, value: object, lo: float, hi: float, open_low: bool = False) -> None:

@@ -30,7 +30,6 @@ import functools
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from multiprocessing import get_all_start_methods, get_context
 from typing import TYPE_CHECKING, Any, Hashable, TypeVar
 
 import numpy as np
@@ -301,6 +300,22 @@ def _paying_units(
 def _unmatched(units: Sequence[int], matched: list[int]) -> list[int]:
     taken = set(matched)
     return [i for i in units if i not in taken]
+
+
+def get_all_start_methods() -> list[str]:
+    """``multiprocessing.get_all_start_methods()``. Each of these two
+    wrappers imports multiprocessing when called, so a process that never
+    fans out never loads it."""
+    import multiprocessing
+
+    return multiprocessing.get_all_start_methods()
+
+
+def get_context(method: str) -> Any:
+    """``multiprocessing.get_context(method)``."""
+    import multiprocessing
+
+    return multiprocessing.get_context(method)
 
 
 def check_jobs(jobs: int) -> None:

@@ -3,8 +3,9 @@
 None of them is used by the package: the pair IoU kernel and
 ``pairwise_giou`` must equal :func:`iou`/:func:`giou` bit for bit, ``build_problem`` must
 equal :func:`unit_cost` cell by cell, ``solve`` must reach the
-objective of :func:`brute_force_solve`, and ``nms`` must keep what
-:func:`scalar_nms` keeps.
+objective of :func:`brute_force_solve`, ``nms`` must keep what
+:func:`scalar_nms` keeps, and ``generate_fixture`` must build what
+:func:`scalar_fixture` builds.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from oceval import (
     BoundingBox,
     CostMatrix,
     Detection,
+    FixtureSpec,
     GroundTruthInstance,
     NmsParams,
     OcCostParams,
@@ -142,3 +144,69 @@ def scalar_nms(dets: list[Detection], params: NmsParams) -> list[Detection]:
             if not suppressed[b] and da.label == db.label and iou(da.box, db.box) > params.iou_threshold:
                 suppressed[b] = True
     return [dets[i] for a, i in enumerate(order) if not suppressed[a]]
+
+
+def scalar_fixture(spec: FixtureSpec) -> tuple[dict, list[dict]]:
+    """``generate_fixture`` with one scalar draw per number, slot by slot:
+    each image's Philox stream gives w, h, x1, y1 of every slot, followed
+    for a jittered ground truth by its dx, dy, sw, sh."""
+    per_image = spec.gts_per_image + spec.noise_per_image
+    cols = max(1, math.ceil(math.sqrt(per_image)))
+    cell = spec.image_size / cols
+    images, annotations, detections = [], [], []
+    ann_id = 1
+    for img_index in range(spec.images):
+        image_id = img_index + 1
+        images.append(
+            {
+                "id": image_id,
+                "width": spec.image_size,
+                "height": spec.image_size,
+                "file_name": f"synthetic_{image_id:06d}.jpg",
+            }
+        )
+        rng = np.random.Generator(np.random.Philox(key=spec.seed, counter=[img_index, 0, 0, 0]))
+        for slot in range(per_image):
+            w = cell * rng.uniform(0.4, 0.6)
+            h = cell * rng.uniform(0.4, 0.6)
+            x1 = (slot % cols) * cell + cell * rng.uniform(0.15, 0.25)
+            y1 = (slot // cols) * cell + cell * rng.uniform(0.15, 0.25)
+            box = (x1, y1, w, h)
+            if slot >= spec.gts_per_image:
+                detections.append(
+                    {
+                        "image_id": image_id,
+                        "category_id": 1 + (slot - spec.gts_per_image) % spec.categories,
+                        "bbox": [round(v, 4) for v in box],
+                        "score": spec.noise_score,
+                    }
+                )
+                continue
+            category = 1 + slot % spec.categories
+            annotations.append(
+                {
+                    "id": ann_id,
+                    "image_id": image_id,
+                    "category_id": category,
+                    "bbox": [round(v, 4) for v in box],
+                    "iscrowd": 0,
+                    "area": round(w * h, 4),
+                }
+            )
+            ann_id += 1
+            if spec.jitter > 0:
+                dx = w * rng.uniform(-spec.jitter, spec.jitter)
+                dy = h * rng.uniform(-spec.jitter, spec.jitter)
+                sw = 1.0 + rng.uniform(-spec.jitter, spec.jitter)
+                sh = 1.0 + rng.uniform(-spec.jitter, spec.jitter)
+                box = (x1 + dx, y1 + dy, w * sw, h * sh)
+            detections.append(
+                {
+                    "image_id": image_id,
+                    "category_id": category,
+                    "bbox": [round(v, 4) for v in box],
+                    "score": spec.det_score,
+                }
+            )
+    categories = [{"id": cat, "name": f"category_{cat}"} for cat in range(1, spec.categories + 1)]
+    return {"images": images, "annotations": annotations, "categories": categories}, detections

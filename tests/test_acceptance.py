@@ -172,7 +172,6 @@ def test_criterion_5_fuzz_invariants():
     print("criterion 5 PASS: 4 fuzz suites x 1000 cases (range, permutation, scale, giou)")
 
 
-@pytest.mark.slow
 def test_criterion_6_performance(tmp_path):
     gt = tmp_path / "bench_gt.json"
     dt = tmp_path / "bench_dt.json"

@@ -34,13 +34,35 @@ def varied_inputs(rng, count=10):
 
 
 def test_every_trial_number_draws_its_own_sample():
-    # the counter takes the trial as a 256-bit integer: trials from 2**63
-    # on are not rounded through a float, so neighbours draw apart
+    # the trial fills the counter's upper three words as an integer: trials
+    # from 2**63 on are not rounded through a float, so neighbours draw apart
     config = BootstrapConfig(sample_fraction=1.0, with_replacement=True)
-    for trial in (2**63, 2**64 - 2, 2**200):
+    for trial in (2**63, 2**64 - 2, 2**192 - 2):
         assert not np.array_equal(trial_sample(config, trial, 1000), trial_sample(config, trial + 1, 1000))
-    rng = np.random.Generator(np.random.Philox(key=0, counter=[5, 0, 0, 0]))
+    rng = np.random.Generator(np.random.Philox(key=0, counter=[0, 5, 0, 0]))
     assert np.array_equal(trial_sample(config, 5, 1000), rng.integers(0, 1000, size=1000, dtype=np.int64))
+
+
+def test_no_trial_is_a_shifted_copy_of_its_neighbour():
+    # Philox counts its blocks in the counter's lowest word; with the trial
+    # there, trial t + 1 replayed trial t's draws one block later
+    config = BootstrapConfig(100, 0.3, True, 0)
+    for trial in (0, 1, 2**64 - 1):
+        a, b = trial_sample(config, trial, 5000), trial_sample(config, trial + 1, 5000)
+        for shift in range(1, 65):
+            assert not np.array_equal(b[:-shift], a[shift:])
+            assert not np.array_equal(a[:-shift], b[shift:])
+
+
+def test_trial_means_spread_as_independent_samples_do():
+    # the mean of k = 1500 draws with replacement from a population of
+    # spread sigma has spread sigma / sqrt(k); 100 trials estimate it to
+    # about 7% (one standard error)
+    values = np.random.default_rng(0).uniform(size=5000)
+    config = BootstrapConfig(100, 0.3, True, 0)
+    means = [values[trial_sample(config, trial, 5000)].mean() for trial in range(100)]
+    expected = values.std() / math.sqrt(1500)
+    assert 0.75 < np.std(means, ddof=1) / expected < 1.25
 
 
 def test_config_validation():

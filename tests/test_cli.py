@@ -657,3 +657,32 @@ def test_cli_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_a_one_process_run_loads_no_multiprocessing(tmp_path):
+    # only a fan-out to worker processes needs multiprocessing, which an
+    # import of the CLI and a --jobs 1 evaluation must not load
+    src = Path(oceval.cli.__file__).resolve().parents[1]
+    gt, dt = str(tmp_path / "gt.json"), str(tmp_path / "dt.json")
+    probe = (
+        "import sys, oceval.cli\n"
+        "print('multiprocessing' in sys.modules)\n"
+        f"oceval.cli.main(['gen-fixture', '--images', '3', '--gt-out', {gt!r}, '--dt-out', {dt!r}])\n"
+        f"oceval.cli.main(['evaluate', '--gt', {gt!r}, '--dt', {dt!r}, '--jobs', '1', '--with-map'])\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert [lines[0], lines[-1]] == ["False", "False"]
+
+
+def test_main_reuses_one_parser_and_build_parser_makes_a_new_one(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(oceval.cli, "build_parser", lambda: built.append(1) or build_parser())
+    oceval.cli._parser.cache_clear()
+    gt, dt = run_fixture(tmp_path, images=2, gts_per_image=2)
+    assert main(["evaluate", "--gt", gt, "--dt", dt]) == 0
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+    oceval.cli._parser.cache_clear()

@@ -36,7 +36,7 @@ INTEGERS = [
     ("MapParams.max_detections", lambda v: MapParams(max_detections=v), 1, None),
     ("BootstrapConfig.trials", lambda v: BootstrapConfig(trials=v), 1, None),
     ("BootstrapConfig.seed", lambda v: BootstrapConfig(seed=v), 0, 128),
-    ("trial_sample.trial", lambda v: trial_sample(BootstrapConfig(), v, 10), 0, None),
+    ("trial_sample.trial", lambda v: trial_sample(BootstrapConfig(), v, 10), 0, 192),
     ("trial_sample.population", lambda v: trial_sample(BootstrapConfig(), 0, v), 1, None),
     ("FixtureSpec.images", lambda v: FixtureSpec(images=v), 1, None),
     ("FixtureSpec.gts_per_image", lambda v: FixtureSpec(gts_per_image=v), 0, None),
