@@ -20,17 +20,15 @@ from .coco_io import (
     write_report,
 )
 from .costs import (
-    CostMatrix,
     Detection,
     DetectionArrays,
     GroundTruthArrays,
     GroundTruthInstance,
     OcCostParams,
-    build_problem,
 )
 from .errors import ConfigError, OcevalError, ParseError, ValidationError
 from .fixtures import FixtureSpec, generate_fixture
-from .geometry import BoundingBox, pairwise_giou
+from .geometry import BoundingBox
 from .map_metric import (
     MapParams,
     MapReport,
@@ -46,22 +44,16 @@ from .occost import (
     image_oc_cost,
     lambda_sweep,
 )
-from .transport import TransportPlan, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundingBox",
-    "pairwise_giou",
     "Detection",
     "GroundTruthInstance",
     "DetectionArrays",
     "GroundTruthArrays",
     "OcCostParams",
-    "CostMatrix",
-    "build_problem",
-    "TransportPlan",
-    "solve",
     "PairCost",
     "ImageEvalResult",
     "DatasetReport",

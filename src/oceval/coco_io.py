@@ -495,6 +495,14 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
+def _json_number(value: Any) -> Any:
+    """A numpy scalar, which a setting may be, as the Python number json
+    writes; any other value json cannot write is a usage error."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise ConfigError(f"cannot serialize report value of type {type(value).__name__}")
+
+
 def write_report(payload: dict, path: str, format: str = "json") -> None:
     """Serialize a report payload, as built by ``report_payload``,
     ``sweep_payload``, ``histogram_payload``, ``tune_payload`` or
@@ -505,8 +513,7 @@ def write_report(payload: dict, path: str, format: str = "json") -> None:
         raise ConfigError(f"cannot serialize report of type {type(payload).__name__}")
     try:
         if format == "json":
-            # a setting may be a numpy scalar, which json writes only as its item
-            text = json.dumps(payload, indent=2, default=lambda value: value.item())
+            text = json.dumps(payload, indent=2, default=_json_number)
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
         else:

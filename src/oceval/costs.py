@@ -3,19 +3,24 @@
 A unit cost says how much work it takes to turn one detection into one
 ground-truth instance. It blends a localization term (driven by
 generalized IoU) and a classification term (driven by the label match
-and the confidence score), weighted by ``loc_weight``. A problem is the
-m x n block of these costs for one image's m detections and n ground
-truths, plus ``dummy_cost``: the price of leaving a detection unmatched
-(a false positive) or a ground truth unmatched (a false negative).
+and the confidence score), weighted by ``loc_weight``: the cost of
+detection i against ground truth j is λ (1 - GIoU_ij) / 2 + (1 - λ) cls_ij,
+with λ = ``loc_weight`` and cls_ij = (1 - s_i) / 2 when the labels agree
+and (1 + s_i) / 2 when they differ, s_i the detection's score. A problem
+is the m x n block of these costs for one image's m detections and n
+ground truths, plus ``dummy_cost``: the price of leaving a detection
+unmatched (a false positive) or a ground truth unmatched (a false
+negative).
 
 Every cell depends on its own detection and ground truth only, so the
 terms are computed cell by cell (:func:`_cell_terms`) over any list of
 (detection, ground truth) pairs: the one pricing kernel, ``_price`` in
-:mod:`oceval.occost`, lists the cells of many problems at once, and
-:func:`build_problem` those of one image. The two terms do not depend
-on ``loc_weight``, so the kernel computes them once per cell and blends
-them once per weight (the lambda sweep). A cell's terms, blend and gain
-are the same bits whichever list it is computed in.
+:mod:`oceval.occost`, lists the cells of many problems at once. The two
+terms do not depend on ``loc_weight``, so the kernel computes them once
+per cell and blends them once per weight (:func:`_blend`; the lambda
+sweep). A cell's terms, blend and gain are the same bits whichever list
+it is computed in. ``image_oc_cost(..., with_breakdown=True)`` reports
+the cost and both terms of every matched pair.
 
 Every kernel reads one image's detections and ground truths as columns
 (:class:`DetectionArrays`, :class:`GroundTruthArrays`): the COCO loader
@@ -42,8 +47,6 @@ __all__ = [
     "GroundTruthArrays",
     "ImageInput",
     "OcCostParams",
-    "CostMatrix",
-    "build_problem",
 ]
 
 
@@ -194,19 +197,6 @@ class OcCostParams:
         _check_real("dummy_cost", self.dummy_cost, 0, 1)
 
 
-@dataclass(frozen=True)
-class CostMatrix:
-    """One image's correction problem.
-
-    ``entries`` is the m x n block of unit costs, row i for detection i and
-    column j for ground truth j; ``dummy_cost`` is the price of each
-    unmatched detection or ground truth.
-    """
-
-    entries: np.ndarray
-    dummy_cost: float
-
-
 def _cell_terms(
     dets: DetectionArrays, gts: GroundTruthArrays, det_rows: np.ndarray, gt_rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -221,34 +211,8 @@ def _cell_terms(
     return loc, cls
 
 
-def _pair_terms(
-    dets: Sequence[Detection], gts: Sequence[GroundTruthInstance]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The weight-independent m x n localization and classification costs."""
-    m, n = len(dets), len(gts)
-    rows, cols = np.divmod(np.arange(m * n), max(n, 1))
-    cells = _cell_terms(detection_arrays(dets), ground_truth_arrays(gts), rows, cols)
-    return cells[0].reshape(m, n), cells[1].reshape(m, n)
-
-
 def _blend(loc: np.ndarray, cls: np.ndarray, params: OcCostParams) -> np.ndarray:
     """The unit costs of cells (or pairs) with terms ``loc`` and ``cls``
     under ``params``."""
     w = params.loc_weight
     return w * loc + (1.0 - w) * cls
-
-
-def build_problem(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruthInstance],
-    params: OcCostParams,
-) -> CostMatrix:
-    """Assemble one image's m x n cost block and its dummy cost.
-
-    Entry (i, j) is λ (1 - GIoU_ij) / 2 + (1 - λ) cls_ij, with
-    λ = ``params.loc_weight`` and GIoU_ij that of the two boxes. The
-    classification cost cls_ij is (1 - s_i) / 2 when the labels agree and
-    (1 + s_i) / 2 when they differ, s_i the detection's score. Either side
-    may be empty.
-    """
-    return CostMatrix(_blend(*_pair_terms(dets, gts), params), params.dummy_cost)

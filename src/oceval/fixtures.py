@@ -61,6 +61,10 @@ class FixtureSpec:
         _check_real("det_score", self.det_score, 0, 1)
         _check_real("noise_score", self.noise_score, 0, 1)
         _check_integer("seed", self.seed, 0, bits=128)
+        # numpy numbers pass the checks; the documents get Python ones
+        for name, value in vars(self).items():
+            if isinstance(value, np.generic):
+                object.__setattr__(self, name, value.item())
 
 
 def _draw_bounds(spec: FixtureSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "BoundingBox",
     "boxes_to_array",
-    "pairwise_giou",
 ]
 
 # Box pairs per block of a batched IoU or GIoU computation: the pair
@@ -80,9 +79,3 @@ def _iou(a: np.ndarray, b: np.ndarray, generalized: bool = False) -> np.ndarray:
     hull_h = np.maximum(a[..., 3], b[..., 3]) - np.minimum(a[..., 1], b[..., 1])
     hull = hull_w * hull_h
     return inter / union - (hull - union) / hull
-
-
-def pairwise_giou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise generalized IoU, bitwise equal to the scalar ``giou`` oracle
-    of the tests on each pair."""
-    return _iou(a[:, None, :], b[None, :, :], generalized=True)

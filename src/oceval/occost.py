@@ -22,6 +22,12 @@ once per params, and settles every problem's plan at once
 contiguous ranges with :func:`map_images`, one per process, and each
 process prices its range block by block; workers send back plain
 ``(cost, k)`` pairs.
+
+The kernel is also the only way to an image's plan: with
+``with_breakdown=True``, :func:`image_oc_cost` lists its matched pairs
+(with each pair's cost and its localization and classification terms)
+and its unmatched detections and ground truths, as :class:`PairCost`
+records.
 """
 
 from __future__ import annotations
@@ -114,13 +120,14 @@ def image_oc_cost(
 ) -> ImageEvalResult:
     """Evaluate one image.
 
-    Builds the m x n problem, solves it exactly, and averages the cost of
-    the m + n - k paying units of the plan: the k matched pairs and the
-    unmatched detections and ground truths. Empty images (no detections,
-    no ground truths) cost 0; images empty on one side only cost exactly
-    the dummy cost, since every unit then rides a dummy leg. The breakdown
-    lists the matched pairs by detection, then the unmatched detections,
-    then the unmatched ground truths.
+    Prices and solves the image's m x n problem exactly in the pricing
+    kernel, and averages the cost of the m + n - k paying units of the
+    plan: the k matched pairs and the unmatched detections and ground
+    truths. Empty images (no detections, no ground truths) cost 0; images
+    empty on one side only cost exactly the dummy cost, since every unit
+    then rides a dummy leg. The breakdown lists the matched pairs by
+    detection, then the unmatched detections, then the unmatched ground
+    truths.
     """
     breakdowns: list[tuple[PairCost, ...]] | None = [] if with_breakdown else None
     [[(oc, k)]] = _price([params], [_whole_image((image_id, dets, gts))], breakdowns)

@@ -11,8 +11,8 @@ at β and carrying k units) is
 
 so an optimal plan is a partial injective matching that minimises the
 sum of the gains c_ij - β of its pairs. Only a pair of negative gain is
-worth matching; call it a candidate. ``solve`` finds an optimum in one of
-two ways, cheapest first, and both are exact:
+worth matching; call it a candidate. :func:`_plans` finds an optimum in
+one of two ways, cheapest first, and both are exact:
 
 1. Certificate from the ground-truth side. Every ground truth with a
    candidate picks its least-gain detection (the first on a tie). No plan
@@ -27,10 +27,12 @@ two ways, cheapest first, and both are exact:
    only pads the assignment, so the pairs of negative gain are kept.
 
 One code path, ``_plans``, settles a block of many problems at once:
-the pricing kernel of :mod:`oceval.occost` hands it the cells of
-many images, and ``solve`` the one problem it is given. It finds every
-problem's certificate with segment reductions over the block's cells,
-and runs the assignment only on the problems whose certificates fail.
+the pricing kernel of :mod:`oceval.occost` (``_price``) hands it the
+cells of many images. It finds every problem's certificate with segment
+reductions over the block's cells, and runs the assignment only on the
+problems whose certificates fail. The plan of one image is public only
+through that kernel: ``image_oc_cost(..., with_breakdown=True)`` lists
+its matched pairs and unmatched units.
 
 On detector output the certificate settles most images. The assignment
 takes O(r^2 c) time on an r x c block (r <= c), and a start that gives
@@ -67,46 +69,25 @@ Hence:
   assignment's start, and the assignment's search order otherwise. The
   costs do not depend on it.
 
-The tests check ``solve`` against an enumeration of every partial
+The tests check ``_plans`` against an enumeration of every partial
 matching under the same rule (``brute_force_solve`` in tests/oracles.py).
-The reported objective is always the exactly rounded (``math.fsum``) cost
-of the plan under the unperturbed costs.
+The kernel reports the exactly rounded (``math.fsum``) cost of the plan
+under the unperturbed costs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostMatrix
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 
-__all__ = ["TransportPlan", "solve"]
+__all__: list[str] = []
 
 # Credit per matched pair: far smaller than any meaningful cost gap, far
 # larger than accumulated rounding.
 _TIE_EPSILON = 1e-7
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """An optimal partial matching: detection ``det_indices[p]`` is matched
-    to ground truth ``gt_indices[p]``, ordered by detection index; every
-    other detection and ground truth is unmatched. ``objective`` is the
-    plan's total cost under the unperturbed costs, the dummy-to-dummy
-    corner included: the matched costs plus (m + n - k) * dummy cost.
-    """
-
-    det_indices: np.ndarray
-    gt_indices: np.ndarray
-    objective: float
-
-    @property
-    def matched_pairs(self) -> int:
-        """Number of matched detection / ground-truth pairs."""
-        return len(self.det_indices)
 
 
 def _checked_gains(entries: np.ndarray, beta: float) -> np.ndarray:
@@ -259,32 +240,3 @@ def _plans(
         order = np.argsort(owner, kind="stable")
         cells, problem = np.concatenate(found).take(order), owner.take(order)
     return cells, np.bincount(problem, minlength=len(heights))
-
-
-def _match(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (rows, cols), ordered by row, of an optimal plan of one
-    problem under the credited ``gains``, found by :func:`_plans`."""
-    m, n = gains.shape
-    cells, _ = _plans(gains.T.ravel(), np.array([m]), np.array([n]))
-    cols, rows = np.divmod(cells, max(m, 1))
-    return rows, cols
-
-
-def _plan(cost: CostMatrix, rows: np.ndarray, cols: np.ndarray) -> TransportPlan:
-    m, n = cost.entries.shape
-    paying = [cost.dummy_cost] * (m + n - len(rows))
-    objective = math.fsum(cost.entries[rows, cols].tolist() + paying)
-    return TransportPlan(det_indices=rows, gt_indices=cols, objective=objective)
-
-
-def solve(cost: CostMatrix) -> TransportPlan:
-    """Solve the correction problem exactly.
-
-    Returns a partial matching that minimises the credited objective of
-    the module docstring, so among plans of equal objective one with the
-    most matched pairs.
-    """
-    entries = cost.entries
-    if entries.ndim != 2:
-        raise ConfigError(f"cost matrix must be 2-D (m x n), got shape {entries.shape}")
-    return _plan(cost, *_match(_checked_gains(entries, cost.dummy_cost)))

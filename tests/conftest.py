@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import oceval.occost
 from oceval import BoundingBox, Detection, GroundTruthInstance
+from oceval.transport import _checked_gains, _plans
 
 
 def random_box(rng, size=100.0, min_side=1.0):
@@ -31,6 +34,26 @@ def random_scene(rng, max_m=4, max_n=4, categories=3, size=100.0):
         for _ in range(n)
     ]
     return dets, gts
+
+
+def kernel_step(entries, beta):
+    """One problem through the pricing kernel's own steps: the checked
+    gains of the m x n pair costs ``entries`` and dummy cost ``beta``, its
+    plan from ``transport._plans`` as a block of one problem, and its cost
+    by ``occost._problem_cost``. Returns (cost, rows, cols), the matched
+    pairs ordered by row."""
+    m, n = entries.shape
+    cells, _ = _plans(_checked_gains(entries, beta).T.ravel(), np.array([m]), np.array([n]))
+    cols, rows = np.divmod(cells, max(m, 1))
+    return oceval.occost._problem_cost(entries[rows, cols].tolist(), beta, m, n), rows, cols
+
+
+def plan_objective(entries, beta, rows, cols):
+    """The transport objective of the plan that matches (rows, cols): the
+    exact sum of its matched costs and of m + n - k units at ``beta``,
+    the dummy-to-dummy corner's k included."""
+    m, n = entries.shape
+    return math.fsum(entries[rows, cols].tolist() + [beta] * (m + n - len(rows)))
 
 
 @pytest.fixture

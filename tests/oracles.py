@@ -1,11 +1,12 @@
 """Scalar and exhaustive references that tests check the kernels against.
 
-None of them is used by the package: the pair IoU kernel and
-``pairwise_giou`` must equal :func:`iou`/:func:`giou` bit for bit, ``build_problem`` must
-equal :func:`unit_cost` cell by cell, ``solve`` must reach the
-objective of :func:`brute_force_solve`, ``nms`` must keep what
-:func:`scalar_nms` keeps, and ``generate_fixture`` must build what
-:func:`scalar_fixture` builds.
+None of them is used by the package: the pair IoU and GIoU kernel must
+equal :func:`iou`/:func:`giou` bit for bit, the pricing kernel's cells
+must equal :func:`unit_cost` (and its two terms) cell by cell, its plans
+(``transport._plans``) must reach the objective of
+:func:`brute_force_solve` on the :func:`unit_cost_matrix` of a scene,
+``nms`` must keep what :func:`scalar_nms` keeps, and
+``generate_fixture`` must build what :func:`scalar_fixture` builds.
 """
 
 from __future__ import annotations
@@ -17,16 +18,14 @@ import numpy as np
 
 from oceval import (
     BoundingBox,
-    CostMatrix,
     Detection,
     FixtureSpec,
     GroundTruthInstance,
     NmsParams,
     OcCostParams,
-    TransportPlan,
 )
 from oceval.errors import ConfigError
-from oceval.transport import _checked_gains, _plan
+from oceval.transport import _checked_gains
 
 MAX_BRUTE_FORCE_SIDE = 6
 
@@ -93,17 +92,29 @@ def unit_cost(det: Detection, gt: GroundTruthInstance, params: OcCostParams) -> 
     )
 
 
-def brute_force_solve(cost: CostMatrix) -> TransportPlan:
-    """Exhaustively enumerate every partial matching; verification oracle for ``solve``.
+def unit_cost_matrix(
+    dets: list[Detection], gts: list[GroundTruthInstance], params: OcCostParams
+) -> np.ndarray:
+    """The m x n matrix of :func:`unit_cost`: row i for detection i,
+    column j for ground truth j."""
+    costs = [[unit_cost(det, gt, params) for gt in gts] for det in dets]
+    return np.array(costs, dtype=np.float64).reshape(len(dets), len(gts))
+
+
+def brute_force_solve(entries: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustively enumerate every partial matching of the m x n pair
+    costs ``entries`` with dummy cost ``beta``; verification oracle for the
+    kernel's plans.
 
     Selects the plan with the least exact sum of credited gains among those
-    matching only pairs of negative gain, preferring more matches on ties.
-    Enumeration is bounded to small instances by design.
+    matching only pairs of negative gain, preferring more matches on ties,
+    and returns its pairs (rows, cols) ordered by row. Enumeration is
+    bounded to small instances by design.
     """
-    if cost.entries.ndim != 2:
-        raise ConfigError(f"cost matrix must be 2-D (m x n), got shape {cost.entries.shape}")
-    gains = _checked_gains(cost.entries, cost.dummy_cost)
-    m, n = cost.entries.shape
+    if entries.ndim != 2:
+        raise ConfigError(f"cost matrix must be 2-D (m x n), got shape {entries.shape}")
+    gains = _checked_gains(entries, beta)
+    m, n = entries.shape
     if m > MAX_BRUTE_FORCE_SIDE or n > MAX_BRUTE_FORCE_SIDE:
         raise ConfigError(
             f"brute-force enumeration is limited to {MAX_BRUTE_FORCE_SIDE} boxes per side, "
@@ -126,7 +137,7 @@ def brute_force_solve(cost: CostMatrix) -> TransportPlan:
 
     rows = np.array([i for i, _ in best_match], dtype=np.intp)
     cols = np.array([j for _, j in best_match], dtype=np.intp)
-    return _plan(cost, rows, cols)
+    return rows, cols
 
 
 def scalar_nms(dets: list[Detection], params: NmsParams) -> list[Detection]:

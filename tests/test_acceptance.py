@@ -22,19 +22,17 @@ from oceval import (
     Detection,
     GroundTruthInstance,
     OcCostParams,
-    build_problem,
     dataset_map,
     dataset_oc_cost,
     image_oc_cost,
     run_bootstrap,
-    solve,
     tune,
 )
 from oceval.coco_io import histogram_payload
 from oceval.nms import nms
 
-from conftest import random_box, random_scene, transformed
-from oracles import brute_force_solve, giou, iou
+from conftest import plan_objective, random_box, random_scene, transformed
+from oracles import brute_force_solve, giou, iou, unit_cost_matrix
 
 BOX = BoundingBox(0, 0, 10, 10)
 # the CLI subprocesses import the package the tests import
@@ -61,17 +59,19 @@ def test_criterion_1_solver_matches_oracle():
         for lam in (0.0, 0.25, 0.5, 1.0):
             for beta in (0.3, 0.6, 1.0):
                 params = OcCostParams(lam, beta)
-                cm = build_problem(dets, gts, params)
-                plan = solve(cm)
-                oracle = brute_force_solve(cm)
-                assert abs(plan.objective - oracle.objective) <= 1e-9
+                result = image_oc_cost(dets, gts, params, with_breakdown=True)
+                # the breakdown's paying units plus the corner's k units at beta
+                k = result.matched_pairs
+                objective = math.fsum([p.cost for p in result.per_pair_breakdown] + [beta] * k)
+                entries = unit_cost_matrix(dets, gts, params)
+                rows, cols = brute_force_solve(entries, beta)
+                oracle = plan_objective(entries, beta, rows, cols)
+                assert abs(objective - oracle) <= 1e-9
                 if m == 0 and n == 0:
                     expected = 0.0
                 else:
-                    k = oracle.matched_pairs
-                    expected = (oracle.objective - beta * k) / (m + n - k)
-                got = image_oc_cost(dets, gts, params).oc_cost
-                assert abs(got - expected) <= 1e-9
+                    expected = (oracle - beta * len(rows)) / (m + n - len(rows))
+                assert abs(result.oc_cost - expected) <= 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(f"criterion 1 PASS: 500 scenes x 12 parameter combos agree within 1e-9 in {elapsed:.2f}s")

@@ -299,6 +299,20 @@ def test_write_report_takes_only_a_payload(tmp_path):
     assert not out.exists()
 
 
+def test_write_report_names_a_value_json_cannot_write(tmp_path):
+    box = BoundingBox(0, 0, 10, 10)
+    inputs = [(1, [Detection(box, 1, 0.7)], [GroundTruthInstance(box, 1)])]
+    payload = report_payload(dataset_oc_cost(inputs, OcCostParams()), None, None)
+    out = tmp_path / "report.json"
+    for value, name in (({1, 2}, "set"), (object(), "object"), (np.zeros(1), "ndarray")):
+        with pytest.raises(ConfigError, match=f"^cannot serialize report value of type {name}$"):
+            write_report({**payload, "extra": value}, str(out), "json")
+        assert not out.exists()
+    # a numpy scalar is written as its Python number
+    write_report({**payload, "extra": np.float32(0.5)}, str(out), "json")
+    assert read_report(str(out))["extra"] == 0.5
+
+
 def test_csv_report_is_the_json_row_table(tmp_path):
     box = BoundingBox(0, 0, 10, 10)
     inputs = [(i, [Detection(box, 1, 0.7)], [GroundTruthInstance(box, 1)]) for i in (2, 1)]

@@ -12,7 +12,6 @@ from oceval import (
     MapParams,
     NmsParams,
     OcCostParams,
-    build_problem,
     dataset_map,
     image_oc_cost,
     image_maps,
@@ -42,9 +41,6 @@ def test_every_entry_point_gives_the_same_on_both_forms(rng):
             if pair.det_index is not None and pair.gt_index is not None:
                 det, gt = dets[pair.det_index], gts[pair.gt_index]
                 assert pair.loc_cost == localization_cost(det.box, gt.box)
-        np.testing.assert_array_equal(
-            build_problem(cols, gt_cols, params).entries, build_problem(dets, gts, params).entries
-        )
 
         point = NmsParams(float(rng.uniform(0, 0.5)), float(rng.uniform(0.1, 0.9)))
         kept = nms(dets, point)

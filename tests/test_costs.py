@@ -11,17 +11,26 @@ from oceval import (
     Detection,
     GroundTruthInstance,
     OcCostParams,
-    build_problem,
     image_oc_cost,
-    pairwise_giou,
 )
-from oceval.costs import _blend, _pair_terms
-from oceval.geometry import boxes_to_array
+from oceval.costs import _blend, _cell_terms, detection_arrays, ground_truth_arrays
+from oceval.geometry import _iou, boxes_to_array
 from oceval.map_metric import _pair_ious
 
-from oracles import classification_cost, giou, iou, localization_cost, unit_cost
+from conftest import random_scene
+from oracles import classification_cost, giou, iou, localization_cost, unit_cost, unit_cost_matrix
 
 BOX = BoundingBox(0, 0, 10, 10)
+
+
+def cell_terms(dets, gts, det_rows, gt_rows):
+    """The kernel's terms of the cells (det_rows[c], gt_rows[c])."""
+    return _cell_terms(detection_arrays(dets), ground_truth_arrays(gts), det_rows, gt_rows)
+
+
+def every_cell(m, n):
+    """The cells of an m x n problem, row by row."""
+    return np.divmod(np.arange(m * n), max(n, 1))
 
 
 def test_detection_score_validation():
@@ -45,11 +54,9 @@ def test_integer_labels_price_as_the_scalar_oracle(label):
     params = OcCostParams(0.5, 0.6)
     dets = [Detection(BOX, label, 0.9), Detection(BoundingBox(2, 2, 12, 12), 2, 0.8)]
     gts = [GroundTruthInstance(BOX, int(label)), GroundTruthInstance(BoundingBox(1, 0, 11, 10), 2)]
-    cm = build_problem(dets, gts, params)
-    for i, det in enumerate(dets):
-        for j, gt in enumerate(gts):
-            assert cm.entries[i, j] == unit_cost(det, gt, params)
-    assert cm.entries[0, 0] == unit_cost(dets[0], gts[0], params) == (1.0 - 0.9) / 4
+    entries = _blend(*cell_terms(dets, gts, *every_cell(2, 2)), params).reshape(2, 2)
+    np.testing.assert_array_equal(entries, unit_cost_matrix(dets, gts, params))
+    assert entries[0, 0] == unit_cost(dets[0], gts[0], params) == (1.0 - 0.9) / 4
 
 
 def test_params_validation():
@@ -89,67 +96,45 @@ def test_unit_cost_blends():
     assert unit_cost(det, gt_other, OcCostParams(1.0, 0.6)) == 0.0
 
 
-def test_build_problem_perfect_single():
-    det = Detection(BOX, 1, 1.0)
-    gt = GroundTruthInstance(BOX, 1)
-    cm = build_problem([det], [gt], OcCostParams(0.5, 0.6))
-    # one unit per detection and per ground truth: the capacities are (m, n)
-    assert cm.entries.shape == (1, 1)
-    np.testing.assert_array_equal(cm.entries, [[0.0]])
-    assert cm.dummy_cost == 0.6
-
-
-def test_build_problem_no_detections():
-    gts = [GroundTruthInstance(BOX, 1), GroundTruthInstance(BoundingBox(20, 0, 30, 10), 2)]
-    cm = build_problem([], gts, OcCostParams(0.5, 0.6))
-    assert cm.entries.shape == (0, 2)
-    assert cm.dummy_cost == 0.6
-
-
-def test_build_problem_duplicate_detections():
-    det = Detection(BOX, 1, 1.0)
-    gt = GroundTruthInstance(BOX, 1)
-    cm = build_problem([det, det], [gt], OcCostParams(0.5, 0.6))
-    assert cm.entries.shape == (2, 1)
-    np.testing.assert_array_equal(cm.entries, [[0.0], [0.0]])
-    assert cm.dummy_cost == 0.6
-
-
-def test_build_problem_matches_scalar_unit_cost(rng):
-    from conftest import random_scene
-
-    dets, gts = random_scene(rng, max_m=4, max_n=4)
-    params = OcCostParams(0.25, 0.6)
-    cm = build_problem(dets, gts, params)
-    assert cm.entries.shape == (len(dets), len(gts))
-    for i, det in enumerate(dets):
-        for j, gt in enumerate(gts):
-            assert cm.entries[i, j] == unit_cost(det, gt, params)
-
-
-def test_build_problem_is_the_blend_of_one_precompute(rng):
-    # the weight-independent terms blended under any weight, and any row
-    # subset of the blend, equal building the problem directly, bit for bit
-    from conftest import random_scene
-
+def test_cell_terms_match_the_scalar_oracles(rng):
+    # every cell's two terms and their blend under any weight are the
+    # scalar localization, classification and unit costs, bit for bit
     for _ in range(50):
         dets, gts = random_scene(rng, max_m=6, max_n=4)
-        loc, cls = _pair_terms(dets, gts)
-        for lam in (0.0, 0.3, 0.5, 1.0):
+        rows, cols = every_cell(len(dets), len(gts))
+        loc, cls = cell_terms(dets, gts, rows, cols)
+        for c, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+            det, gt = dets[i], gts[j]
+            assert loc[c] == localization_cost(det.box, gt.box)
+            assert cls[c] == classification_cost(det.score, det.label, gt.label)
+        for lam in (0.0, 0.25, 0.3, 0.5, 1.0):
             params = OcCostParams(lam, 0.6)
-            blended = _blend(loc, cls, params)
-            direct = build_problem(dets, gts, params)
-            np.testing.assert_array_equal(blended, direct.entries)
-            assert direct.dummy_cost == params.dummy_cost
-            rows = [i for i in range(len(dets)) if rng.uniform() < 0.5][::-1]
-            subset = build_problem([dets[i] for i in rows], gts, params)
-            np.testing.assert_array_equal(direct.entries[rows].reshape(subset.entries.shape), subset.entries)
+            blended = _blend(loc, cls, params).reshape(len(dets), len(gts))
+            np.testing.assert_array_equal(blended, unit_cost_matrix(dets, gts, params))
+
+
+def test_cell_terms_are_the_same_bits_in_any_list(rng):
+    # a cell's terms do not depend on the other cells listed with it: any
+    # subset of the cells, in any order and with repeats, gives the same
+    # bits as the whole m x n list
+    for _ in range(50):
+        dets, gts = random_scene(rng, max_m=6, max_n=4)
+        m, n = len(dets), len(gts)
+        whole = [t.reshape(m, n) for t in cell_terms(dets, gts, *every_cell(m, n))]
+        rows = rng.integers(0, max(m, 1), size=7 if m and n else 0)
+        cols = rng.integers(0, max(n, 1), size=len(rows))
+        for listed, full in zip(cell_terms(dets, gts, rows, cols), whole):
+            np.testing.assert_array_equal(listed, full[rows, cols])
 
 
 def test_degenerate_flag():
-    cm = build_problem([], [], OcCostParams())
-    assert cm.entries.shape == (0, 0)
-    assert build_problem([], [GroundTruthInstance(BOX, 1)], OcCostParams()).entries.shape == (0, 1)
+    # a side with no boxes lists no cells, and its image pays beta per unit
+    for m, n in ((0, 0), (0, 1), (2, 0)):
+        dets, gts = [Detection(BOX, 1, 1.0)] * m, [GroundTruthInstance(BOX, 1)] * n
+        loc, cls = cell_terms(dets, gts, *every_cell(m, n))
+        assert loc.shape == cls.shape == (0,)
+        result = image_oc_cost(dets, gts, OcCostParams(), with_breakdown=True)
+        assert [p.cost for p in result.per_pair_breakdown] == [0.6] * (m + n)
 
 
 def edge_box(origin, dx, dy, w, h):
@@ -190,8 +175,10 @@ def test_costs_stay_in_range_on_huge_and_subpixel_boxes(scene, loc_weight, dummy
     a, b = boxes_to_array(d.box for d in dets), boxes_to_array(g.box for g in gts)
     listed = _pair_ious(a, b, np.zeros(len(a), int), np.full(len(a), len(b)), -1.0)[2]
     assert len(listed) == len(a) * len(b) and ((listed >= 0.0) & (listed <= 1.0)).all()
-    assert ((pairwise_giou(a, b) >= -1.0) & (pairwise_giou(a, b) <= 1.0)).all()
-    for terms in _pair_terms(dets, gts):
+    rows, cols = every_cell(len(a), len(b))
+    gious = _iou(a[rows], b[cols], generalized=True)
+    assert ((gious >= -1.0) & (gious <= 1.0)).all()
+    for terms in cell_terms(dets, gts, rows, cols):
         assert ((terms >= 0.0) & (terms <= 1.0)).all()
     params = OcCostParams(loc_weight, dummy_cost)
     assert 0.0 <= image_oc_cost(dets, gts, params).oc_cost <= 1.0

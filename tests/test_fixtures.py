@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,23 @@ def test_spec_validation():
     for seed in (-1, 2**128):
         with pytest.raises(ConfigError):
             FixtureSpec(seed=seed)
+
+
+# a value of every numeric field that a numpy type holds exactly
+PLAIN_NUMBERS = dict(
+    images=2, gts_per_image=3, categories=3, image_size=640, det_score=0.5,
+    jitter=0.0625, noise_per_image=2, noise_score=0.25, seed=5,
+)
+
+
+@pytest.mark.parametrize("field", sorted(PLAIN_NUMBERS))
+def test_numpy_numbers_build_the_documents_of_plain_ones(field):
+    plain = PLAIN_NUMBERS[field]
+    numpy_number = (np.int64 if isinstance(plain, int) else np.float32)(plain)
+    spec = FixtureSpec(**{**PLAIN_NUMBERS, field: numpy_number})
+    assert type(getattr(spec, field)) is type(plain)
+    expected = json.dumps(generate_fixture(FixtureSpec(**PLAIN_NUMBERS)))
+    assert json.dumps(generate_fixture(spec)) == expected
 
 
 def test_deterministic():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oceval import BoundingBox, pairwise_giou
+from oceval import BoundingBox
 from oceval.geometry import _iou, boxes_to_array
 from oceval.map_metric import _pair_ious
 
@@ -88,16 +88,16 @@ def test_pairwise_matches_scalar_bitwise(rng):
     boxes_b = [random_box(rng) for _ in range(5)]
     arr_a = boxes_to_array(boxes_a)
     arr_b = boxes_to_array(boxes_b)
-    mat_giou = pairwise_giou(arr_a, arr_b)
-    # the row-against-row form the pair kernel uses, and that kernel keeping
-    # every pair (no IoU is below -1)
+    # the row-against-row form the pair kernels use, and the NMS and mAP
+    # pair kernel keeping every pair (no IoU is below -1)
     rows, cols = np.divmod(np.arange(35), 5)
     paired = _iou(arr_a[rows], arr_b[cols])
+    paired_giou = _iou(arr_a[rows], arr_b[cols], generalized=True)
     pair_row, pair_col, listed = _pair_ious(arr_a, arr_b, np.zeros(7, int), np.full(7, 5), -1.0)
     assert pair_row.tolist() == rows.tolist() and pair_col.tolist() == cols.tolist()
     for i, a in enumerate(boxes_a):
         for j, b in enumerate(boxes_b):
-            assert mat_giou[i, j] == giou(a, b)
+            assert paired_giou[5 * i + j] == giou(a, b)
             assert paired[5 * i + j] == iou(a, b)
             assert listed[5 * i + j] == iou(a, b)
 
@@ -108,4 +108,3 @@ def test_boxes_to_array_shape_and_empty():
     assert arr.dtype == np.float64
     empty = boxes_to_array([])
     assert empty.shape == (0, 4)
-    assert pairwise_giou(empty, arr).shape == (0, 2)

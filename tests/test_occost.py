@@ -17,24 +17,21 @@ from oceval import geometry
 from oceval import (
     BoundingBox,
     ConfigError,
-    CostMatrix,
     Detection,
     GroundTruthInstance,
     OcCostParams,
     PairCost,
     ValidationError,
-    build_problem,
     dataset_oc_cost,
     image_oc_cost,
     lambda_sweep,
-    solve,
 )
-from oceval.costs import _pair_terms, image_arrays
+from oceval.costs import image_arrays
 from oceval.occost import map_images
-from oceval.transport import _TIE_EPSILON, _checked_gains, _match
+from oceval.transport import _TIE_EPSILON, _checked_gains
 
-from conftest import random_scene, transformed
-from oracles import brute_force_solve
+from conftest import kernel_step, random_scene, transformed
+from oracles import brute_force_solve, classification_cost, localization_cost, unit_cost_matrix
 
 BOX = BoundingBox(0, 0, 10, 10)
 FAR_BOX = BoundingBox(200, 200, 210, 210)
@@ -245,8 +242,9 @@ kernel_params = st.lists(
 
 def check_kernel(images, param_list):
     """The kernel prices every (params, image, subset) of a multi-image
-    call as ``solve(build_problem(...))`` of that image's subset does: the
-    same cost, the same k and the same plan in its breakdown."""
+    call as its steps price that image's subset alone on the scalar
+    ``unit_cost`` matrix (``kernel_step``): the same cost, the same k and
+    the same plan in its breakdown, with the scalar costs and terms."""
     tasks = [(image_arrays((i, dets, gts)), subsets) for i, (dets, gts, subsets) in enumerate(images)]
     alones = []
     for params in param_list:
@@ -259,18 +257,21 @@ def check_kernel(images, param_list):
             for subset, (cost, k) in zip(subsets, got):
                 rows = np.arange(len(dets))[subset]
                 picked = [dets[r] for r in rows.tolist()]
-                problem = build_problem(picked, gts, params)
-                plan = solve(problem)
-                at, to = plan.det_indices.tolist(), plan.gt_indices.tolist()
-                assert (cost, k) == (plan_cost(problem.entries, params.dummy_cost, at, to), len(at))
+                entries, beta = unit_cost_matrix(picked, gts, params), params.dummy_cost
+                alone_cost, at, to = kernel_step(entries, beta)
+                at, to = at.tolist(), to.tolist()
+                assert (cost, k) == (alone_cost, len(at))
                 if rows.tobytes() in seen:
                     continue
                 seen.add(rows.tobytes())
-                loc, cls = _pair_terms(picked, gts)
-                beta = params.dummy_cost
+                terms = [
+                    (localization_cost(picked[i].box, gts[j].box),
+                     classification_cost(picked[i].score, picked[i].label, gts[j].label))
+                    for i, j in zip(at, to)
+                ]
                 assert next(units) == (
-                    *(PairCost(int(rows[i]), j, problem.entries[i, j], loc[i, j], cls[i, j])
-                      for i, j in zip(at, to)),
+                    *(PairCost(int(rows[i]), j, entries[i, j], *term)
+                      for i, j, term in zip(at, to, terms)),
                     *(PairCost(r, None, beta) for i, r in enumerate(rows.tolist()) if i not in at),
                     *(PairCost(None, j, beta) for j in range(len(gts)) if j not in to),
                 )
@@ -494,14 +495,6 @@ def test_mass_normalization_example():
     assert result.oc_cost == pytest.approx((matched_cost + 0.6) / 2, abs=1e-12)
 
 
-def kernel_step(entries, beta):
-    """The per-problem steps of the pricing kernel: the cost and the plan
-    (rows, cols) of one image's problem."""
-    rows, cols = _match(_checked_gains(entries, beta))
-    paid = entries[rows, cols].tolist()
-    return oceval.occost._problem_cost(paid, beta, *entries.shape), rows, cols
-
-
 def plan_cost(entries, beta, rows, cols):
     """The kernel's normalisation of a plan: the paying units' cost sum
     over m + n - k, 0 for an empty image and beta for a one-sided one."""
@@ -514,8 +507,8 @@ def plan_cost(entries, beta, rows, cols):
 
 def both_costs(entries, beta):
     """The image's cost by the kernel's step and by the brute-force plan."""
-    plan = brute_force_solve(CostMatrix(entries, beta))
-    return kernel_step(entries, beta)[0], plan_cost(entries, beta, plan.det_indices, plan.gt_indices)
+    rows, cols = brute_force_solve(entries, beta)
+    return kernel_step(entries, beta)[0], plan_cost(entries, beta, rows, cols)
 
 
 betas = st.sampled_from((0.3, 0.6, 0.9)) | st.floats(0.0, 1.0)
@@ -614,7 +607,6 @@ def test_lowering_one_pair_cost_can_raise_the_image_cost():
         cost, rows, cols = kernel_step(costs, beta)
         assert list(zip(rows.tolist(), cols.tolist())) == plan
         assert cost == value
-        for solver in (solve, brute_force_solve):
-            found = solver(CostMatrix(costs, beta))
-            assert list(zip(found.det_indices.tolist(), found.gt_indices.tolist())) == plan
-            assert plan_cost(costs, beta, found.det_indices, found.gt_indices) == value
+        rows, cols = brute_force_solve(costs, beta)
+        assert list(zip(rows.tolist(), cols.tolist())) == plan
+        assert plan_cost(costs, beta, rows, cols) == value
