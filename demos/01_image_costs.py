@@ -26,9 +26,12 @@ for name, dets in scenes.items():
 
 print()
 print("the duplicate plan, pair by pair:")
-result = image_oc_cost(scenes["duplicate detection"], gt, params, with_breakdown=True)
-for pair in result.per_pair_breakdown:
-    det = pair.det_index if pair.det_index is not None else "-"
-    gt_i = pair.gt_index if pair.gt_index is not None else "-"
-    print(f"  det {det} -> gt {gt_i}  cost {pair.cost:.3f}")
+result = image_oc_cost(scenes["duplicate detection"], gt, params)
+plan, beta = result.plan, params.dummy_cost
+for det, gt_i, cost in zip(plan.det_indices.tolist(), plan.gt_indices.tolist(), plan.costs.tolist()):
+    print(f"  det {det} -> gt {gt_i}  cost {cost:.3f}")
+for det in plan.unmatched_detections.tolist():
+    print(f"  det {det} -> gt -  cost {beta:.3f}")
+for gt_i in plan.unmatched_ground_truths.tolist():
+    print(f"  det - -> gt {gt_i}  cost {beta:.3f}")
 print(f"total {result.oc_cost:.3f}: one free match, one false positive at 0.6, mass 2")

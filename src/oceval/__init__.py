@@ -39,7 +39,7 @@ from .nms import NmsParams, TuneResult, default_grid, nms, tune
 from .occost import (
     DatasetReport,
     ImageEvalResult,
-    PairCost,
+    ImagePlan,
     dataset_oc_cost,
     image_oc_cost,
     lambda_sweep,
@@ -54,7 +54,7 @@ __all__ = [
     "DetectionArrays",
     "GroundTruthArrays",
     "OcCostParams",
-    "PairCost",
+    "ImagePlan",
     "ImageEvalResult",
     "DatasetReport",
     "image_oc_cost",

@@ -272,7 +272,7 @@ def _kept(values: list[Any], keep: np.ndarray) -> list[Any]:
 def load_ground_truth(path: str, strict: bool = True) -> DatasetIndex:
     """Parse a COCO instances file into an immutable index.
 
-    Images need integer ``id`` plus positive ``width``/``height``
+    Images need integer ``id`` plus positive whole ``width``/``height``
     (``file_name`` is optional); annotations need ``image_id``,
     ``category_id``, and ``bbox``. Annotation order in the file is
     preserved per image.
@@ -291,8 +291,9 @@ def load_ground_truth(path: str, strict: bool = True) -> DatasetIndex:
         image_id = _require_int(rec.get("id"), f"images[{i}].id", path)
         width = rec.get("width")
         height = rec.get("height")
-        if _number(width) is None or _number(height) is None or width <= 0 or height <= 0:
-            raise ParseError(f"{path}: images[{i}] needs positive width and height")
+        sides = (_number(width), _number(height))
+        if not all(side is not None and side > 0 and side.is_integer() for side in sides):
+            raise ParseError(f"{path}: images[{i}] needs positive width and height in whole pixels")
         if image_id in images:
             raise ValidationError(f"{path}: duplicate image id {image_id}")
         images[image_id] = (int(width), int(height))

@@ -19,8 +19,9 @@ terms are computed cell by cell (:func:`_cell_terms`) over any list of
 terms do not depend on ``loc_weight``, so the kernel computes them once
 per cell and blends them once per weight (:func:`_blend`; the lambda
 sweep). A cell's terms, blend and gain are the same bits whichever list
-it is computed in. ``image_oc_cost(..., with_breakdown=True)`` reports
-the cost and both terms of every matched pair.
+it is computed in. ``image_oc_cost(...).plan`` reports the cost and
+both terms of every matched pair (``costs``, ``loc_costs`` and
+``cls_costs``).
 
 Every kernel reads one image's detections and ground truths as columns
 (:class:`DetectionArrays`, :class:`GroundTruthArrays`): the COCO loader
@@ -37,7 +38,7 @@ from typing import Any, Hashable
 
 import numpy as np
 
-from .errors import _check_real, _is_integer
+from .errors import _check_real, _is_integer, _is_real
 from .geometry import BoundingBox, _iou, boxes_to_array
 
 __all__ = [
@@ -59,8 +60,8 @@ class Detection:
     score: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
-            raise ValueError(f"detection score must lie in [0, 1], got {self.score!r}")
+        if not (_is_real(self.score) and math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
+            raise ValueError(f"detection score must be a real number in [0, 1], got {self.score!r}")
         if not _is_integer(self.label):
             raise ValueError(f"detection label must be an integer, got {self.label!r}")
 
@@ -94,7 +95,7 @@ class DetectionArrays(Sequence[Detection]):
     :class:`~oceval.geometry.BoundingBox`: the loader checks them and
     :func:`detection_arrays` copies checked objects, but the constructor
     checks nothing. As a sequence it yields :class:`Detection` objects,
-    built on access.
+    built on access; a slice of it is a ``DetectionArrays`` of those rows.
     """
 
     boxes: np.ndarray
@@ -104,7 +105,9 @@ class DetectionArrays(Sequence[Detection]):
     def __len__(self) -> int:
         return len(self.scores)
 
-    def __getitem__(self, i: int) -> Detection:  # type: ignore[override]
+    def __getitem__(self, i: int | slice) -> Detection | DetectionArrays:  # type: ignore[override]
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self))[i])
         box = BoundingBox(*self.boxes[i].tolist())
         return Detection(box, self.labels.item(i), self.scores.item(i))
 
@@ -120,7 +123,8 @@ class GroundTruthArrays(Sequence[GroundTruthInstance]):
 
     Kernels read boxes and labels only; which rows reach them, crowd ones
     included or not, is the caller's choice. As a sequence it yields
-    :class:`GroundTruthInstance` objects, built on access.
+    :class:`GroundTruthInstance` objects, built on access; a slice of it
+    is a ``GroundTruthArrays`` of those rows.
     """
 
     boxes: np.ndarray
@@ -130,7 +134,9 @@ class GroundTruthArrays(Sequence[GroundTruthInstance]):
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __getitem__(self, i: int) -> GroundTruthInstance:  # type: ignore[override]
+    def __getitem__(self, i: int | slice) -> GroundTruthInstance | GroundTruthArrays:  # type: ignore[override]
+        if isinstance(i, slice):
+            return self.take(np.arange(len(self))[i])
         return GroundTruthInstance(BoundingBox(*self.boxes[i].tolist()), self.labels.item(i))
 
     def take(self, rows: np.ndarray) -> "GroundTruthArrays":

@@ -33,6 +33,11 @@ def _is_integer(value: object) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value: object) -> bool:
+    """Whether ``value`` is a Python or numpy int or float; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_integer(name: str, value: object, floor: int, bits: int | None = None) -> None:
     """Reject a setting that is no integer, is below ``floor`` or, when
     ``bits`` is given, is not below 2**bits."""
@@ -47,7 +52,6 @@ def _check_integer(name: str, value: object, floor: int, bits: int | None = None
 def _check_real(name: str, value: object, lo: float, hi: float, open_low: bool = False) -> None:
     """Reject a setting that is no int or float, or lies outside [lo, hi]
     ((lo, hi] when ``open_low``); a bool is neither, NaN lies outside."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and (lo < value if open_low else lo <= value) and value <= hi):
+    if not (_is_real(value) and (lo < value if open_low else lo <= value) and value <= hi):
         low = "(" if open_low else "["
         raise ConfigError(f"{name} must be in {low}{lo}, {hi}], got {value!r}")

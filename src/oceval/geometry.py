@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _is_real
+
 __all__ = [
     "BoundingBox",
     "boxes_to_array",
@@ -41,8 +43,8 @@ class BoundingBox:
     def __post_init__(self) -> None:
         for name in ("x1", "y1", "x2", "y2"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"box coordinate {name} must be finite, got {value!r}")
+            if not (_is_real(value) and math.isfinite(value)):
+                raise ValueError(f"box coordinate {name} must be a finite real number, got {value!r}")
         if not (self.x2 > self.x1 and self.y2 > self.y1):
             raise ValueError(
                 "box must have strictly positive width and height, got "

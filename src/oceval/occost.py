@@ -15,28 +15,27 @@ One kernel, :func:`_price`, prices every image of every entry point:
 and the NMS tuner. It takes a list of params and a sequence of images,
 each with a list of subsets of its detection rows. A problem is one
 image with one distinct subset; no caller deduplicates. The kernel
-prices the problems of contiguous images in blocks: it computes the
-pair terms of every cell of a block in one pass, blends and checks them
-once per params, and settles every problem's plan at once
-(:func:`~oceval.transport._plans`). The drivers cut their images into
-contiguous ranges with :func:`map_images`, one per process, and each
-process prices its range block by block; workers send back plain
-``(cost, k)`` pairs.
+prices the problems of contiguous images in blocks
+(:func:`_solved_blocks`): it computes the pair terms of every cell of a
+block in one pass, blends and checks them once per params, and settles
+every problem's plan at once (:func:`~oceval.transport._plans`). The
+drivers cut their images into contiguous ranges with
+:func:`map_images`, one per process, and each process prices its range
+block by block; workers send back plain ``(cost, k)`` pairs.
 
-The kernel is also the only way to an image's plan: with
-``with_breakdown=True``, :func:`image_oc_cost` lists its matched pairs
-(with each pair's cost and its localization and classification terms)
-and its unmatched detections and ground truths, as :class:`PairCost`
-records.
+The kernel is also the only way to an image's plan: :func:`_plan` reads
+it from the solved block as an :class:`ImagePlan`, which
+``image_oc_cost(...).plan`` returns: the matched pairs with their costs
+and terms, and the unmatched detections and ground truths.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Hashable, TypeVar
+from typing import TYPE_CHECKING, Any, Hashable, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -59,7 +58,7 @@ if TYPE_CHECKING:  # imported by the first fan-out, not by every start-up
     from multiprocessing.connection import Connection
 
 __all__ = [
-    "PairCost",
+    "ImagePlan",
     "ImageEvalResult",
     "DatasetReport",
     "image_oc_cost",
@@ -71,33 +70,35 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-@dataclass(frozen=True)
-class PairCost:
-    """One paying flow of the optimal plan.
+@dataclass(frozen=True, eq=False)
+class ImagePlan:
+    """The optimal correction plan of one image, as arrays: matched pair p,
+    ordered by detection, is detection ``det_indices[p]`` and ground truth
+    ``gt_indices[p]`` at unit cost ``costs[p]``, with localization and
+    classification terms ``loc_costs[p]`` and ``cls_costs[p]``. Every other
+    detection (a false positive) and ground truth (a false negative) pays
+    the dummy cost, listed in ascending order in ``unmatched_detections``
+    and ``unmatched_ground_truths``."""
 
-    ``det_index`` is None when a ground truth went undetected (a false
-    negative); ``gt_index`` is None when a detection matched nothing (a
-    false positive). The localization/classification split is only defined
-    for real pairs.
-    """
-
-    det_index: int | None
-    gt_index: int | None
-    cost: float
-    loc_cost: float | None = None
-    cls_cost: float | None = None
+    det_indices: np.ndarray
+    gt_indices: np.ndarray
+    costs: np.ndarray
+    loc_costs: np.ndarray
+    cls_costs: np.ndarray
+    unmatched_detections: np.ndarray
+    unmatched_ground_truths: np.ndarray
 
 
 @dataclass(frozen=True)
 class ImageEvalResult:
-    """Evaluation of a single image."""
+    """Evaluation of a single image; only :func:`image_oc_cost` sets ``plan``."""
 
     image_id: Hashable
     oc_cost: float
     matched_pairs: int
     num_detections: int
     num_ground_truths: int
-    per_pair_breakdown: tuple[PairCost, ...] | None = None
+    plan: ImagePlan | None = None
 
 
 @dataclass(frozen=True)
@@ -116,28 +117,25 @@ def image_oc_cost(
     params: OcCostParams,
     *,
     image_id: Hashable = None,
-    with_breakdown: bool = False,
 ) -> ImageEvalResult:
-    """Evaluate one image.
+    """Evaluate one image, with its plan.
 
     Prices and solves the image's m x n problem exactly in the pricing
     kernel, and averages the cost of the m + n - k paying units of the
     plan: the k matched pairs and the unmatched detections and ground
     truths. Empty images (no detections, no ground truths) cost 0; images
     empty on one side only cost exactly the dummy cost, since every unit
-    then rides a dummy leg. The breakdown lists the matched pairs by
-    detection, then the unmatched detections, then the unmatched ground
-    truths.
+    then rides a dummy leg.
     """
-    breakdowns: list[tuple[PairCost, ...]] | None = [] if with_breakdown else None
-    [[(oc, k)]] = _price([params], [_whole_image((image_id, dets, gts))], breakdowns)
+    [block] = _solved_blocks([params], [_whole_image((image_id, dets, gts))])
+    plan = _plan(block, 0, 0)
     return ImageEvalResult(
         image_id=image_id,
-        oc_cost=oc,
-        matched_pairs=k,
+        oc_cost=_problem_cost(plan.costs.tolist(), params.dummy_cost, len(dets), len(gts)),
+        matched_pairs=len(plan.costs),
         num_detections=len(dets),
         num_ground_truths=len(gts),
-        per_pair_breakdown=breakdowns[0] if breakdowns else None,
+        plan=plan,
     )
 
 
@@ -149,6 +147,22 @@ _Task = tuple[tuple[Hashable, DetectionArrays, GroundTruthArrays], Sequence[np.n
 _Listed = tuple[DetectionArrays, GroundTruthArrays, list[np.ndarray], list[int]]
 
 
+class _Block(NamedTuple):
+    """A block of images solved under each params of a call: the detection
+    rows of each distinct problem, the problem of each subset of each
+    image, each problem's size, the terms of every cell (problem by
+    problem, column by column) and, per params, every cell's unit cost and
+    its :func:`~oceval.transport._plans` (matched cells, count per problem)."""
+
+    problems: list[np.ndarray]
+    listed: list[list[int]]
+    heights: np.ndarray
+    widths: np.ndarray
+    loc: np.ndarray
+    cls: np.ndarray
+    plans: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
 def _whole_image(item: ImageInput) -> _Task:
     """The kernel task of one whole image: its input in columns, with all
     of its detection rows as the one subset."""
@@ -156,27 +170,38 @@ def _whole_image(item: ImageInput) -> _Task:
 
 
 def _price(
-    param_list: Sequence[OcCostParams],
-    tasks: Iterable[_Task],
-    breakdowns: list[tuple[PairCost, ...]] | None = None,
+    param_list: Sequence[OcCostParams], tasks: Iterable[_Task]
 ) -> list[list[tuple[float, int]]]:
     """The pricing kernel: for each task, the correction cost and
     matched-pair count ``(cost, k)`` of its image under each params at
-    each subset of its detection rows, params-major.
-
-    Every OC-cost entry point prices its images here. A problem is an
-    image with one subset of its rows; subsets that select the same rows
-    in the same order are one problem, solved once per params however
-    many times they are listed. The tasks are taken in order and priced
-    in blocks of contiguous images whose problems hold at most
-    ``geometry._BLOCK_PAIRS`` cells together (an image with more is a
-    block of its own), so an iterable that lists subsets lazily keeps
-    one block's lists alive at a time. Given a list ``breakdowns``, it
-    appends the paying units of each problem it solves, ordered as
-    :func:`image_oc_cost` describes: for each block, params by params,
-    problem by problem.
-    """
+    each subset of its detection rows, params-major. Every OC-cost entry
+    point prices its images here, a solved block at a time."""
     priced: list[list[tuple[float, int]]] = []
+    for block in _solved_blocks(param_list, tasks):
+        solved = []
+        for params, (entries, matched, counts) in zip(param_list, block.plans):
+            values = entries[matched].tolist()
+            costs, done = [], 0
+            for m, n, k in zip(block.heights.tolist(), block.widths.tolist(), counts.tolist()):
+                costs.append((_problem_cost(values[done : done + k], params.dummy_cost, m, n), k))
+                done += k
+            solved.append(costs)
+        priced += [[costs[p] for costs in solved for p in listed] for listed in block.listed]
+    return priced
+
+
+def _solved_blocks(param_list: Sequence[OcCostParams], tasks: Iterable[_Task]) -> Iterator[_Block]:
+    """The problems of ``tasks`` priced and solved under each of
+    ``param_list``, block by block.
+
+    A problem is an image with one subset of its rows; subsets that
+    select the same rows in the same order are one problem, solved once
+    per params however many times they are listed. The tasks are taken in
+    order and priced in blocks of contiguous images whose problems hold at
+    most ``geometry._BLOCK_PAIRS`` cells together (an image with more is a
+    block of its own), so an iterable that lists subsets lazily keeps one
+    block's lists alive at a time.
+    """
     block: list[_Listed] = []
     cells = 0
     for (_, dets, gts), subsets in tasks:
@@ -190,25 +215,19 @@ def _price(
                 problems.append(rows)
         size = sum(map(len, problems)) * len(gts)
         if block and cells + size > geometry._BLOCK_PAIRS:
-            priced += _price_block(param_list, block, breakdowns)
+            yield _solve_block(param_list, block)
             block, cells = [], 0
         block.append((dets, gts, problems, listed))
         cells += size
     if block:
-        priced += _price_block(param_list, block, breakdowns)
-    return priced
+        yield _solve_block(param_list, block)
 
 
-def _price_block(
-    param_list: Sequence[OcCostParams],
-    block: Sequence[_Listed],
-    breakdowns: list[tuple[PairCost, ...]] | None,
-) -> list[list[tuple[float, int]]]:
-    """:func:`_price` of one block of images."""
-    det_sides = [dets for dets, _, _, _ in block]
-    gt_sides = [gts for _, gts, _, _ in block]
-    problems = [rows for _, _, distinct, _ in block for rows in distinct]
-    per_image = [len(distinct) for _, _, distinct, _ in block]
+def _solve_block(param_list: Sequence[OcCostParams], block: Sequence[_Listed]) -> _Block:
+    """One block of :func:`_solved_blocks`."""
+    det_sides, gt_sides, distinct, listed = zip(*block)
+    problems = [rows for image in distinct for rows in image]
+    per_image = [len(image) for image in distinct]
     owner = np.repeat(np.arange(len(block)), per_image)
     det_base = _starts(np.array([len(dets) for dets in det_sides], dtype=np.int64))[owner]
     gt_sizes = np.array([len(gts) for gts in gt_sides], dtype=np.int64)
@@ -235,32 +254,28 @@ def _price_block(
         np.concatenate([g.crowd for g in gt_sides]),
     )
     loc, cls = _cell_terms(dets, gts, rows[row_of_cell], np.repeat(gt, height))
-
-    solved = []
+    plans = []
     for params in param_list:
-        beta = params.dummy_cost
         entries = _blend(loc, cls, params)
-        matched, counts = _plans(_checked_gains(entries, beta), heights, widths)
-        values = entries[matched].tolist()
-        costs, done = [], 0
-        for m, n, k in zip(heights.tolist(), widths.tolist(), counts.tolist()):
-            costs.append((_problem_cost(values[done : done + k], beta, m, n), k))
-            done += k
-        solved.append(costs)
-        if breakdowns is not None:
-            ends = np.cumsum(counts)
-            first = _starts(heights * widths)
-            for p, problem in enumerate(problems):
-                cells = matched[ends[p] - counts[p] : ends[p]]
-                terms = (t[cells] for t in (entries, loc, cls))
-                breakdowns.append(
-                    _paying_units(problem, int(widths[p]), beta, cells - first[p], *terms)
-                )
+        plans.append((entries, *_plans(_checked_gains(entries, params.dummy_cost), heights, widths)))
     firsts = _starts(np.array(per_image)).tolist()
-    return [
-        [costs[offset + i] for costs in solved for i in listed]
-        for offset, (_, _, _, listed) in zip(firsts, block)
-    ]
+    listed = [[first + p for p in image] for first, image in zip(firsts, listed)]
+    return _Block(problems, listed, heights, widths, loc, cls, plans)
+
+
+def _plan(block: _Block, q: int, p: int) -> ImagePlan:
+    """The plan of problem ``p`` of a solved block under the ``q``-th
+    params of its call, with detection indices in the problem's image."""
+    entries, matched, counts = block.plans[q]
+    done = int(counts[:p].sum())
+    cells = matched[done : done + counts[p]]
+    first = int((block.heights[:p] * block.widths[:p]).sum())
+    gt_indices, at = np.divmod(cells - first, max(int(block.heights[p]), 1))
+    rows = block.problems[p]
+    det_indices = rows[at]
+    terms = (entries[cells], block.loc[cells], block.cls[cells])
+    unmatched = np.setdiff1d(rows, det_indices), np.setdiff1d(np.arange(block.widths[p]), gt_indices)
+    return ImagePlan(det_indices, gt_indices, *terms, *unmatched)
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
@@ -277,36 +292,6 @@ def _problem_cost(paid: list[float], beta: float, m: int, n: int) -> float:
         return beta if m or n else 0.0
     k = len(paid)
     return math.fsum(paid + [beta] * (m + n - 2 * k)) / (m + n - k)
-
-
-def _paying_units(
-    rows: np.ndarray,
-    n: int,
-    beta: float,
-    cells: np.ndarray,
-    cost: np.ndarray,
-    loc: np.ndarray,
-    cls: np.ndarray,
-) -> tuple[PairCost, ...]:
-    """The paying units of the problem of detection ``rows`` (indexed in
-    the whole image) and ``n`` ground truths whose plan matches ``cells``
-    (its cells counted column by column, ordered by row), with their cost
-    and terms: the matched pairs, then the unmatched detections and
-    ground truths."""
-    to, at = np.divmod(cells, max(len(rows), 1))
-    det_rows, gt_cols = rows[at].tolist(), to.tolist()
-    pairs = [
-        PairCost(det_index=i, gt_index=j, cost=c, loc_cost=lc, cls_cost=cc)
-        for i, j, c, lc, cc in zip(det_rows, gt_cols, cost.tolist(), loc.tolist(), cls.tolist())
-    ]
-    pairs += [PairCost(i, None, beta) for i in _unmatched(rows.tolist(), det_rows)]
-    pairs += [PairCost(None, j, beta) for j in _unmatched(range(n), gt_cols)]
-    return tuple(pairs)
-
-
-def _unmatched(units: Sequence[int], matched: list[int]) -> list[int]:
-    taken = set(matched)
-    return [i for i in units if i not in taken]
 
 
 def get_all_start_methods() -> list[str]:

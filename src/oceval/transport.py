@@ -31,8 +31,9 @@ the pricing kernel of :mod:`oceval.occost` (``_price``) hands it the
 cells of many images. It finds every problem's certificate with segment
 reductions over the block's cells, and runs the assignment only on the
 problems whose certificates fail. The plan of one image is public only
-through that kernel: ``image_oc_cost(..., with_breakdown=True)`` lists
-its matched pairs and unmatched units.
+through that kernel: ``image_oc_cost(...).plan`` lists its matched
+pairs (``det_indices``, ``gt_indices``) and its unmatched units
+(``unmatched_detections``, ``unmatched_ground_truths``).
 
 On detector output the certificate settles most images. The assignment
 takes O(r^2 c) time on an r x c block (r <= c), and a start that gives

@@ -59,10 +59,11 @@ def test_criterion_1_solver_matches_oracle():
         for lam in (0.0, 0.25, 0.5, 1.0):
             for beta in (0.3, 0.6, 1.0):
                 params = OcCostParams(lam, beta)
-                result = image_oc_cost(dets, gts, params, with_breakdown=True)
-                # the breakdown's paying units plus the corner's k units at beta
+                result = image_oc_cost(dets, gts, params)
+                # the plan's matched pairs plus m + n - k units at beta:
+                # its unmatched units and the corner's k
                 k = result.matched_pairs
-                objective = math.fsum([p.cost for p in result.per_pair_breakdown] + [beta] * k)
+                objective = math.fsum(result.plan.costs.tolist() + [beta] * (m + n - k))
                 entries = unit_cost_matrix(dets, gts, params)
                 rows, cols = brute_force_solve(entries, beta)
                 oracle = plan_objective(entries, beta, rows, cols)
@@ -94,18 +95,12 @@ def test_criterion_2_analytic_identities():
 def test_criterion_3_dummy_cost_caps_match_acceptance():
     mislabeled = Detection(BOX, 2, 1.0)
     gt = GroundTruthInstance(BOX, 1)
-    high = image_oc_cost([mislabeled], [gt], OcCostParams(0.5, 0.6), with_breakdown=True)
-    low = image_oc_cost([mislabeled], [gt], OcCostParams(0.5, 0.3), with_breakdown=True)
+    high = image_oc_cost([mislabeled], [gt], OcCostParams(0.5, 0.6))
+    low = image_oc_cost([mislabeled], [gt], OcCostParams(0.5, 0.3))
     assert high.oc_cost == pytest.approx(0.5, abs=1e-9)
     assert low.oc_cost == pytest.approx(0.3, abs=1e-9)
-    high_matched = [
-        p for p in high.per_pair_breakdown if p.det_index is not None and p.gt_index is not None
-    ]
-    low_matched = [
-        p for p in low.per_pair_breakdown if p.det_index is not None and p.gt_index is not None
-    ]
-    assert len(high_matched) == 1 and high.matched_pairs == 1
-    assert len(low_matched) == 0 and low.matched_pairs == 0
+    assert len(high.plan.det_indices) == 1 and high.matched_pairs == 1
+    assert len(low.plan.det_indices) == 0 and low.matched_pairs == 0
     print("criterion 3 PASS: pair cost 0.5 accepted at beta 0.6, rejected at beta 0.3")
 
 

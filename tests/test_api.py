@@ -15,7 +15,7 @@ PUBLIC = [
     "DetectionArrays",
     "GroundTruthArrays",
     "OcCostParams",
-    "PairCost",
+    "ImagePlan",
     "ImageEvalResult",
     "DatasetReport",
     "image_oc_cost",

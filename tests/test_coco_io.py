@@ -67,6 +67,21 @@ def test_bbox_corner_conversion(tmp_path):
     assert index.categories == {1: "thing"}
 
 
+@pytest.mark.parametrize("field", ["width", "height"])
+@pytest.mark.parametrize("size", [0.5, 640.5])
+def test_a_fractional_image_size_is_a_parse_error(tmp_path, field, size):
+    # not truncated: 0.5 would load as a zero-pixel image, 640.5 as 640
+    images = [{"id": 1, "width": 640, "height": 480, field: size}]
+    with pytest.raises(ParseError, match=re.escape("images[0] needs positive width and height")):
+        load_ground_truth(minimal_gt(tmp_path, images=images))
+
+
+def test_a_whole_float_image_size_loads_as_an_integer(tmp_path):
+    index = load_ground_truth(minimal_gt(tmp_path, images=[{"id": 1, "width": 640.0, "height": 480}]))
+    assert index.images[1] == (640, 480)
+    assert all(type(side) is int for side in index.images[1])
+
+
 def test_unknown_image_reference(tmp_path):
     path = minimal_gt(
         tmp_path,

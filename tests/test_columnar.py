@@ -1,6 +1,8 @@
 """The columnar per-image inputs against the Detection/GroundTruthInstance
 façade: the same results either way, and no per-box object on a CLI job."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from oceval import (
 )
 from oceval.cli import main
 from oceval.costs import detection_arrays, ground_truth_arrays
+from oceval.geometry import boxes_to_array
 from oceval.map_metric import build_match_table
 
 from oracles import localization_cost
@@ -35,12 +38,17 @@ def test_every_entry_point_gives_the_same_on_both_forms(rng):
         assert isinstance(cols, DetectionArrays) and isinstance(gt_cols, GroundTruthArrays)
         assert list(cols) == dets and list(gt_cols) == gts
 
-        from_objects = image_oc_cost(dets, gts, params, image_id=7, with_breakdown=True)
-        assert image_oc_cost(cols, gt_cols, params, image_id=7, with_breakdown=True) == from_objects
-        for pair in from_objects.per_pair_breakdown:
-            if pair.det_index is not None and pair.gt_index is not None:
-                det, gt = dets[pair.det_index], gts[pair.gt_index]
-                assert pair.loc_cost == localization_cost(det.box, gt.box)
+        from_objects = image_oc_cost(dets, gts, params, image_id=7)
+        from_columns = image_oc_cost(cols, gt_cols, params, image_id=7)
+        for field in dataclasses.fields(from_objects):
+            if field.name != "plan":
+                assert getattr(from_columns, field.name) == getattr(from_objects, field.name)
+        for field in dataclasses.fields(from_objects.plan):
+            got, expected = (getattr(r.plan, field.name) for r in (from_columns, from_objects))
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        plan = from_objects.plan
+        for i, j, loc in zip(plan.det_indices.tolist(), plan.gt_indices.tolist(), plan.loc_costs.tolist()):
+            assert loc == localization_cost(dets[i].box, gts[j].box)
 
         point = NmsParams(float(rng.uniform(0, 0.5)), float(rng.uniform(0.1, 0.9)))
         kept = nms(dets, point)
@@ -57,6 +65,23 @@ def test_every_entry_point_gives_the_same_on_both_forms(rng):
         inputs = [(1, dets, gts), (2, kept, gts)]
         columnar = [(1, cols, gt_cols), (2, detection_arrays(kept), gt_cols)]
         assert dataset_map(columnar, map_params) == dataset_map(inputs, map_params)
+
+
+@pytest.mark.parametrize("bounds", [(0, 5, 1), (1, 3, 1), (None, None, -1), (4, 0, -2),
+                                    (-2, None, 1), (3, 3, 1), (None, None, 2)])
+def test_a_slice_is_the_columnar_form_of_those_rows(bounds):
+    boxes = [BoundingBox(i, 0, i + 1 + i / 2, 2) for i in range(5)]
+    dets = detection_arrays([Detection(box, i, i / 8) for i, box in enumerate(boxes)])
+    gts = GroundTruthArrays(boxes_to_array(boxes), np.arange(5), np.arange(5) % 2 == 0)
+    cut = slice(*bounds)
+    for columns, kind in ((dets, DetectionArrays), (gts, GroundTruthArrays)):
+        part = columns[cut]
+        assert type(part) is kind
+        assert list(part) == list(columns)[cut]
+    assert gts[cut].crowd.tolist() == gts.crowd.tolist()[cut]
+    # a copy of those rows, as a list slice is
+    dets[cut].scores[:] = 1.0
+    assert dets.scores.tolist() == [i / 8 for i in range(5)]
 
 
 def test_rows_read_back_as_objects():

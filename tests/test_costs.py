@@ -40,6 +40,18 @@ def test_detection_score_validation():
         Detection(BOX, 1, -0.1)
 
 
+@pytest.mark.parametrize("score", [True, False, np.bool_(True), "0.5", None, [0.5]])
+def test_a_score_that_is_no_real_number_is_rejected(score):
+    # a bool is no score, and a string is not parsed into one
+    with pytest.raises(ValueError, match="^detection score must be a real number"):
+        Detection(BOX, 1, score)
+
+
+@pytest.mark.parametrize("score", [0, 1, 0.5, np.float32(0.25), np.float64(0.5), np.int64(1)])
+def test_python_and_numpy_real_scores_are_accepted(score):
+    assert Detection(BOX, 1, score).score == score
+
+
 @pytest.mark.parametrize("label", ["1", " 7 ", 1.5, 1.0, True, None])
 def test_a_label_that_is_no_integer_is_rejected(label):
     # a label is compared as it is, never parsed or truncated into a class id
@@ -133,8 +145,10 @@ def test_degenerate_flag():
         dets, gts = [Detection(BOX, 1, 1.0)] * m, [GroundTruthInstance(BOX, 1)] * n
         loc, cls = cell_terms(dets, gts, *every_cell(m, n))
         assert loc.shape == cls.shape == (0,)
-        result = image_oc_cost(dets, gts, OcCostParams(), with_breakdown=True)
-        assert [p.cost for p in result.per_pair_breakdown] == [0.6] * (m + n)
+        plan = image_oc_cost(dets, gts, OcCostParams()).plan
+        assert len(plan.costs) == 0
+        assert plan.unmatched_detections.tolist() == list(range(m))
+        assert plan.unmatched_ground_truths.tolist() == list(range(n))
 
 
 def edge_box(origin, dx, dy, w, h):

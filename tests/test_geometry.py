@@ -22,6 +22,22 @@ def test_box_validation():
         BoundingBox(0, 0, float("inf"), 10)
 
 
+@pytest.mark.parametrize("value", [True, False, np.bool_(False), "1", None])
+@pytest.mark.parametrize("at", range(4))
+def test_a_coordinate_that_is_no_real_number_is_rejected(value, at):
+    corners = [0, 0, 10, 10]
+    corners[at] = value
+    name = ("x1", "y1", "x2", "y2")[at]
+    with pytest.raises(ValueError, match=f"^box coordinate {name} must be a finite real number"):
+        BoundingBox(*corners)
+
+
+@pytest.mark.parametrize("kind", [int, float, np.int64, np.float32, np.float64])
+def test_python_and_numpy_real_coordinates_are_accepted(kind):
+    box = BoundingBox(kind(0), kind(1), kind(10), kind(12))
+    assert box.as_tuple() == (0, 1, 10, 12)
+
+
 def test_box_accessors():
     b = BoundingBox(1, 2, 4, 8)
     assert b.as_tuple() == (1, 2, 4, 8)

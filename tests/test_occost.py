@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -20,7 +21,6 @@ from oceval import (
     Detection,
     GroundTruthInstance,
     OcCostParams,
-    PairCost,
     ValidationError,
     dataset_oc_cost,
     image_oc_cost,
@@ -77,52 +77,58 @@ def test_dummy_cost_caps_matched_pair_cost():
     # perfectly localized but mislabeled, score 1: pair cost 0.5
     det = Detection(BOX, 2, 1.0)
     gt = GroundTruthInstance(BOX, 1)
-    accepted = image_oc_cost([det], [gt], OcCostParams(0.5, 0.6), with_breakdown=True)
+    accepted = image_oc_cost([det], [gt], OcCostParams(0.5, 0.6))
     assert accepted.oc_cost == pytest.approx(0.5, abs=1e-9)
     assert accepted.matched_pairs == 1
-    matched = [p for p in accepted.per_pair_breakdown if p.det_index is not None and p.gt_index is not None]
-    assert len(matched) == 1
-    assert matched[0].cost == pytest.approx(0.5)
+    assert len(accepted.plan.costs) == 1
+    assert accepted.plan.costs[0] == pytest.approx(0.5)
 
-    rejected = image_oc_cost([det], [gt], OcCostParams(0.5, 0.3), with_breakdown=True)
+    rejected = image_oc_cost([det], [gt], OcCostParams(0.5, 0.3))
     assert rejected.oc_cost == pytest.approx(0.3, abs=1e-9)
     assert rejected.matched_pairs == 0
-    assert all(p.det_index is None or p.gt_index is None for p in rejected.per_pair_breakdown)
+    assert len(rejected.plan.det_indices) == len(rejected.plan.gt_indices) == 0
+    assert rejected.plan.unmatched_detections.tolist() == [0]
+    assert rejected.plan.unmatched_ground_truths.tolist() == [0]
 
 
 def test_breakdown_sums_to_cost(rng):
+    # the plan pays the image's cost: its pairs' costs plus beta per
+    # unmatched unit over m + n - k, and the kernel's exact normalisation
+    # of its pair costs bit for bit
     for _ in range(50):
         dets, gts = random_scene(rng)
+        params = OcCostParams()
+        result = image_oc_cost(dets, gts, params)
+        plan, beta = result.plan, params.dummy_cost
+        assert result.oc_cost == oceval.occost._problem_cost(
+            plan.costs.tolist(), beta, len(dets), len(gts)
+        )
         if not dets and not gts:
             continue
-        result = image_oc_cost(dets, gts, OcCostParams(), with_breakdown=True)
         mass = len(dets) + len(gts) - result.matched_pairs
-        total = math.fsum(p.cost for p in result.per_pair_breakdown)
+        unmatched = len(plan.unmatched_detections) + len(plan.unmatched_ground_truths)
+        total = math.fsum(plan.costs.tolist() + [beta] * unmatched)
         assert result.oc_cost == pytest.approx(total / mass, abs=1e-12)
 
 
 def test_breakdown_lists_every_unit_once_in_order(rng):
-    # matched pairs by detection, then unmatched detections, then unmatched
-    # ground truths: m + n - k entries naming each box once
-    def group(p):
-        if p.gt_index is None:
-            return (1, p.det_index)
-        if p.det_index is None:
-            return (2, p.gt_index)
-        return (0, p.det_index)
-
+    # the plan partitions the units: the matched detections (in ascending
+    # order) and the unmatched ones (ascending) together name every
+    # detection once, and the ground-truth side every ground truth once
     for _ in range(200):
         dets, gts = random_scene(rng, max_m=6, max_n=6)
-        result = image_oc_cost(dets, gts, OcCostParams(0.5, 0.6), with_breakdown=True)
-        breakdown = list(result.per_pair_breakdown)
-        k = result.matched_pairs
-        assert len(breakdown) == len(dets) + len(gts) - k
-        assert breakdown == sorted(breakdown, key=group)
-        assert sum(group(p)[0] == 0 for p in breakdown) == k
-        named_dets = sorted(p.det_index for p in breakdown if p.det_index is not None)
-        named_gts = sorted(p.gt_index for p in breakdown if p.gt_index is not None)
-        assert named_dets == list(range(len(dets)))
-        assert named_gts == list(range(len(gts)))
+        result = image_oc_cost(dets, gts, OcCostParams(0.5, 0.6))
+        plan, k = result.plan, result.matched_pairs
+        matched_dets, matched_gts = plan.det_indices.tolist(), plan.gt_indices.tolist()
+        free_dets = plan.unmatched_detections.tolist()
+        free_gts = plan.unmatched_ground_truths.tolist()
+        assert len(matched_dets) == len(matched_gts) == k
+        for field in (plan.costs, plan.loc_costs, plan.cls_costs):
+            assert field.shape == (k,)
+        assert matched_dets == sorted(matched_dets)
+        assert free_dets == sorted(free_dets) and free_gts == sorted(free_gts)
+        assert sorted(matched_dets + free_dets) == list(range(len(dets)))
+        assert sorted(matched_gts + free_gts) == list(range(len(gts)))
 
 
 def test_range_and_permutation_invariance(rng):
@@ -176,8 +182,11 @@ def test_dataset_jobs_bit_identical(rng):
     parallel = dataset_oc_cost(inputs, params, jobs=4)
     assert serial.mean_oc_cost == parallel.mean_oc_cost
     assert [r.oc_cost for r in serial.per_image] == [r.oc_cost for r in parallel.per_image]
-    # every field of every image, as the single-image entry point gives it
-    expected = tuple(image_oc_cost(d, g, params, image_id=i) for i, d, g in inputs)
+    # every field of every image, as the single-image entry point gives
+    # it, but for the plan, which only that entry point returns
+    expected = tuple(
+        dataclasses.replace(image_oc_cost(d, g, params, image_id=i), plan=None) for i, d, g in inputs
+    )
     assert serial.per_image == expected
     assert parallel.per_image == expected
 
@@ -206,9 +215,9 @@ def test_pair_terms_and_solves_once_per_image(rng, count_calls):
             lambda_sweep(inputs, [0.0, 0.25, 0.5, 0.75, 1.0], beta=0.6)
             assert counted() == (cells, 60)
     dets, gts = random_scene(rng, max_m=6, max_n=6)
-    result = image_oc_cost(dets, gts, OcCostParams(), with_breakdown=True)
+    result = image_oc_cost(dets, gts, OcCostParams())
     assert counted() == (len(dets) * len(gts), 1)
-    assert len(result.per_pair_breakdown) == len(dets) + len(gts) - result.matched_pairs
+    assert len(result.plan.costs) == result.matched_pairs
 
 
 # boxes that tie and overlap often, so that certificates collide
@@ -243,39 +252,46 @@ kernel_params = st.lists(
 def check_kernel(images, param_list):
     """The kernel prices every (params, image, subset) of a multi-image
     call as its steps price that image's subset alone on the scalar
-    ``unit_cost`` matrix (``kernel_step``): the same cost, the same k and
-    the same plan in its breakdown, with the scalar costs and terms."""
+    ``unit_cost`` matrix (``kernel_step``): the same cost, the same k and,
+    read from the solved block by ``occost._plan``, the same plan with
+    the scalar costs and terms, whose pair costs the kernel's
+    normalisation turns into that cost."""
     tasks = [(image_arrays((i, dets, gts)), subsets) for i, (dets, gts, subsets) in enumerate(images)]
     alones = []
     for params in param_list:
-        breakdowns = []
-        alone = oceval.occost._price([params], tasks, breakdowns)
+        alone = oceval.occost._price([params], tasks)
         alones.append(alone)
-        units = iter(breakdowns)
-        for (dets, gts, subsets), got in zip(images, alone):
-            seen = set()
-            for subset, (cost, k) in zip(subsets, got):
+        blocks = oceval.occost._solved_blocks([params], tasks)
+        listed = [(block, problems) for block in blocks for problems in block.listed]
+        assert len(listed) == len(images)
+        for (dets, gts, subsets), got, (block, problems) in zip(images, alone, listed):
+            for subset, (cost, k), problem in zip(subsets, got, problems, strict=True):
                 rows = np.arange(len(dets))[subset]
                 picked = [dets[r] for r in rows.tolist()]
                 entries, beta = unit_cost_matrix(picked, gts, params), params.dummy_cost
                 alone_cost, at, to = kernel_step(entries, beta)
-                at, to = at.tolist(), to.tolist()
                 assert (cost, k) == (alone_cost, len(at))
-                if rows.tobytes() in seen:
-                    continue
-                seen.add(rows.tobytes())
-                terms = [
-                    (localization_cost(picked[i].box, gts[j].box),
-                     classification_cost(picked[i].score, picked[i].label, gts[j].label))
+                plan = oceval.occost._plan(block, 0, problem)
+                assert plan.det_indices.tolist() == rows[at].tolist()
+                assert plan.gt_indices.tolist() == to.tolist()
+                assert plan.costs.tolist() == entries[at, to].tolist()
+                at, to = at.tolist(), to.tolist()
+                assert plan.loc_costs.tolist() == [
+                    localization_cost(picked[i].box, gts[j].box) for i, j in zip(at, to)
+                ]
+                assert plan.cls_costs.tolist() == [
+                    classification_cost(picked[i].score, picked[i].label, gts[j].label)
                     for i, j in zip(at, to)
                 ]
-                assert next(units) == (
-                    *(PairCost(int(rows[i]), j, entries[i, j], *term)
-                      for i, j, term in zip(at, to, terms)),
-                    *(PairCost(r, None, beta) for i, r in enumerate(rows.tolist()) if i not in at),
-                    *(PairCost(None, j, beta) for j in range(len(gts)) if j not in to),
+                assert plan.unmatched_detections.tolist() == sorted(
+                    r for i, r in enumerate(rows.tolist()) if i not in at
                 )
-        assert next(units, None) is None
+                assert plan.unmatched_ground_truths.tolist() == [
+                    j for j in range(len(gts)) if j not in to
+                ]
+                assert cost == oceval.occost._problem_cost(
+                    plan.costs.tolist(), beta, len(rows), len(gts)
+                )
     # all params in one call: each image's results, params-major
     joint = [[pair for alone in alones for pair in alone[i]] for i in range(len(images))]
     assert oceval.occost._price(param_list, tasks) == joint
@@ -311,7 +327,7 @@ def test_blocked_kernel_reaches_the_assignment_and_splits_blocks(count_calls):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "_BLOCK_PAIRS", 4)
         patch.setattr(oceval.transport, "_augment", lambda gains: augments.append(1) or augment(gains))
-        blocks = count_calls("_price_block")
+        blocks = count_calls("_solve_block")
         check_kernel(images, params)
     assert augments and len(blocks) > 1
 
@@ -485,13 +501,11 @@ def test_mass_normalization_example():
     near = Detection(BoundingBox(1, 1, 11, 11), 1, 0.9)
     far = Detection(FAR_BOX, 1, 0.9)
     gt = GroundTruthInstance(BOX, 1)
-    result = image_oc_cost([near, far], [gt], OcCostParams(0.5, 0.6), with_breakdown=True)
+    result = image_oc_cost([near, far], [gt], OcCostParams(0.5, 0.6))
     assert result.matched_pairs == 1
     assert result.num_detections == 2
     assert result.num_ground_truths == 1
-    matched_cost = [
-        p.cost for p in result.per_pair_breakdown if p.det_index is not None and p.gt_index is not None
-    ][0]
+    [matched_cost] = result.plan.costs.tolist()
     assert result.oc_cost == pytest.approx((matched_cost + 0.6) / 2, abs=1e-12)
 
 

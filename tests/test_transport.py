@@ -269,35 +269,35 @@ def breakdown_scenes(draw):
 @settings(max_examples=300, deadline=None)
 @given(breakdown_scenes())
 def test_breakdown_is_the_plan_of_the_oracle(scene):
-    # the breakdown is the one public record of an image's plan: its pairs
-    # are an optimal plan of the scalar costs under the tie rule, its costs
-    # and terms are the scalar ones bit for bit, and it pays the image's cost
+    # the plan is the one public record of an image's plan: its pairs are
+    # an optimal plan of the scalar costs under the tie rule, its costs and
+    # terms are the scalar ones bit for bit, and it pays the image's cost
     dets, gts, params = scene
     beta = params.dummy_cost
-    result = image_oc_cost(dets, gts, params, with_breakdown=True)
-    breakdown = result.per_pair_breakdown
+    result = image_oc_cost(dets, gts, params)
+    plan = result.plan
     entries = unit_cost_matrix(dets, gts, params)
-    matched = [p for p in breakdown if p.det_index is not None and p.gt_index is not None]
-    rows = np.array([p.det_index for p in matched], dtype=np.intp)
-    cols = np.array([p.gt_index for p in matched], dtype=np.intp)
-    assert result.matched_pairs == len(matched)
-    assert len(breakdown) == len(dets) + len(gts) - len(matched)
-    for p in matched:
-        det, gt = dets[p.det_index], gts[p.gt_index]
-        assert p.cost == entries[p.det_index, p.gt_index]
-        assert p.loc_cost == localization_cost(det.box, gt.box)
-        assert p.cls_cost == classification_cost(det.score, det.label, gt.label)
-    assert all(p.cost == beta for p in breakdown if p not in matched)
+    rows, cols = plan.det_indices, plan.gt_indices
+    assert result.matched_pairs == len(rows) == len(cols)
+    unmatched = len(plan.unmatched_detections) + len(plan.unmatched_ground_truths)
+    assert unmatched == len(dets) + len(gts) - 2 * len(rows)
+    for i, j, cost, loc, cls in zip(rows.tolist(), cols.tolist(), plan.costs.tolist(),
+                                    plan.loc_costs.tolist(), plan.cls_costs.tolist()):
+        det, gt = dets[i], gts[j]
+        assert cost == entries[i, j]
+        assert loc == localization_cost(det.box, gt.box)
+        assert cls == classification_cost(det.score, det.label, gt.label)
     oracle = oracle_plan(entries, beta)
     pairs = list(zip(oracle.rows.tolist(), oracle.cols.tolist()))
     assert_same_plan(Plan(rows, cols, plan_objective(entries, beta, rows, cols)), pairs,
                      oracle.objective, entries, beta)
     if dets and gts:
-        assert result.oc_cost == math.fsum(p.cost for p in breakdown) / len(breakdown)
+        paying = plan.costs.tolist() + [beta] * unmatched
+        assert result.oc_cost == math.fsum(paying) / len(paying)
     else:
         # exactly beta (0 for an empty image), which the mean of N copies
         # of beta can miss by an ulp
-        assert result.oc_cost == (beta if breakdown else 0.0)
+        assert result.oc_cost == (beta if unmatched else 0.0)
 
 
 # Pair costs snapped to beta + delta, for delta around the tie epsilon.
