@@ -386,15 +386,17 @@ def filter_table(table: MatchTable, score_threshold: float) -> MatchTable:
     )
 
 
-def map_from_table(table: MatchTable, image_indices: Sequence[int]) -> MapReport:
-    """Pool a multiset of images from the table and compute mAP.
-
-    Pooled detections sort by (-score, image index, in-image rank), which
-    makes the value invariant to the order of ``image_indices``; repeated
-    indices count with multiplicity. Only categories with at least one
-    pooled ground truth participate.
-    """
-    params = table.params
+def _pooled(
+    table: MatchTable, image_indices: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of a multiset of the table's images pooled per category:
+    the rows, category by category in (category, -score, row) order, the
+    offsets of the categories in them, and the category codes and pooled
+    ground-truth counts of those categories. Only categories with at least
+    one pooled ground truth are listed. A row's place in the table orders
+    it by (image index, in-image rank), so the order does not depend on
+    the order of ``image_indices``; repeated indices count with
+    multiplicity."""
     picked = np.arange(table.images)[np.asarray(image_indices, dtype=np.int64)]
     segments = _ranges(
         np.searchsorted(table.image, picked), np.searchsorted(table.image, picked, side="right")
@@ -406,16 +408,64 @@ def map_from_table(table: MatchTable, image_indices: Sequence[int]) -> MapReport
     lo, hi = table.offsets[segments], table.offsets[segments + 1]
     rows = _ranges(lo, hi)
     category = np.repeat(table.category[segments], hi - lo)
-    # within a category, row order is (image index, in-image rank)
     order = np.lexsort((rows, -table.scores[rows], category))
     scored = np.flatnonzero(gt)
+    offsets = np.r_[0, np.cumsum(np.bincount(category, minlength=len(gt))[scored])]
+    return rows[order], offsets, scored, gt[scored]
+
+
+def map_from_table(table: MatchTable, image_indices: Sequence[int]) -> MapReport:
+    """Pool a multiset of images from the table and compute mAP.
+
+    Pooled detections sort by (-score, image index, in-image rank), which
+    makes the value invariant to the order of ``image_indices``; repeated
+    indices count with multiplicity. Only categories with at least one
+    pooled ground truth participate.
+    """
+    params = table.params
+    rows, offsets, scored, gt = _pooled(table, image_indices)
     if not len(scored):
         return MapReport(mean_ap=0.0, per_category={}, params=params)
-    offsets = np.r_[0, np.cumsum(np.bincount(category, minlength=len(gt))[scored])]
-    means = _segment_means(table.flags[rows[order]], offsets, gt[scored], params.recall_points)
+    means = _segment_means(table.flags[rows], offsets, gt, params.recall_points)
     per_category = dict(zip(table.categories[scored].tolist(), means.tolist()))
     mean_ap = math.fsum(per_category.values()) / len(per_category)
     return MapReport(mean_ap=mean_ap, per_category=per_category, params=params)
+
+
+def _floor_maps(
+    table: MatchTable, image_indices: Sequence[int], floors: Sequence[float]
+) -> list[float]:
+    """The dataset mAP of a multiset of the table's images at each score
+    floor: ``map_from_table(filter_table(table, s), image_indices).mean_ap``
+    for each ``s`` in ``floors``, from one pooling.
+
+    Pooling ranks each category's rows by descending score, so the rows
+    scoring at least ``s`` are a prefix of its pooled list (the prefix of
+    :func:`filter_table`, taken after pooling), and the categories scored
+    are the same at every floor. One ``searchsorted`` per category cuts
+    its list at every floor, and one :func:`_segment_means` call scores
+    every (floor, category) prefix.
+    """
+    rows, offsets, scored, gt = _pooled(table, image_indices)
+    if not len(scored):
+        return [0.0] * len(floors)
+    negated = -table.scores[rows]
+    bar = -np.asarray(floors, dtype=np.float64)
+    starts = offsets[:-1]
+    # stops[f, c]: the end of category c's rows scoring at least floors[f]
+    stops = np.stack(
+        [a + np.searchsorted(negated[a:b], bar, side="right") for a, b in zip(starts, offsets[1:])],
+        axis=1,
+    )
+    starts = np.broadcast_to(starts, stops.shape).reshape(-1)
+    stops = stops.reshape(-1)
+    means = _segment_means(
+        table.flags[rows[_ranges(starts, stops)]],
+        np.r_[0, np.cumsum(stops - starts)],
+        np.tile(gt, len(bar)),
+        table.params.recall_points,
+    )
+    return [math.fsum(row) / len(scored) for row in means.reshape(len(bar), len(scored)).tolist()]
 
 
 def image_maps(table: MatchTable) -> list[float]:

@@ -6,8 +6,10 @@ cost (minimized) or by dataset mAP (maximized). Only higher-scored boxes
 suppress, so NMS at ``(s, t)`` keeps exactly the ``score >= s`` prefix of
 what NMS at ``(s0, t)`` keeps for any ``s0 <= s``. The tuner therefore
 needs one pass per IoU threshold, at the lowest score threshold of that
-column; each grid point takes a prefix of that pass, and so does the
-survivor count of the best point.
+column; each grid point takes a prefix of that pass. Each pass is in
+rank order, so one ``searchsorted`` per pass gives the length of that
+prefix at every score threshold, for every image at once, and so the
+survivor count of the best point as well.
 
 One kernel computes every pass of every image in a single call, in the
 calling process: :func:`tune` calls it once for the whole grid, before
@@ -16,11 +18,16 @@ ranks each image once, computes the IoU of each pair of same-label rows
 once, with the pair kernel that greedy mAP matching also uses, and
 suppresses in lockstep over all groups and passes. Then:
 
-- greedy mAP matching runs in score order, so one match table per IoU
-  threshold, cut to each score threshold by
-  :func:`~oceval.map_metric.filter_table`, serves the mAP objective;
-- for the oc-cost objective, each process lists the rows of its images
-  that survive each grid point as the pricing kernel of
+- for the mAP objective, one match table holds every pass, each (pass,
+  image) an image of its own, so the labels are coded and the greedy
+  matching runs once for the whole grid. Matching runs in score order
+  and pooling ranks each category by score, so the detections of a pass
+  that survive a score threshold are a prefix of each category's pooled
+  list: each pass pools its images once, and one call of the AP kernel
+  scores every score threshold of it
+  (:func:`~oceval.map_metric._floor_maps`);
+- for the oc-cost objective, each process lists each grid point's
+  prefix of each of its images' passes as the pricing kernel of
   :mod:`oceval.occost` takes them, block by block; the kernel solves
   each distinct set of survivors once however many grid points share
   it.
@@ -45,13 +52,12 @@ from .costs import (
 from .errors import ConfigError, ValidationError, _check_real
 from .map_metric import (
     MapParams,
+    _floor_maps,
     _lockstep_steps,
     _pair_ious,
     _rank_groups,
     _ranges,
     build_match_table,
-    filter_table,
-    map_from_table,
 )
 from .occost import _price, check_jobs, map_images
 
@@ -220,62 +226,110 @@ def tune(
     for point in candidates:
         t = point.iou_threshold
         lowest[t] = min(lowest.get(t, 1.0), point.score_threshold)
-    found = _nms_passes([d for _, d, _ in inputs], [NmsParams(s, t) for t, s in lowest.items()])
-    passes = [dict(zip(lowest, rows)) for rows in found]
+    passes = _nms_passes([d for _, d, _ in inputs], [NmsParams(s, t) for t, s in lowest.items()])
+    # each point's pass, and how many rows of it each image keeps there
+    column = np.array([list(lowest).index(p.iou_threshold) for p in candidates])
+    floors = np.array([p.score_threshold for p in candidates])
+    lengths = _prefix_lengths([d.scores for _, d, _ in inputs], passes, column, floors)
 
     if objective == "oc-cost":
         params = oc_params or OcCostParams()
-        per_image = map_images(_grid_costs, list(zip(inputs, passes)), jobs, candidates, params)
-        values = [math.fsum(oc for oc, _ in column) / len(per_image) for column in zip(*per_image)]
+        tasks = list(zip(inputs, passes, lengths.tolist()))
+        per_image = map_images(_grid_costs, tasks, jobs, column.tolist(), params)
+        values = [math.fsum(oc for oc, _ in costs) / len(per_image) for costs in zip(*per_image)]
         best_index = min(range(len(values)), key=lambda i: (values[i], i))
         kind = "minimize-oc-cost"
     else:
-        values = [0.0] * len(candidates)
-        for t in lowest:
-            kept = [(image_id, d.take(p[t]), g) for (image_id, d, g), p in zip(inputs, passes)]
-            table = build_match_table(kept, map_params or MapParams())
-            for i, point in enumerate(candidates):
-                if point.iou_threshold == t:
-                    survivors = filter_table(table, point.score_threshold)
-                    values[i] = map_from_table(survivors, range(len(inputs))).mean_ap
+        values = _grid_maps(inputs, passes, column, floors, map_params or MapParams())
         best_index = max(range(len(values)), key=lambda i: (values[i], -i))
         kind = "maximize-map"
-    best_point = candidates[best_index]
     return TuneResult(
-        best_params=best_point,
+        best_params=candidates[best_index],
         objective_value=values[best_index],
         grid=tuple(zip(candidates, values)),
         objective_kind=kind,
-        survivor_counts=tuple(
-            len(_kept_rows(p, d, best_point)) for (_, d, _), p in zip(inputs, passes)
-        ),
+        survivor_counts=tuple(lengths[:, best_index].tolist()),
     )
 
 
-def _kept_rows(
-    passes: dict[float, np.ndarray], dets: DetectionArrays, point: NmsParams
+def _prefix_lengths(
+    scores: Sequence[np.ndarray],
+    passes: Sequence[tuple[np.ndarray, ...]],
+    column: np.ndarray,
+    floors: np.ndarray,
 ) -> np.ndarray:
-    """What NMS at ``point`` keeps: the ``score >= s`` prefix of its pass."""
-    rows = passes[point.iou_threshold]
-    return rows[dets.scores[rows] >= point.score_threshold]
+    """How many detections of each image NMS keeps at each point, shape
+    (images, points): the rows of the point's pass ``passes[i][column[j]]``
+    of image i that score at least its floor ``floors[j]``. Each pass is in
+    rank order, so they are a prefix of it.
+
+    Per pass, one ``searchsorted`` finds how many of the grid's floors,
+    sorted, each kept row reaches, and a histogram of that per image,
+    summed from the top, counts the rows that reach each floor.
+    """
+    ladder = np.sort(floors)
+    # a row scores at least floors[j] when it reaches rank[j] floors of the ladder
+    rank = np.searchsorted(ladder, floors, side="right")
+    lengths = np.empty((len(scores), len(floors)), dtype=np.int64)
+    width = len(floors) + 1
+    for c in range(len(passes[0])):
+        rows = [p[c] for p in passes]
+        kept = np.concatenate([np.zeros(0), *(s[r] for s, r in zip(scores, rows))])
+        owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+        reach = np.searchsorted(ladder, kept, side="right")
+        hist = np.bincount(owner * width + reach, minlength=len(rows) * width)
+        at_least = np.cumsum(hist.reshape(len(rows), width)[:, ::-1], axis=1)[:, ::-1]
+        points = np.flatnonzero(column == c)
+        lengths[:, points] = at_least[:, rank[points]]
+    return lengths
+
+
+def _grid_maps(
+    inputs: Sequence[ImageInput],
+    passes: Sequence[tuple[np.ndarray, ...]],
+    column: np.ndarray,
+    floors: np.ndarray,
+    params: MapParams,
+) -> list[float]:
+    """Each point's dataset mAP. One match table holds every pass, each
+    (pass, image) an image of its own, pass-major: it codes the labels and
+    runs the matching once. Each pass then pools its range of images once
+    and scores every floor of its points
+    (:func:`~oceval.map_metric._floor_maps`)."""
+    count, n = len(passes[0]), len(inputs)
+    table = build_match_table(
+        [
+            (image_id, d.take(rows[c]), g)
+            for c in range(count)
+            for (image_id, d, g), rows in zip(inputs, passes)
+        ],
+        params,
+    )
+    values = [0.0] * len(column)
+    for c in range(count):
+        points = np.flatnonzero(column == c)
+        for i, value in zip(points.tolist(), _floor_maps(table, range(c * n, c * n + n), floors[points])):
+            values[i] = value
+    return values
 
 
 def _grid_costs(
-    candidates: Sequence[NmsParams],
+    column: Sequence[int],
     params: OcCostParams,
-    tasks: Sequence[tuple[ImageInput, dict[float, np.ndarray]]],
+    tasks: Sequence[tuple[ImageInput, tuple[np.ndarray, ...], list[int]]],
 ) -> list[list[tuple[float, int]]]:
-    """Each image's ``(cost, k)`` at each grid point, from its NMS passes.
+    """Each image's ``(cost, k)`` at each grid point, from its NMS passes
+    and the length of each point's prefix of its pass.
 
-    It only lists the rows that survive each point; the pricing kernel
-    solves each distinct list once. The lists are made as the kernel
-    takes the images, in the process that prices them, so only those of
-    the block being priced are alive at a time.
+    It only lists each point's prefix; the pricing kernel solves each
+    distinct list once. The lists are made as the kernel takes the images,
+    in the process that prices them, so only those of the block being
+    priced are alive at a time.
     """
     return _price(
         [params],
         (
-            (item, [_kept_rows(passes, item[1], point) for point in candidates])
-            for item, passes in tasks
+            (item, [rows[c][:n] for c, n in zip(column, lengths)])
+            for item, rows, lengths in tasks
         ),
     )

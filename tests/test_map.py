@@ -595,6 +595,56 @@ def test_flat_table_equals_oracle(images, max_detections, thresholds, recall_poi
         assert map_from_table(got, range(len(inputs))) == oracle_map(want, params, range(len(inputs)))
 
 
+# a floor above every score
+ABOVE = float(np.nextafter(1.0, 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    images=st.lists(st.tuples(labeled_dets, labeled_gts), min_size=1, max_size=4),
+    max_detections=st.none() | st.integers(1, 4),
+    thresholds=threshold_sets.filter(lambda thrs: thrs[0] > 0.0),
+    recall_points=st.sampled_from((11, 101)),
+    data=st.data(),
+)
+@example(
+    # category 3 has only ground truths, -1 only detections, and 2**64 + 1
+    # makes the labels an object array; floors repeat, out of order
+    images=[
+        ([Detection(B1, 2**64 + 1, 0.5), Detection(B1, -1, 0.75), Detection(B2, 1, 0.5)],
+         [GroundTruthInstance(B1, 2**64 + 1), GroundTruthInstance(B3, 3)]),
+        ([], [GroundTruthInstance(B2, 1)]),
+    ],
+    max_detections=2,
+    thresholds=[0.5],
+    recall_points=11,
+    data=None,
+)
+def test_floor_maps_equal_the_map_of_each_filtered_table(
+    images, max_detections, thresholds, recall_points, data
+):
+    """One pooling scores every floor: each floor's value equals, bit for
+    bit, the mAP of the table filtered at that floor and the oracle's.
+    Floors above every score, 0, detection scores, unsorted and repeated;
+    object labels, categories with only ground truths, a detection cap."""
+    params = MapParams(
+        iou_thresholds=tuple(thresholds), recall_points=recall_points, max_detections=max_detections
+    )
+    inputs = [(i, dets, gts) for i, (dets, gts) in enumerate(images)]
+    scores = tuple(d.score for dets, _ in images for d in dets)
+    if data is None:
+        floors = [0.5, ABOVE, 0.0, 0.75, 0.5, 0.25]
+    else:
+        drawn = data.draw(st.lists(st.sampled_from(SCORES + scores) | st.floats(0.0, 1.0), max_size=5))
+        floors = data.draw(st.permutations(drawn + [ABOVE, 0.0, *scores[:1]]))
+    table = build_match_table(inputs, params)
+    entries = oracle_table(inputs, params)
+    everything = range(len(inputs))
+    got = map_metric._floor_maps(table, everything, floors)
+    assert got == [map_from_table(filter_table(table, s), everything).mean_ap for s in floors]
+    assert got == [oracle_map(oracle_filter(entries, s), params, everything).mean_ap for s in floors]
+
+
 def coco_density_inputs(images, seed=0):
     """COCO's density: per 640-pixel image, 7 ground truths over 80
     categories, a detection near each and 93 low-scored ones elsewhere."""
