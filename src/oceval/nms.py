@@ -18,13 +18,15 @@ ranks each image once, computes the IoU of each pair of same-label rows
 once, with the pair kernel that greedy mAP matching also uses, and
 suppresses in lockstep over all groups and passes. Then:
 
-- for the mAP objective, one match table holds every pass, each (pass,
-  image) an image of its own, so the labels are coded and the greedy
-  matching runs once for the whole grid. Matching runs in score order
-  and pooling ranks each category by score, so the detections of a pass
-  that survive a score threshold are a prefix of each category's pooled
-  list: each pass pools its images once, and one call of the AP kernel
-  scores every score threshold of it
+- for the mAP objective, consecutive passes share one match table
+  while their rows fit in a fixed budget, each (pass, image) an image of
+  its own: the labels are coded and the greedy matching runs once per
+  table, once for the whole grid on a small dataset, while a large one
+  gets a table per pass and the memory of one. Matching runs in score
+  order and pooling ranks each category by score, so the detections of
+  a pass that survive a score threshold are a prefix of each category's
+  pooled list: each pass pools its images once, and one call of the AP
+  kernel scores every score threshold of it
   (:func:`~oceval.map_metric._floor_maps`);
 - for the oc-cost objective, each process lists each grid point's
   prefix of each of its images' passes as the pricing kernel of
@@ -74,6 +76,10 @@ __all__ = [
 # 0.05..0.90 step 0.05 and 0.3..0.9 step 0.1
 DEFAULT_SCORE_THRESHOLDS: tuple[float, ...] = tuple(i / 100.0 for i in range(5, 91, 5))
 DEFAULT_IOU_THRESHOLDS: tuple[float, ...] = tuple(i / 10.0 for i in range(3, 10))
+
+# the most detection and ground-truth rows one match table of the map
+# objective holds, unless one NMS pass alone has more
+_TABLE_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -291,25 +297,39 @@ def _grid_maps(
     floors: np.ndarray,
     params: MapParams,
 ) -> list[float]:
-    """Each point's dataset mAP. One match table holds every pass, each
-    (pass, image) an image of its own, pass-major: it codes the labels and
-    runs the matching once. Each pass then pools its range of images once
-    and scores every floor of its points
-    (:func:`~oceval.map_metric._floor_maps`)."""
-    count, n = len(passes[0]), len(inputs)
-    table = build_match_table(
-        [
-            (image_id, d.take(rows[c]), g)
-            for c in range(count)
-            for (image_id, d, g), rows in zip(inputs, passes)
-        ],
-        params,
-    )
+    """Each point's dataset mAP. Consecutive passes share one match table
+    while their detection and ground-truth rows fit in ``_TABLE_ROWS``,
+    each (pass, image) an image of its own, pass-major: the labels are
+    coded and the matching runs once per table, one table after another.
+    Each pass then pools its range of images once and scores every floor
+    of its points (:func:`~oceval.map_metric._floor_maps`).
+    """
+    n = len(inputs)
+    gts = sum(len(g) for _, _, g in inputs)
+    groups: list[list[int]] = []
+    total = 0
+    for c in range(len(passes[0])):
+        size = gts + sum(len(rows[c]) for rows in passes)
+        if not groups or total + size > _TABLE_ROWS:
+            groups.append([])
+            total = 0
+        groups[-1].append(c)
+        total += size
     values = [0.0] * len(column)
-    for c in range(count):
-        points = np.flatnonzero(column == c)
-        for i, value in zip(points.tolist(), _floor_maps(table, range(c * n, c * n + n), floors[points])):
-            values[i] = value
+    for group in groups:
+        table = build_match_table(
+            [
+                (image_id, d.take(rows[c]), g)
+                for c in group
+                for (image_id, d, g), rows in zip(inputs, passes)
+            ],
+            params,
+        )
+        for k, c in enumerate(group):
+            points = np.flatnonzero(column == c)
+            maps = _floor_maps(table, range(k * n, k * n + n), floors[points])
+            for i, value in zip(points.tolist(), maps):
+                values[i] = value
     return values
 
 

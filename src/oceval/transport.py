@@ -12,19 +12,13 @@ at β and carrying k units) is
 so an optimal plan is a partial injective matching that minimises the
 sum of the gains c_ij - β of its pairs. Only a pair of negative gain is
 worth matching; call it a candidate. :func:`_plans` finds an optimum in
-one of three ways, cheapest first, and all are exact:
+one of two ways, cheapest first, and both are exact:
 
 1. Certificate from the ground-truth side. Every ground truth with a
    candidate picks its least-gain detection (the first on a tie). No plan
    beats Σ_j min(0, min_i g_ij), so when no two ground truths pick the
    same detection these pairs reach that bound and are optimal.
-2. Otherwise the certificate from the detection side. Every detection
-   with a candidate picks its least-gain ground truth (the first on a
-   tie); when no two detections pick the same ground truth, these pairs
-   reach the bound Σ_i min(0, min_j g_ij) and are optimal. They are the
-   plan the assignment of step 3 would return: its start gives every row
-   its first least column, and no row then needs a search.
-3. Otherwise a shortest-augmenting-path assignment (D. F. Crouse, "On
+2. Otherwise a shortest-augmenting-path assignment (D. F. Crouse, "On
    implementing 2D rectangular assignment algorithms", IEEE TAES 2016,
    the algorithm of ``scipy.optimize.linear_sum_assignment``), in pure
    Python, on the candidate block only: the rows and columns that hold a
@@ -34,18 +28,19 @@ one of three ways, cheapest first, and all are exact:
 
 One code path, ``_plans``, settles a block of many problems at once:
 the pricing kernel of :mod:`oceval.occost` (``_price``) hands it the
-cells of many images. It finds every problem's certificates with
-segment reductions over the block's cells, and runs the assignment only
-on the problems whose certificates both fail. The plan of one image is public only
+cells of many images. It finds every problem's certificate with segment
+reductions over the block's cells, and runs the assignment only on the
+problems whose certificates fail. The plan of one image is public only
 through that kernel: ``image_oc_cost(...).plan`` lists its matched
 pairs (``det_indices``, ``gt_indices``) and its unmatched units
 (``unmatched_detections``, ``unmatched_ground_truths``).
 
-On detector output the certificates settle most images. The assignment
+On detector output the certificate settles most images. The assignment
 takes O(r^2 c) time on an r x c block (r <= c), and a start that gives
 each row its least column while that column is free leaves only the
-conflicting rows to search. The plan is an integral optimum, not an
-approximation.
+conflicting rows to search. When no two detections pick the same least
+ground truth, the detections are the rows and that start is the whole
+plan. The plan is an integral optimum, not an approximation.
 
 Tie rule and its tolerance (the contract the tests fuzz with pair costs
 at β + δ for δ near ε). Among optimal plans the normalization mass
@@ -211,9 +206,7 @@ def _plans(
     The certificate of every problem is settled at once: each column's
     least gain and the first row that reaches it (``argmin``'s tie rule).
     A problem whose columns with a negative least gain pick distinct rows
-    takes those pairs. The certificate from the detection side
-    (:func:`_detection_picks`) settles the rest at once where it holds,
-    and every other problem is handed to :func:`_augment`.
+    takes those pairs; every other one is handed to :func:`_augment`.
     """
     columns = np.where(heights > 0, widths, 0)
     height = np.repeat(heights, columns)
@@ -238,12 +231,8 @@ def _plans(
         clashing[problem[1:][clash]] = True
         settled = ~clashing[problem]
         found, owner = [cells[settled]], [problem[settled]]
-        first = np.cumsum(heights * widths) - heights * widths
-        rest = np.flatnonzero(clashing)
-        cells, problem, twice = _detection_picks(gains, first[rest], heights[rest], widths[rest])
-        found.append(cells)
-        owner.append(rest[problem])
-        for p in rest[twice].tolist():
+        first = (np.cumsum(heights * widths) - heights * widths).tolist()
+        for p in np.flatnonzero(clashing).tolist():
             m, n = int(heights[p]), int(widths[p])
             rows, cols = _augment(gains[first[p] : first[p] + m * n].reshape(n, m).T)
             found.append(cols * m + rows + first[p])
@@ -252,38 +241,3 @@ def _plans(
         order = np.argsort(owner, kind="stable")
         cells, problem = np.concatenate(found).take(order), owner.take(order)
     return cells, np.bincount(problem, minlength=len(heights))
-
-
-def _detection_picks(
-    gains: np.ndarray, first: np.ndarray, heights: np.ndarray, widths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The certificate from the detection side of problems whose cells
-    start at ``first`` in ``gains`` (column by column, as :func:`_plans`
-    takes them): every detection with a negative gain picks its least-gain
-    ground truth, the first on a tie. No plan beats the sum of those
-    gains, so a problem whose picks are distinct takes them; no two rows
-    then share a column, and :func:`_augment`'s start is that plan.
-
-    Returns the picked cells of the problems settled so, grouped by
-    problem and ordered by row within one, the index of each one's
-    problem, and which problems pick some ground truth twice.
-    """
-    size = heights * widths
-    # every cell of the problems, row by row
-    at = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-    row, col = np.divmod(at, np.repeat(widths, size))
-    cell = np.repeat(first, size) + col * np.repeat(heights, size) + row
-    # each row's least gain and the first of its cells that holds it
-    span = np.repeat(widths, heights)
-    start = np.cumsum(span) - span
-    values = gains.take(cell)
-    least = np.minimum.reduceat(values, start)
-    holds = np.where(values == np.repeat(least, span), np.arange(len(values)), len(values))
-    pick = np.minimum.reduceat(holds, start)[least < 0]
-    problem = np.repeat(np.arange(len(heights)), heights)[least < 0]
-    # how often each ground truth of each problem is picked
-    gt_start = np.cumsum(widths) - widths
-    hits = np.bincount(col.take(pick) + gt_start[problem], minlength=widths.sum())
-    twice = np.maximum.reduceat(hits, gt_start) > 1
-    settled = ~twice[problem]
-    return cell.take(pick[settled]), problem[settled], twice

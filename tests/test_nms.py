@@ -331,34 +331,58 @@ def test_tune_matches_per_point_oracle(rng, objective, grid_name):
         assert result.best_params == grid[0]
 
 
-def test_one_table_of_every_pass_equals_a_table_per_pass(rng):
-    # the map objective matches every pass in one table; here each pass
-    # gets a table of its own, cut to each of its floors. Category 3's
-    # detections all score under the floor of the pass at IoU 0.7, so they
-    # die there while its ground truths stay scored, and label 4, with
-    # detections only, is in one pass's table and not the other's.
-    grid = [NmsParams(s, t) for t, floors in ((0.3, (0.1, 0.6)), (0.7, (0.4, 0.5))) for s in floors]
+@pytest.mark.parametrize("tables", ["one per pass", "two passes, then one", "one for every pass"])
+def test_passes_sharing_a_table_score_as_a_table_per_pass(rng, monkeypatch, tables):
+    # the map objective matches consecutive passes in one table while their
+    # rows fit in _TABLE_ROWS; here each pass gets a table of its own, cut
+    # to each of its floors. Category 3's detections all score under the
+    # floor of the pass at IoU 0.7, so they die there while its ground
+    # truths stay scored, and label 4, with detections only, is in the
+    # tables of the first two passes and not in the last one's.
+    grid = [
+        NmsParams(s, t)
+        for t, floors in ((0.3, (0.1, 0.6)), (0.5, (0.2,)), (0.7, (0.4, 0.5)))
+        for s in floors
+    ]
     map_params = MapParams(iou_thresholds=(0.3, 0.5, 0.7), max_detections=6)
     doomed = [
         Detection(B1, 3, 0.3), Detection(B1_SHIFT, 3, 0.2), Detection(B2, 4, 0.35),
         Detection(B1, 1, 0.9),
     ]
     ground_truths = [GroundTruthInstance(B1, 3), GroundTruthInstance(B1, 1)]
+    built = []
+
+    def counting(items, params):
+        built.append(len(items))
+        return build_match_table(items, params)
+
+    monkeypatch.setattr(nms_module, "build_match_table", counting)
     for _ in range(10):
         inputs = _raw_dataset(rng) + [("doomed", doomed, ground_truths)]
-        per_table = []
+        n = len(inputs)
+        per_table, sizes = [], {}
         for point in grid:
             t = point.iou_threshold
             lowest = min(p.score_threshold for p in grid if p.iou_threshold == t)
             kept = [(i, nms(dets, NmsParams(lowest, t)), gts) for i, dets, gts in inputs]
+            sizes[t] = sum(len(dets) + len(gts) for _, dets, gts in kept)
             table = build_match_table(kept, map_params)
             survivors = filter_table(table, point.score_threshold)
-            per_table.append(map_from_table(survivors, range(len(inputs))).mean_ap)
+            per_table.append(map_from_table(survivors, range(n)).mean_ap)
+        budget, expected = {
+            "one per pass": (0, [n, n, n]),
+            "two passes, then one": (sizes[0.3] + sizes[0.5], [2 * n, n]),
+            "one for every pass": (sum(sizes.values()), [3 * n]),
+        }[tables]
+        monkeypatch.setattr(nms_module, "_TABLE_ROWS", budget)
+        built.clear()
         result = tune(inputs, "map", grid, map_params=map_params)
         assert [value for _, value in result.grid] == per_table
+        assert built == expected
         # the last table is the pass at IoU 0.7: category 3 is scored there
-        # by its ground truths alone
-        assert 3 in map_from_table(table, range(len(inputs))).per_category
+        # by its ground truths alone, and label 4 is absent
+        report = map_from_table(table, range(n))
+        assert 3 in report.per_category and 4 not in table.categories
 
 
 def test_tune_jobs_bit_identical_with_one_pool(rng, count_pools):

@@ -4,7 +4,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -17,8 +17,7 @@ from oceval import (
     ValidationError,
     image_oc_cost,
 )
-from oceval import transport
-from oceval.transport import _TIE_EPSILON, _augment as augment, _checked_gains, _plans
+from oceval.transport import _TIE_EPSILON, _checked_gains
 
 from conftest import kernel_step, plan_objective, random_scene
 from oracles import (
@@ -421,27 +420,10 @@ def distinct(indices):
 
 def tier_of(cost):
     """Which way the kernel settles ``cost``: the certificate from the
-    ground-truth side, the one from the detection side, or the
-    assignment."""
-    gains = _checked_gains(*cost)
-    if distinct(picks(gains)[0]):
+    ground-truth side, or the assignment."""
+    if distinct(picks(_checked_gains(*cost))[0]):
         return "ground truths"
-    if distinct(picks(gains.T)[0]):
-        return "detections"
     return "assignment"
-
-
-@pytest.fixture
-def augmented(monkeypatch):
-    """The gains of every problem handed to ``transport._augment``."""
-    calls = []
-
-    def counting(gains):
-        calls.append(gains)
-        return augment(gains)
-
-    monkeypatch.setattr(transport, "_augment", counting)
-    return calls
 
 
 def test_ground_truth_certificate():
@@ -452,16 +434,15 @@ def test_ground_truth_certificate():
     assert plan.rows.tolist() == [0, 2] and plan.cols.tolist() == [0, 1]
 
 
-def test_detection_certificate(augmented):
+def test_detection_certificate():
     # m < n: both ground truths 0 and 1 pick detection 0, but each
-    # detection picks a different ground truth, so those picks are the
-    # plan and no assignment runs
+    # detection picks a different ground truth, so the assignment's start
+    # is the plan
     cost = problem([[0.1, 0.2, 0.9], [0.9, 0.3, 0.9]])
-    assert tier_of(cost) == "detections"
+    assert tier_of(cost) == "assignment"
     assert [p.tolist() for p in picks(_checked_gains(*cost).T)] == [[0, 1], [0, 1]]
     plan = kernel_plan(*cost)
     assert plan.rows.tolist() == [0, 1] and plan.cols.tolist() == [0, 1]
-    assert augmented == []
 
 
 @settings(max_examples=400, deadline=None)
@@ -475,38 +456,6 @@ def test_distinct_detection_picks_are_the_plan(cost):
         np.testing.assert_array_equal(plan.rows, rows)
         np.testing.assert_array_equal(plan.cols, cols)
         assert plan.rows.dtype == plan.cols.dtype == np.intp
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(assignment_problems(), min_size=1, max_size=6))
-@example(
-    # one problem of each tier: detections, assignment, ground truths
-    [
-        problem([[0.1, 0.2, 0.9], [0.9, 0.3, 0.9]]),
-        problem([[0.0, 0.1], [0.1, 0.55]]),
-        problem([[0.1, 0.9], [0.9, 0.5], [0.8, 0.2]]),
-    ]
-)
-def test_detection_tier_settles_a_block_as_the_assignment_would(costs):
-    # a block of problems through _plans at once: each problem gets the
-    # cells it gets alone, grouped by problem and ordered by row, and a
-    # problem the detection certificate settles gets exactly _augment's
-    gains = [_checked_gains(*cost) for cost in costs]
-    heights = np.array([g.shape[0] for g in gains])
-    widths = np.array([g.shape[1] for g in gains])
-    cells, counts = _plans(np.concatenate([g.T.ravel() for g in gains]), heights, widths)
-    assert counts.tolist() == [len(kernel_plan(*cost).rows) for cost in costs]
-    ends = np.cumsum(counts).tolist()
-    firsts = (np.cumsum(heights * widths) - heights * widths).tolist()
-    for cost, g, first, a, b in zip(costs, gains, firsts, [0] + ends, ends):
-        m = g.shape[0]
-        cols, rows = np.divmod(cells[a:b] - first, m)
-        plan = kernel_plan(*cost)
-        np.testing.assert_array_equal(rows, plan.rows)
-        np.testing.assert_array_equal(cols, plan.cols)
-        if tier_of(cost) == "detections":
-            at_rows, at_cols = augment(g)
-            np.testing.assert_array_equal(cells[a:b], at_cols * m + at_rows + first)
 
 
 def test_assignment_beats_greedy():
