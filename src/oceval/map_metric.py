@@ -28,7 +28,7 @@ import numpy as np
 
 from . import geometry
 from .costs import ImageInput, image_arrays
-from .errors import ConfigError, ValidationError, _check_integer, _check_real
+from .errors import ConfigError, ValidationError, _check_integer, _check_real, _is_integer
 from .geometry import _iou
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "MatchTable",
     "build_match_table",
     "map_from_table",
-    "filter_table",
     "image_maps",
 ]
 
@@ -359,31 +358,24 @@ def build_match_table(per_image_inputs: Sequence[ImageInput], params: MapParams)
     )
 
 
-def filter_table(table: MatchTable, score_threshold: float) -> MatchTable:
-    """The table of the same inputs with every detection scoring below
-    ``score_threshold`` removed.
+def _floor_counts(
+    scores: np.ndarray, group: np.ndarray, groups: int, floors: np.ndarray
+) -> np.ndarray:
+    """How many rows of each group score at least each floor, shape
+    (groups, floors): row i scores ``scores[i]`` in group ``group[i]``.
 
-    Each segment ranks its detections by descending score and greedy
-    matching reads only higher-ranked rows, so the kept detections are a
-    prefix of every segment and keep their flags; a ``max_detections`` cap
-    keeps the top ranks, so the prefix holds under it as well. Segments
-    left with neither detections nor ground truths are dropped, as building
-    the table from the filtered inputs would.
+    One ``searchsorted`` finds how many of the floors, sorted, each row
+    reaches, and a histogram of that per group, summed from the top,
+    counts the rows that reach each floor.
     """
-    keep = table.scores >= score_threshold
-    rows = np.diff(np.r_[0, np.cumsum(keep)][table.offsets])
-    kept = (rows > 0) | (table.gt_count > 0)
-    return MatchTable(
-        scores=table.scores[keep],
-        flags=table.flags[keep],
-        image=table.image[kept],
-        category=table.category[kept],
-        categories=table.categories,
-        gt_count=table.gt_count[kept],
-        offsets=np.r_[0, np.cumsum(rows[kept])],
-        images=table.images,
-        params=table.params,
-    )
+    ladder = np.sort(floors)
+    width = len(ladder) + 1
+    reach = np.searchsorted(ladder, scores, side="right")
+    hist = np.bincount(group * width + reach, minlength=groups * width)
+    at_least = np.cumsum(hist.reshape(groups, width)[:, ::-1], axis=1)[:, ::-1]
+    # a row scores at least floors[j] when it reaches as many floors of the
+    # ladder as lie at or below floors[j]
+    return at_least[:, np.searchsorted(ladder, floors, side="right")]
 
 
 def _pooled(
@@ -396,8 +388,17 @@ def _pooled(
     one pooled ground truth are listed. A row's place in the table orders
     it by (image index, in-image rank), so the order does not depend on
     the order of ``image_indices``; repeated indices count with
-    multiplicity."""
-    picked = np.arange(table.images)[np.asarray(image_indices, dtype=np.int64)]
+    multiplicity. An index that is no integer (a bool is none) or is
+    outside ``[0, table.images)`` is a :class:`ConfigError`."""
+    picked = np.asarray(image_indices)
+    # only an integer array or a range is checked whole: numpy reads a
+    # bool in a list of integers as an integer
+    typed = isinstance(image_indices, (np.ndarray, range)) and picked.dtype.kind in "iu"
+    if not typed or (len(picked) and not 0 <= picked.min() <= picked.max() < table.images):
+        for i in picked.tolist() if isinstance(image_indices, np.ndarray) else image_indices:
+            if not (_is_integer(i) and 0 <= i < table.images):
+                raise ConfigError(f"image index must be an integer in [0, {table.images}), got {i!r}")
+    picked = picked.astype(np.int64, copy=False)
     segments = _ranges(
         np.searchsorted(table.image, picked), np.searchsorted(table.image, picked, side="right")
     )
@@ -420,7 +421,8 @@ def map_from_table(table: MatchTable, image_indices: Sequence[int]) -> MapReport
     Pooled detections sort by (-score, image index, in-image rank), which
     makes the value invariant to the order of ``image_indices``; repeated
     indices count with multiplicity. Only categories with at least one
-    pooled ground truth participate.
+    pooled ground truth participate. An index that is no integer or no
+    image of the table is a :class:`ConfigError`.
     """
     params = table.params
     rows, offsets, scored, gt = _pooled(table, image_indices)
@@ -436,36 +438,35 @@ def _floor_maps(
     table: MatchTable, image_indices: Sequence[int], floors: Sequence[float]
 ) -> list[float]:
     """The dataset mAP of a multiset of the table's images at each score
-    floor: ``map_from_table(filter_table(table, s), image_indices).mean_ap``
-    for each ``s`` in ``floors``, from one pooling.
+    floor ``s`` of ``floors``: the mAP of the table built from the same
+    inputs without the detections scoring below ``s``, from one pooling.
 
-    Pooling ranks each category's rows by descending score, so the rows
-    scoring at least ``s`` are a prefix of its pooled list (the prefix of
-    :func:`filter_table`, taken after pooling), and the categories scored
-    are the same at every floor. One ``searchsorted`` per category cuts
-    its list at every floor, and one :func:`_segment_means` call scores
-    every (floor, category) prefix.
+    Each segment ranks its detections by descending score, and greedy
+    matching reads only higher-ranked rows, so dropping the detections
+    below ``s`` keeps a prefix of every segment with its flags; a
+    ``max_detections`` cap keeps the top ranks, so the prefix holds under
+    it as well. Pooling ranks each category's rows by descending score,
+    so the rows scoring at least ``s`` are a prefix of its pooled list,
+    and the categories scored, those with ground truths, are the same at
+    every floor. One :func:`_floor_counts` call cuts every category's list
+    at every floor, and one :func:`_segment_means` call scores every
+    (floor, category) prefix.
     """
     rows, offsets, scored, gt = _pooled(table, image_indices)
     if not len(scored):
         return [0.0] * len(floors)
-    negated = -table.scores[rows]
-    bar = -np.asarray(floors, dtype=np.float64)
-    starts = offsets[:-1]
-    # stops[f, c]: the end of category c's rows scoring at least floors[f]
-    stops = np.stack(
-        [a + np.searchsorted(negated[a:b], bar, side="right") for a, b in zip(starts, offsets[1:])],
-        axis=1,
-    )
-    starts = np.broadcast_to(starts, stops.shape).reshape(-1)
-    stops = stops.reshape(-1)
+    category = np.repeat(np.arange(len(scored)), np.diff(offsets))
+    count = _floor_counts(table.scores[rows], category, len(scored), np.asarray(floors))
+    # floor-major: the bounds of category c's rows scoring at least floors[f]
+    starts = np.tile(offsets[:-1], len(floors))
+    stops = starts + count.T.reshape(-1)
     means = _segment_means(
         table.flags[rows[_ranges(starts, stops)]],
         np.r_[0, np.cumsum(stops - starts)],
-        np.tile(gt, len(bar)),
+        np.tile(gt, len(floors)),
         table.params.recall_points,
     )
-    return [math.fsum(row) / len(scored) for row in means.reshape(len(bar), len(scored)).tolist()]
+    return [math.fsum(row) / len(scored) for row in means.reshape(len(floors), len(scored)).tolist()]
 
 
 def image_maps(table: MatchTable) -> list[float]:

@@ -7,9 +7,10 @@ suppress, so NMS at ``(s, t)`` keeps exactly the ``score >= s`` prefix of
 what NMS at ``(s0, t)`` keeps for any ``s0 <= s``. The tuner therefore
 needs one pass per IoU threshold, at the lowest score threshold of that
 column; each grid point takes a prefix of that pass. Each pass is in
-rank order, so one ``searchsorted`` per pass gives the length of that
-prefix at every score threshold, for every image at once, and so the
-survivor count of the best point as well.
+rank order, so one call per pass of the count that the mAP floor scorer
+also uses (:func:`~oceval.map_metric._floor_counts`) gives the length of
+that prefix at every score threshold, for every image at once, and so
+the survivor count of the best point as well.
 
 One kernel computes every pass of every image in a single call, in the
 calling process: :func:`tune` calls it once for the whole grid, before
@@ -25,8 +26,9 @@ suppresses in lockstep over all groups and passes. Then:
   gets a table per pass and the memory of one. Matching runs in score
   order and pooling ranks each category by score, so the detections of
   a pass that survive a score threshold are a prefix of each category's
-  pooled list: each pass pools its images once, and one call of the AP
-  kernel scores every score threshold of it
+  pooled list: each pass pools its images once, the same count cuts
+  every category's list at every score threshold of it, and one call of
+  the AP kernel scores them all
   (:func:`~oceval.map_metric._floor_maps`);
 - for the oc-cost objective, each process lists each grid point's
   prefix of each of its images' passes as the pricing kernel of
@@ -54,6 +56,7 @@ from .costs import (
 from .errors import ConfigError, ValidationError, _check_real
 from .map_metric import (
     MapParams,
+    _floor_counts,
     _floor_maps,
     _lockstep_steps,
     _pair_ious,
@@ -267,26 +270,17 @@ def _prefix_lengths(
     """How many detections of each image NMS keeps at each point, shape
     (images, points): the rows of the point's pass ``passes[i][column[j]]``
     of image i that score at least its floor ``floors[j]``. Each pass is in
-    rank order, so they are a prefix of it.
-
-    Per pass, one ``searchsorted`` finds how many of the grid's floors,
-    sorted, each kept row reaches, and a histogram of that per image,
-    summed from the top, counts the rows that reach each floor.
+    rank order, so they are a prefix of it. Per pass, one call of the
+    shared count (:func:`~oceval.map_metric._floor_counts`) counts them
+    at every floor of its points, for every image at once.
     """
-    ladder = np.sort(floors)
-    # a row scores at least floors[j] when it reaches rank[j] floors of the ladder
-    rank = np.searchsorted(ladder, floors, side="right")
     lengths = np.empty((len(scores), len(floors)), dtype=np.int64)
-    width = len(floors) + 1
     for c in range(len(passes[0])):
         rows = [p[c] for p in passes]
         kept = np.concatenate([np.zeros(0), *(s[r] for s, r in zip(scores, rows))])
         owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-        reach = np.searchsorted(ladder, kept, side="right")
-        hist = np.bincount(owner * width + reach, minlength=len(rows) * width)
-        at_least = np.cumsum(hist.reshape(len(rows), width)[:, ::-1], axis=1)[:, ::-1]
         points = np.flatnonzero(column == c)
-        lengths[:, points] = at_least[:, rank[points]]
+        lengths[:, points] = _floor_counts(kept, owner, len(rows), floors[points])
     return lengths
 
 

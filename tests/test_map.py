@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,8 +25,8 @@ from oceval.map_metric import (
     _block_aps,
     _greedy_lockstep,
     _segment_means,
+    _floor_counts,
     build_match_table,
-    filter_table,
     image_maps,
     map_from_table,
 )
@@ -516,34 +517,6 @@ coarse_boxes = st.builds(
     lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
     st.integers(0, 2), st.integers(0, 2), st.integers(1, 2), st.integers(1, 2),
 )
-coarse_dets = st.lists(
-    st.builds(Detection, coarse_boxes, st.integers(1, 2), st.sampled_from(SCORES) | st.floats(0.0, 1.0)),
-    max_size=8,
-)
-coarse_gts = st.lists(st.builds(GroundTruthInstance, coarse_boxes, st.integers(1, 2)), max_size=5)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    images=st.lists(st.tuples(coarse_dets, coarse_gts), min_size=1, max_size=4),
-    max_detections=st.none() | st.integers(1, 4),
-    thresholds=threshold_sets.filter(lambda thrs: thrs[0] > 0.0),
-    data=st.data(),
-)
-def test_filter_table_equals_table_of_filtered_inputs(images, max_detections, thresholds, data):
-    scores = [d.score for dets, _ in images for d in dets]
-    score_threshold = data.draw(st.sampled_from(SCORES + tuple(scores)) | st.floats(0.0, 1.0))
-    params = MapParams(iou_thresholds=tuple(thresholds), max_detections=max_detections)
-    inputs = [(i, dets, gts) for i, (dets, gts) in enumerate(images)]
-    filtered = [(i, [d for d in dets if d.score >= score_threshold], gts) for i, dets, gts in inputs]
-
-    expected = build_match_table(filtered, params)
-    sliced = filter_table(build_match_table(inputs, params), score_threshold)
-    assert_same_entries(table_entries(expected), table_entries(sliced))
-    multiset = list(range(len(inputs))) + [0]
-    assert map_from_table(sliced, multiset) == map_from_table(expected, multiset)
-    assert image_maps(sliced) == image_maps(expected)
-
 
 # labels 2**64 + 1 and -1 make object label arrays (no int64 holds the first)
 LABELS = (1, 2, 3, -1, 2**64 + 1)
@@ -579,20 +552,15 @@ def test_flat_table_equals_oracle(images, max_detections, thresholds, recall_poi
         for i, (dets, gts, columnar) in enumerate(images)
     ]
     multiset = data.draw(st.lists(st.integers(0, len(inputs) - 1), max_size=8)) if inputs else []
-    score_threshold = data.draw(st.sampled_from(SCORES))
 
     entries = oracle_table(inputs, params)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "_BLOCK_PAIRS", block)
         table = build_match_table(inputs, params)
-    kept = oracle_filter(entries, score_threshold)
-    sliced = filter_table(table, score_threshold)
     assert_same_entries(entries, table_entries(table))
-    assert_same_entries(kept, table_entries(sliced))
-    for want, got in ((entries, table), (kept, sliced)):
-        assert image_maps(got) == oracle_image_maps(want, params)
-        assert map_from_table(got, multiset) == oracle_map(want, params, multiset)
-        assert map_from_table(got, range(len(inputs))) == oracle_map(want, params, range(len(inputs)))
+    assert image_maps(table) == oracle_image_maps(entries, params)
+    assert map_from_table(table, multiset) == oracle_map(entries, params, multiset)
+    assert map_from_table(table, range(len(inputs))) == oracle_map(entries, params, range(len(inputs)))
 
 
 # a floor above every score
@@ -624,7 +592,8 @@ def test_floor_maps_equal_the_map_of_each_filtered_table(
     images, max_detections, thresholds, recall_points, data
 ):
     """One pooling scores every floor: each floor's value equals, bit for
-    bit, the mAP of the table filtered at that floor and the oracle's.
+    bit, the mAP of the table built, matching and all, from the inputs
+    filtered at that floor, and the oracle's.
     Floors above every score, 0, detection scores, unsorted and repeated;
     object labels, categories with only ground truths, a detection cap."""
     params = MapParams(
@@ -641,8 +610,68 @@ def test_floor_maps_equal_the_map_of_each_filtered_table(
     entries = oracle_table(inputs, params)
     everything = range(len(inputs))
     got = map_metric._floor_maps(table, everything, floors)
-    assert got == [map_from_table(filter_table(table, s), everything).mean_ap for s in floors]
+    filtered = [
+        build_match_table([(i, [d for d in dets if d.score >= s], gts) for i, dets, gts in inputs], params)
+        for s in floors
+    ]
+    assert got == [map_from_table(kept, everything).mean_ap for kept in filtered]
     assert got == [oracle_map(oracle_filter(entries, s), params, everything).mean_ap for s in floors]
+
+
+@st.composite
+def counted_rows(draw):
+    """A group count, rows of (group, score) in any order, and floors:
+    unsorted, repeated, equal to scores, -inf and above 1."""
+    groups = draw(st.integers(0, 4))
+    score = st.sampled_from(SCORES) | st.floats(0.0, 1.0)
+    rows = draw(st.lists(st.tuples(st.integers(0, groups - 1), score), max_size=12)) if groups else []
+    edges = SCORES + (-math.inf, ABOVE, 2.0) + tuple(s for _, s in rows)
+    floors = draw(st.lists(st.sampled_from(edges) | st.floats(0.0, 1.0), max_size=6))
+    return groups, rows, floors
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=counted_rows())
+@example(case=(3, [(2, 0.25), (0, 0.5), (2, 0.5), (0, 0.75)], [0.5, -math.inf, ABOVE, 0.25, 0.5, 2.0]))
+@example(case=(2, [], [0.5, -math.inf]))
+@example(case=(0, [], [0.5]))
+@example(case=(2, [(1, 0.5)], []))
+def test_floor_counts_equal_a_count_per_group_and_floor(case):
+    """The count that cuts score-ranked lists at score floors, for the mAP
+    floor scorer and the NMS tuner, equals counting ``score >= floor``
+    row by row, groups without rows and no rows at all included."""
+    groups, rows, floors = case
+    got = _floor_counts(
+        np.array([s for _, s in rows], dtype=np.float64),
+        np.array([g for g, _ in rows], dtype=np.int64),
+        groups,
+        np.array(floors, dtype=np.float64),
+    )
+    assert got.shape == (groups, len(floors))
+    assert got.tolist() == [
+        [sum(g == group and s >= f for g, s in rows) for f in floors] for group in range(groups)
+    ]
+
+
+def test_map_from_table_rejects_an_index_of_no_image():
+    """An image index is an integer (a bool is none) in [0, images). numpy
+    would pool image 0 for 0.7, image 1 for 1.9 and True, and the last
+    image for -1, and raise a bare IndexError for 2."""
+    table = build_match_table(
+        [(0, [Detection(B1, 1, 0.5)], [GroundTruthInstance(B1, 1)]), (1, [], [GroundTruthInstance(B2, 1)])],
+        MapParams(),
+    )
+    cases = [
+        ([0.7], "0.7"), ([1.9], "1.9"), ([True], "True"), ([-1], "-1"), ([2], "2"),
+        ([0, True], "True"), (np.array([1.0]), "1.0"), (np.array([0, 2]), "2"),
+    ]
+    for bad, shown in cases:
+        with pytest.raises(ConfigError, match=rf"^image index .* got {re.escape(shown)}$"):
+            map_from_table(table, bad)
+    assert map_from_table(table, []).mean_ap == 0.0
+    sample = np.array([1, 0, 1], dtype=np.int64)
+    assert map_from_table(table, sample) == map_from_table(table, [0, 1, 1])
+    assert map_from_table(table, range(2)) == map_from_table(table, [np.int64(0), 1])
 
 
 def coco_density_inputs(images, seed=0):

@@ -20,7 +20,7 @@ from oceval import (
     tune,
 )
 from oceval.costs import detection_arrays
-from oceval.map_metric import build_match_table, filter_table, map_from_table
+from oceval.map_metric import build_match_table, map_from_table
 from oceval.nms import DEFAULT_IOU_THRESHOLDS, DEFAULT_SCORE_THRESHOLDS
 
 from oracles import scalar_nms
@@ -334,11 +334,12 @@ def test_tune_matches_per_point_oracle(rng, objective, grid_name):
 @pytest.mark.parametrize("tables", ["one per pass", "two passes, then one", "one for every pass"])
 def test_passes_sharing_a_table_score_as_a_table_per_pass(rng, monkeypatch, tables):
     # the map objective matches consecutive passes in one table while their
-    # rows fit in _TABLE_ROWS; here each pass gets a table of its own, cut
-    # to each of its floors. Category 3's detections all score under the
-    # floor of the pass at IoU 0.7, so they die there while its ground
-    # truths stay scored, and label 4, with detections only, is in the
-    # tables of the first two passes and not in the last one's.
+    # rows fit in _TABLE_ROWS; here each point gets a table of its own,
+    # built from its pass's detections at or above its floor, matching
+    # and all. Category 3's detections all score under the floor of the
+    # pass at IoU 0.7, so they die there while its ground truths stay
+    # scored, and label 4, with detections only, is in the tables of the
+    # first two passes and not in the last one's.
     grid = [
         NmsParams(s, t)
         for t, floors in ((0.3, (0.1, 0.6)), (0.5, (0.2,)), (0.7, (0.4, 0.5)))
@@ -367,8 +368,10 @@ def test_passes_sharing_a_table_score_as_a_table_per_pass(rng, monkeypatch, tabl
             kept = [(i, nms(dets, NmsParams(lowest, t)), gts) for i, dets, gts in inputs]
             sizes[t] = sum(len(dets) + len(gts) for _, dets, gts in kept)
             table = build_match_table(kept, map_params)
-            survivors = filter_table(table, point.score_threshold)
-            per_table.append(map_from_table(survivors, range(n)).mean_ap)
+            survivors = [
+                (i, [d for d in dets if d.score >= point.score_threshold], gts) for i, dets, gts in kept
+            ]
+            per_table.append(map_from_table(build_match_table(survivors, map_params), range(n)).mean_ap)
         budget, expected = {
             "one per pass": (0, [n, n, n]),
             "two passes, then one": (sizes[0.3] + sizes[0.5], [2 * n, n]),
