@@ -51,10 +51,11 @@ _FALSE_WORDS = {"0", "false", "no", "off"}
 
 def read_config(path: str) -> dict[str, str]:
     """Flat key=value file; blank lines and # comments ignored; keys are
-    normalized to underscores."""
+    normalized to underscores and must each be a setting of some
+    subcommand. A leading byte-order mark is skipped."""
     settings: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -62,7 +63,10 @@ def read_config(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
-                settings[key.strip().replace("-", "_").lower()] = value.strip()
+                key = key.strip().replace("-", "_").lower()
+                if key not in _PARSE:
+                    raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
+                settings[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
     return settings
@@ -284,7 +288,8 @@ def _add_run(parser: argparse.ArgumentParser, *settings: str) -> None:
     parser.add_argument("--out", help="report output path")
     _flag(parser, "format", choices=("json", "csv"))
     _flag(parser, "jobs", help="processes for the OC-cost per-image stage only, the caller "
-          "and N-1 forked workers; saves time only on large inputs (see docs/config.md)")
+          "and N-1 forked workers; on a 2-vCPU VM 2 took 55-80%% of the time of 1 from 2000 "
+          "COCO-density images up, broke even near 1000 and lost at 100 (see docs/config.md)")
     for name in settings:
         _flag(parser, name)
     parser.add_argument("--config", help="key=value settings file")

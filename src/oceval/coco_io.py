@@ -77,14 +77,6 @@ class DatasetIndex:
     ground_truths: Mapping[int, GroundTruthArrays]
     categories: Mapping[int, str]
 
-    def instances(self, include_crowd: bool = False) -> dict[int, GroundTruthArrays]:
-        """Per-image ground truths, excluding crowd regions unless asked."""
-        out: dict[int, GroundTruthArrays] = {}
-        for image_id in self.images:
-            gts = self.ground_truths[image_id]
-            out[image_id] = gts if include_crowd or not gts.crowd.any() else gts.take(~gts.crowd)
-        return out
-
 
 @dataclass(frozen=True)
 class DetectionSet:
@@ -540,9 +532,11 @@ def detection_inputs(
     index: DatasetIndex, dets: DetectionSet, include_crowd: bool = False
 ) -> list[tuple[int, DetectionArrays, GroundTruthArrays]]:
     """Join an index with detections into per-image evaluation inputs,
-    sorted by image id."""
-    instances = index.instances(include_crowd=include_crowd)
-    return [
-        (image_id, detection_arrays(dets.detections.get(image_id, ())), instances[image_id])
-        for image_id in sorted(index.images)
-    ]
+    sorted by image id; crowd regions are dropped unless asked for."""
+    out = []
+    for image_id in sorted(index.images):
+        gts = index.ground_truths[image_id]
+        if not include_crowd and gts.crowd.any():
+            gts = gts.take(~gts.crowd)
+        out.append((image_id, detection_arrays(dets.detections.get(image_id, ())), gts))
+    return out

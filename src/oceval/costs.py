@@ -87,15 +87,14 @@ def id_array(ids: Sequence[Any]) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class DetectionArrays(Sequence[Detection]):
+class DetectionArrays:
     """One image's detections as columns: row i of ``boxes`` (corner form,
     float64), ``labels`` and ``scores`` is detection i.
 
     Rows obey the rules of :class:`Detection` and
     :class:`~oceval.geometry.BoundingBox`: the loader checks them and
     :func:`detection_arrays` copies checked objects, but the constructor
-    checks nothing. As a sequence it yields :class:`Detection` objects,
-    built on access; a slice of it is a ``DetectionArrays`` of those rows.
+    checks nothing.
     """
 
     boxes: np.ndarray
@@ -105,26 +104,18 @@ class DetectionArrays(Sequence[Detection]):
     def __len__(self) -> int:
         return len(self.scores)
 
-    def __getitem__(self, i: int | slice) -> Detection | DetectionArrays:  # type: ignore[override]
-        if isinstance(i, slice):
-            return self.take(np.arange(len(self))[i])
-        box = BoundingBox(*self.boxes[i].tolist())
-        return Detection(box, self.labels.item(i), self.scores.item(i))
-
     def take(self, rows: np.ndarray) -> "DetectionArrays":
         """The detections at ``rows`` (indices or a mask), in that order."""
         return DetectionArrays(self.boxes[rows], self.labels[rows], self.scores[rows])
 
 
 @dataclass(frozen=True, eq=False)
-class GroundTruthArrays(Sequence[GroundTruthInstance]):
+class GroundTruthArrays:
     """One image's ground truths as columns: ``boxes`` (corner form,
     float64), ``labels`` and the COCO ``crowd`` flag of each row.
 
     Kernels read boxes and labels only; which rows reach them, crowd ones
-    included or not, is the caller's choice. As a sequence it yields
-    :class:`GroundTruthInstance` objects, built on access; a slice of it
-    is a ``GroundTruthArrays`` of those rows.
+    included or not, is the caller's choice.
     """
 
     boxes: np.ndarray
@@ -134,17 +125,17 @@ class GroundTruthArrays(Sequence[GroundTruthInstance]):
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __getitem__(self, i: int | slice) -> GroundTruthInstance | GroundTruthArrays:  # type: ignore[override]
-        if isinstance(i, slice):
-            return self.take(np.arange(len(self))[i])
-        return GroundTruthInstance(BoundingBox(*self.boxes[i].tolist()), self.labels.item(i))
-
     def take(self, rows: np.ndarray) -> "GroundTruthArrays":
         """The ground truths at ``rows`` (indices or a mask), in that order."""
         return GroundTruthArrays(self.boxes[rows], self.labels[rows], self.crowd[rows])
 
 
-def detection_arrays(dets: Sequence[Detection]) -> DetectionArrays:
+# One image's detections or ground truths, as objects or as columns.
+Detections = Sequence[Detection] | DetectionArrays
+GroundTruths = Sequence[GroundTruthInstance] | GroundTruthArrays
+
+
+def detection_arrays(dets: Detections) -> DetectionArrays:
     """The columnar form of ``dets``, which is returned as is when it
     already is one."""
     if isinstance(dets, DetectionArrays):
@@ -156,7 +147,7 @@ def detection_arrays(dets: Sequence[Detection]) -> DetectionArrays:
     )
 
 
-def ground_truth_arrays(gts: Sequence[GroundTruthInstance]) -> GroundTruthArrays:
+def ground_truth_arrays(gts: GroundTruths) -> GroundTruthArrays:
     """The columnar form of ``gts`` (no crowd rows), which is returned as
     is when it already is one."""
     if isinstance(gts, GroundTruthArrays):
@@ -169,7 +160,7 @@ def ground_truth_arrays(gts: Sequence[GroundTruthInstance]) -> GroundTruthArrays
 
 
 # One image of a dataset: (image id, its detections, its ground truths).
-ImageInput = tuple[Hashable, Sequence[Detection], Sequence[GroundTruthInstance]]
+ImageInput = tuple[Hashable, Detections, GroundTruths]
 
 
 def image_arrays(item: ImageInput) -> tuple[Hashable, DetectionArrays, GroundTruthArrays]:

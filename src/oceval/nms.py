@@ -48,6 +48,7 @@ import numpy as np
 from .costs import (
     Detection,
     DetectionArrays,
+    Detections,
     ImageInput,
     OcCostParams,
     detection_arrays,
@@ -119,13 +120,12 @@ class TuneResult:
     survivor_counts: tuple[int, ...]
 
 
-def nms(dets: Sequence[Detection], params: NmsParams) -> Sequence[Detection]:
+def nms(dets: Detections, params: NmsParams) -> list[Detection] | DetectionArrays:
     """Filter and suppress one image's detections.
 
     Output is sorted by descending score (ties keep input order) and the
-    operation is idempotent: feeding the result back returns it unchanged.
-    A :class:`~oceval.costs.DetectionArrays` input gives its kept rows as
-    one; any other sequence gives a list of its kept items.
+    operation is idempotent. A columnar input gives its kept rows in
+    columnar form; a sequence gives a list of its own kept items.
     """
     kept = _nms_passes([detection_arrays(dets)], [params])[0][0]
     if isinstance(dets, DetectionArrays):

@@ -41,10 +41,10 @@ import numpy as np
 
 from . import geometry
 from .costs import (
-    Detection,
     DetectionArrays,
+    Detections,
     GroundTruthArrays,
-    GroundTruthInstance,
+    GroundTruths,
     ImageInput,
     OcCostParams,
     _blend,
@@ -112,8 +112,8 @@ class DatasetReport:
 
 
 def image_oc_cost(
-    dets: Sequence[Detection],
-    gts: Sequence[GroundTruthInstance],
+    dets: Detections,
+    gts: GroundTruths,
     params: OcCostParams,
     *,
     image_id: Hashable = None,

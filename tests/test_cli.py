@@ -235,6 +235,41 @@ def test_config_file_parsing(tmp_path):
         read_config(str(bad))
 
 
+def test_a_byte_order_mark_hides_no_config_key(tmp_path, capsys):
+    gt, dt = run_fixture(tmp_path, images=3, noise_per_image=5)
+    capsys.readouterr()
+    reports = []
+    for name, prefix in (("plain.cfg", ""), ("bom.cfg", "\ufeff")):
+        cfg = tmp_path / name
+        cfg.write_text(prefix + "beta = 0.3\n", encoding="utf-8")
+        assert read_config(str(cfg)) == {"beta": "0.3"}
+        assert main(["evaluate", "--gt", gt, "--dt", dt, "--config", str(cfg)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert main(["evaluate", "--gt", gt, "--dt", dt]) == 0
+    assert reports[0] == reports[1] != capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["betta = 0.3", "lenient = true", "gt = other.json"])
+def test_a_config_key_of_no_subcommand_is_a_usage_error(tmp_path, capsys, line):
+    gt, dt = run_fixture(tmp_path, images=2, gts_per_image=2)
+    cfg = tmp_path / "oceval.cfg"
+    cfg.write_text(f"# shared\n{line}\n")
+    assert main(["evaluate", "--gt", gt, "--dt", dt, "--config", str(cfg)]) == 2
+    key = line.partition(" ")[0]
+    assert f"{cfg}:2: unknown setting {key!r}" in capsys.readouterr().err
+
+
+def test_a_config_key_of_another_subcommand_is_allowed(tmp_path, capsys):
+    gt, dt = run_fixture(tmp_path, images=2, gts_per_image=2)
+    cfg = tmp_path / "oceval.cfg"
+    cfg.write_text("trials = 5\nbeta = 0.3\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--gt", gt, "--dt", dt, "--config", str(cfg)]) == 0
+    with_config = capsys.readouterr().out
+    assert main(["evaluate", "--gt", gt, "--dt", dt, "--beta", "0.3"]) == 0
+    assert with_config == capsys.readouterr().out
+
+
 def test_sweep_lambda_output(tmp_path, capsys):
     gt, dt = run_fixture(tmp_path, images=3, gts_per_image=2, jitter=0.03)
     out = tmp_path / "sweep.csv"

@@ -61,8 +61,9 @@ def test_bbox_corner_conversion(tmp_path):
     index = load_ground_truth(minimal_gt(tmp_path))
     gts = index.ground_truths[1]
     assert len(gts) == 1
-    assert gts[0].box == BoundingBox(10, 20, 40, 60)
-    assert gts[0].label == 1
+    assert gts.boxes.tolist() == [[10.0, 20.0, 40.0, 60.0]]
+    assert gts.boxes.dtype == np.float64
+    assert gts.labels.tolist() == [1]
     assert index.images[1] == (640, 480)
     assert index.categories == {1: "thing"}
 
@@ -104,8 +105,12 @@ def test_crowd_annotations_flagged_and_excluded(tmp_path):
     )
     index = load_ground_truth(path)
     assert index.ground_truths[1].crowd.tolist() == [True, False]
-    assert len(index.instances()[1]) == 1
-    assert len(index.instances(include_crowd=True)[1]) == 2
+    dets = load_detections(write_json(tmp_path / "dt.json", []), index)
+    [(_, _, gts)] = detection_inputs(index, dets)
+    assert gts.boxes.tolist() == [[10.0, 10.0, 15.0, 15.0]] and gts.crowd.tolist() == [False]
+    [(_, _, gts)] = detection_inputs(index, dets, include_crowd=True)
+    assert gts.boxes.tolist() == [[0.0, 0.0, 5.0, 5.0], [10.0, 10.0, 15.0, 15.0]]
+    assert gts.crowd.tolist() == [True, False]
 
 
 def test_nonpositive_box_sides(tmp_path):
@@ -146,7 +151,7 @@ def test_box_corners_that_overflow_or_vanish(tmp_path, bbox, which):
     with pytest.warns(SkippedRecordWarning, match=re.escape(f"skipped {record}: box corners")):
         loaded = load(path, strict=False)
     kept = loaded.ground_truths[1] if which == "ground truth" else loaded.detections[1]
-    assert [item.box for item in kept] == [BoundingBox(0, 0, 5, 5)]
+    assert kept.boxes.tolist() == [[0.0, 0.0, 5.0, 5.0]]
 
 
 def test_structural_problems_are_parse_errors(tmp_path):
@@ -177,8 +182,7 @@ def test_annotation_order_preserved(tmp_path):
         ],
     )
     index = load_ground_truth(path)
-    xs = [g.box.x1 for g in index.ground_truths[1]]
-    assert xs == [0, 10, 20]
+    assert index.ground_truths[1].boxes[:, 0].tolist() == [0, 10, 20]
 
 
 def test_load_detections_grouping(tmp_path):

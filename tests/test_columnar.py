@@ -1,7 +1,9 @@
-"""The columnar per-image inputs against the Detection/GroundTruthInstance
-façade: the same results either way, and no per-box object on a CLI job."""
+"""The columnar per-image inputs against sequences of Detection and
+GroundTruthInstance objects: the same results either way, columns that
+turn back into no objects, and no per-box object on a CLI job."""
 
 import dataclasses
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -36,7 +38,12 @@ def test_every_entry_point_gives_the_same_on_both_forms(rng):
         dets, gts = random_scene(rng, max_m=7, max_n=5)
         cols, gt_cols = detection_arrays(dets), ground_truth_arrays(gts)
         assert isinstance(cols, DetectionArrays) and isinstance(gt_cols, GroundTruthArrays)
-        assert list(cols) == dets and list(gt_cols) == gts
+        for columns, objects in ((cols, dets), (gt_cols, gts)):
+            assert columns.boxes.dtype == np.float64 and columns.boxes.shape == (len(objects), 4)
+            assert columns.boxes.tolist() == [[o.box.x1, o.box.y1, o.box.x2, o.box.y2] for o in objects]
+            assert columns.labels.tolist() == [o.label for o in objects]
+        assert cols.scores.tolist() == [d.score for d in dets]
+        assert gt_cols.crowd.dtype == bool and not gt_cols.crowd.any()
 
         from_objects = image_oc_cost(dets, gts, params, image_id=7)
         from_columns = image_oc_cost(cols, gt_cols, params, image_id=7)
@@ -52,8 +59,14 @@ def test_every_entry_point_gives_the_same_on_both_forms(rng):
 
         point = NmsParams(float(rng.uniform(0, 0.5)), float(rng.uniform(0.1, 0.9)))
         kept = nms(dets, point)
-        assert list(nms(cols, point)) == kept
-        assert isinstance(nms(cols, point), DetectionArrays)
+        # the caller's own objects, each once
+        assert type(kept) is list and len({id(d) for d in kept}) == len(kept)
+        assert {id(d) for d in kept} <= {id(d) for d in dets}
+        kept_cols = nms(cols, point)
+        assert isinstance(kept_cols, DetectionArrays)
+        for field in ("boxes", "labels", "scores"):
+            got, expected = getattr(kept_cols, field), getattr(detection_arrays(kept), field)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
         tables = [build_match_table([(7, d, g)], MapParams(iou_thresholds=(0.1, 0.3, 0.5)))
                   for d, g in ((cols, gt_cols), (dets, gts))]
@@ -67,28 +80,23 @@ def test_every_entry_point_gives_the_same_on_both_forms(rng):
         assert dataset_map(columnar, map_params) == dataset_map(inputs, map_params)
 
 
-@pytest.mark.parametrize("bounds", [(0, 5, 1), (1, 3, 1), (None, None, -1), (4, 0, -2),
-                                    (-2, None, 1), (3, 3, 1), (None, None, 2)])
-def test_a_slice_is_the_columnar_form_of_those_rows(bounds):
-    boxes = [BoundingBox(i, 0, i + 1 + i / 2, 2) for i in range(5)]
-    dets = detection_arrays([Detection(box, i, i / 8) for i, box in enumerate(boxes)])
-    gts = GroundTruthArrays(boxes_to_array(boxes), np.arange(5), np.arange(5) % 2 == 0)
-    cut = slice(*bounds)
-    for columns, kind in ((dets, DetectionArrays), (gts, GroundTruthArrays)):
-        part = columns[cut]
-        assert type(part) is kind
-        assert list(part) == list(columns)[cut]
-    assert gts[cut].crowd.tolist() == gts.crowd.tolist()[cut]
-    # a copy of those rows, as a list slice is
-    dets[cut].scores[:] = 1.0
-    assert dets.scores.tolist() == [i / 8 for i in range(5)]
-
-
 def test_rows_read_back_as_objects():
+    """They do not: the columnar forms are no sequences, and ``take`` is
+    their one row selector."""
     cols = detection_arrays([Detection(BoundingBox(1, 2, 3, 4), 5, 0.25)])
-    assert len(cols) == 1
-    assert cols[0] == Detection(BoundingBox(1.0, 2.0, 3.0, 4.0), 5, 0.25)
+    gt_cols = GroundTruthArrays(boxes_to_array([BoundingBox(1, 2, 3, 4)]), np.array([5]), np.array([True]))
+    for columns in (cols, gt_cols, detection_arrays([]), ground_truth_arrays([])):
+        assert not isinstance(columns, Sequence)
+        with pytest.raises(TypeError):
+            iter(columns)
+        with pytest.raises(TypeError):
+            columns[0]
+    assert len(cols) == 1 and len(gt_cols) == 1
+    assert cols.take(np.array([0])).boxes.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+    assert gt_cols.take(np.array([False])).crowd.shape == (0,)
     assert cols.take(np.array([], dtype=np.intp)).boxes.shape == (0, 4)
+    empty = ground_truth_arrays([]).take(np.array([], dtype=np.intp))
+    assert len(empty) == 0 and empty.boxes.shape == (0, 4)
     assert len(detection_arrays([])) == 0 and len(ground_truth_arrays([])) == 0
 
 
