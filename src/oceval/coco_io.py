@@ -10,12 +10,12 @@ Each image's detections and ground truths load as columns
 :class:`~oceval.costs.GroundTruthArrays`) in file order, without a
 per-box object: the loader reads each field of every record into one
 list, checks the types of a whole list at once and the values with array
-masks. Messages are built record by record, only for the records that
-fail a check.
+masks. Both record lists share one set of value rules.
 
-Structural problems (wrong types, missing keys) raise ParseError naming
-the file and the first malformed record. Value problems (non-positive box
-sides, scores outside [0, 1], references to unknown ids) raise
+Structural problems (wrong types, missing keys, an ``iscrowd`` other than
+0 or 1) raise ParseError naming the file and the first malformed record.
+Value problems (non-positive box sides, corners that overflow or vanish,
+scores outside [0, 1], references to unknown ids) raise
 ValidationError listing the offending records in strict mode, or skip
 those records with a warning in lenient mode. Strict is the default:
 silently dropping records would corrupt metric comparisons.
@@ -31,7 +31,7 @@ import json
 import math
 import warnings
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from itertools import chain, compress, repeat
 from typing import Any
@@ -113,82 +113,6 @@ def _number(value: Any) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _xywh(bbox: Any, record: str, path: str) -> str | None:
-    """Why the box of ``bbox``, [x, y, w, h], is invalid, if it is.
-
-    Malformed shape is structural (raises); non-positive sides are a value
-    problem reported to the caller for strict/lenient handling, and so are
-    positive sides that vanish or overflow in the corners ``x + w``,
-    ``y + h``.
-    """
-    if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
-        raise ParseError(f"{path}: {record}: bbox must be a list of 4 numbers, got {bbox!r}")
-    nums = [_number(v) for v in bbox]
-    if any(v is None for v in nums):
-        raise ParseError(f"{path}: {record}: bbox must be a list of 4 numbers, got {bbox!r}")
-    x, y, w, h = nums
-    if w <= 0 or h <= 0:
-        return f"{record}: box width/height must be positive, got w={w:g} h={h:g}"
-    if not (x < x + w < math.inf and y < y + h < math.inf):
-        return (
-            f"{record}: box corners x + w, y + h must be finite and exceed x, y, "
-            f"got x={x:g} y={y:g} w={w:g} h={h:g}"
-        )
-    return None
-
-
-def _annotation_record(
-    i: int, rec: Any, images: Mapping[int, Any], categories: Mapping[int, str], path: str
-) -> str | None:
-    """The value problem that drops annotation ``i``, if any. A structural
-    problem raises ParseError; so does a bad ``iscrowd`` on a record kept."""
-    if not isinstance(rec, dict):
-        raise ParseError(f"{path}: annotations[{i}] must be an object")
-    label = f"annotations[{i}]" + (f" (id {rec['id']})" if "id" in rec else "")
-    image_id = _require_int(rec.get("image_id"), f"{label}.image_id", path)
-    cat_id = _require_int(rec.get("category_id"), f"{label}.category_id", path)
-    problem = _xywh(rec.get("bbox"), label, path)
-    if problem is None and image_id not in images:
-        problem = f"{label}: unknown image_id {image_id}"
-    if problem is None and cat_id not in categories:
-        problem = f"{label}: unknown category_id {cat_id}"
-    if problem is None and rec.get("iscrowd", 0) not in (0, 1, True, False):
-        raise ParseError(f"{path}: {label}.iscrowd must be 0 or 1")
-    return problem
-
-
-def _detection_record(i: int, rec: Any, index: DatasetIndex, path: str) -> str | None:
-    """The value problem that drops detection ``i``, if any. A structural
-    problem raises ParseError."""
-    if not isinstance(rec, dict):
-        raise ParseError(f"{path}: [{i}] must be an object")
-    label = f"[{i}]"
-    image_id = _require_int(rec.get("image_id"), f"{label}.image_id", path)
-    cat_id = _require_int(rec.get("category_id"), f"{label}.category_id", path)
-    score = _number(rec.get("score"))
-    if score is None:
-        raise ParseError(f"{path}: {label}.score must be a number")
-    problem = _xywh(rec.get("bbox"), label, path)
-    if problem is None and not 0.0 <= score <= 1.0:
-        problem = f"{label}: score must be in [0, 1], got {score:g}"
-    if problem is None and image_id not in index.images:
-        problem = f"{label}: unknown image_id {image_id}"
-    if problem is None and cat_id not in index.categories:
-        problem = f"{label}: unknown category_id {cat_id}"
-    return problem
-
-
-def _handle_bad_records(problems: list[str], path: str, strict: bool) -> None:
-    if not problems:
-        return
-    if strict:
-        shown = "; ".join(problems[:20])
-        more = f" (and {len(problems) - 20} more)" if len(problems) > 20 else ""
-        raise ValidationError(f"{path}: {len(problems)} invalid record(s): {shown}{more}")
-    for problem in problems:
-        warnings.warn(f"{path}: skipped {problem}", SkippedRecordWarning, stacklevel=3)
-
-
 def _typed(values: Iterable[Any], types: set[type]) -> bool:
     """Whether every value's exact type is in ``types`` (a bool is no int)."""
     return set(map(type, values)) <= types
@@ -204,12 +128,14 @@ def _finite(values: Any) -> np.ndarray | None:
     return array if np.isfinite(array).all() else None
 
 
-def _columns(records: list[Any], *numbers: str, **others: Any) -> tuple[Any, ...] | None:
+def _columns(
+    records: list[Any], numbers: Sequence[str], flags: Sequence[str]
+) -> tuple[Any, ...] | None:
     """Every record's ``image_id`` and ``category_id`` (lists of ints), its
-    ``bbox`` (a (k, 4) array of [x, y, w, h]) and each key of ``numbers``
-    (an array), all finite; then the list of each key of ``others``, its
-    value the default. None when a record is not an object or one of
-    these values does not have its type."""
+    ``bbox`` (a (k, 4) array of [x, y, w, h]), the finite array of each key
+    of ``numbers`` and the list of each key of ``flags`` (0 or 1, 0 when
+    absent). None when a record is not an object or one of these values
+    does not have its type."""
     if not _typed(records, {dict}):
         return None
     image_ids, cat_ids, bboxes, *values = (
@@ -221,20 +147,34 @@ def _columns(records: list[Any], *numbers: str, **others: Any) -> tuple[Any, ...
     if not (set(map(len, bboxes)) <= {4} and _typed(chain(coords, *values), {int, float})):
         return None
     arrays = [_finite(coords), *map(_finite, values)]
-    if any(array is None for array in arrays):
+    flagged = [[rec.get(key, 0) for rec in records] for key in flags]
+    if any(array is None for array in arrays) or not all(v in (0, 1) for v in chain(*flagged)):
         return None
-    return (image_ids, cat_ids, arrays[0].reshape(-1, 4), *arrays[1:],
-            *([rec.get(key, default) for rec in records] for key, default in others.items()))
+    return image_ids, cat_ids, arrays[0].reshape(-1, 4), arrays[1:], flagged
 
 
-def _corners(xywh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Corner-form boxes of [x, y, w, h] rows, and the mask of the rows
-    that :func:`_xywh` finds no problem with."""
-    x, y, w, h = xywh.T
-    with np.errstate(over="ignore"):  # an overflowing corner is a problem reported here
-        x2, y2 = x + w, y + h
-    valid = (w > 0) & (h > 0) & (x < x2) & (x2 < math.inf) & (y < y2) & (y2 < math.inf)
-    return np.column_stack([x, y, x2, y2]), valid
+def _raise_malformed(
+    records: list[Any], path: str, label: Callable[[int, Any], str],
+    numbers: Sequence[str], flags: Sequence[str],
+) -> None:
+    """Raise ParseError for the first record that :func:`_columns` cannot
+    read, naming its first malformed field in the order object,
+    ``image_id``, ``category_id``, ``numbers``, ``bbox``, ``flags``."""
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ParseError(f"{path}: {label(i, rec)} must be an object")
+        name = label(i, rec)
+        for key in ("image_id", "category_id"):
+            _require_int(rec.get(key), f"{name}.{key}", path)
+        for key in numbers:
+            if _number(rec.get(key)) is None:
+                raise ParseError(f"{path}: {name}.{key} must be a number")
+        bbox = rec.get("bbox")
+        if not (isinstance(bbox, list) and len(bbox) == 4 and None not in map(_number, bbox)):
+            raise ParseError(f"{path}: {name}: bbox must be a list of 4 numbers, got {bbox!r}")
+        for key in flags:
+            if rec.get(key, 0) not in (0, 1):
+                raise ParseError(f"{path}: {name}.{key} must be 0 or 1")
 
 
 def _slots(ids: Sequence[int], table: Mapping[int, Any]) -> np.ndarray:
@@ -259,6 +199,64 @@ def _per_image(
 
 def _kept(values: list[Any], keep: np.ndarray) -> list[Any]:
     return values if keep.all() else list(compress(values, keep.tolist()))
+
+
+def _load_records(
+    records: list[Any],
+    path: str,
+    strict: bool,
+    images: Mapping[int, Any],
+    categories: Mapping[int, str],
+    label: Callable[[int, Any], str],
+    numbers: Sequence[str] = (),
+    flags: Sequence[str] = (),
+) -> dict[int, list[np.ndarray]]:
+    """The valid records of ``records`` as columns, per image of ``images``
+    in file order: corner-form boxes, labels, then each key of ``numbers``
+    (float64, in [0, 1]) and of ``flags`` (bool).
+
+    A malformed record raises ParseError. A record that breaks a value
+    rule gets one message, ``label(i, record)`` and the first rule it
+    breaks; strict mode raises ValidationError listing them, lenient mode
+    skips each record with a warning.
+    """
+    columns = _columns(records, numbers, flags)
+    if columns is None:
+        _raise_malformed(records, path, label, numbers, flags)
+    image_ids, cat_ids, xywh, values, flagged = columns
+    x, y, w, h = xywh.T
+    with np.errstate(over="ignore"):  # an overflowing corner is a problem reported here
+        x2, y2 = x + w, y + h
+    slots = _slots(image_ids, images)
+    # each value rule once, in the order of precedence: the mask of the rows
+    # it rejects, then its message and the columns that fill it in
+    rules = [
+        ((w <= 0) | (h <= 0), "box width/height must be positive, got w={:g} h={:g}", w, h),
+        (~((x < x2) & (x2 < math.inf) & (y < y2) & (y2 < math.inf)),
+         "box corners x + w, y + h must be finite and exceed x, y, "
+         "got x={:g} y={:g} w={:g} h={:g}", x, y, w, h),
+        *(((v < 0) | (v > 1), f"{key} must be in [0, 1], got {{:g}}", v)
+          for key, v in zip(numbers, values)),
+        (slots < 0, "unknown image_id {}", image_ids),
+        (_slots(cat_ids, categories) < 0, "unknown category_id {}", cat_ids),
+    ]
+    failed = np.array([mask for mask, *_ in rules])
+    keep = ~failed.any(axis=0)
+    problems = []
+    for i in np.flatnonzero(~keep).tolist():
+        _, message, *fields = rules[failed[:, i].argmax()]
+        problems.append(f"{label(i, records[i])}: " + message.format(*(c[i] for c in fields)))
+    if problems and strict:
+        shown = "; ".join(problems[:20])
+        more = f" (and {len(problems) - 20} more)" if len(problems) > 20 else ""
+        raise ValidationError(f"{path}: {len(problems)} invalid record(s): {shown}{more}")
+    for problem in problems:
+        warnings.warn(f"{path}: skipped {problem}", SkippedRecordWarning, stacklevel=3)
+
+    return _per_image(
+        slots[keep], images, np.column_stack([x, y, x2, y2])[keep], id_array(_kept(cat_ids, keep)),
+        *(v[keep] for v in values), *(np.array(_kept(f, keep), dtype=bool) for f in flagged),
+    )
 
 
 def load_ground_truth(path: str, strict: bool = True) -> DatasetIndex:
@@ -302,26 +300,12 @@ def load_ground_truth(path: str, strict: bool = True) -> DatasetIndex:
             raise ValidationError(f"{path}: duplicate category id {cat_id}")
         categories[cat_id] = name
 
-    records = doc["annotations"]
-    columns = _columns(records, iscrowd=0)
-    if columns is None:
-        # some record is malformed: parsing record by record raises at the first
-        for i, rec in enumerate(records):
-            _annotation_record(i, rec, images, categories, path)
-    image_ids, cat_ids, xywh, crowd = columns
-    boxes, keep = _corners(xywh)
-    slots = _slots(image_ids, images)
-    keep &= (slots >= 0) & (_slots(cat_ids, categories) >= 0)
-    # a bad iscrowd is structural, but only on a record that is kept
-    bad_crowd = np.array([c not in (0, 1) for c in crowd], dtype=bool)
-    problems = [
-        _annotation_record(i, records[i], images, categories, path)
-        for i in np.flatnonzero(~keep | bad_crowd).tolist()
-    ]
-    _handle_bad_records(problems, path, strict)
-
-    labels, flags = id_array(_kept(cat_ids, keep)), np.array(_kept(crowd, keep), dtype=bool)
-    per_image = _per_image(slots[keep], images, boxes[keep], labels, flags)
+    per_image = _load_records(
+        doc["annotations"], path, strict, images, categories,
+        lambda i, rec: f"annotations[{i}]" + (
+            f" (id {rec['id']})" if isinstance(rec, dict) and "id" in rec else ""),
+        flags=("iscrowd",),
+    )
     return DatasetIndex(
         images=images,
         ground_truths={i: GroundTruthArrays(*columns) for i, columns in per_image.items()},
@@ -334,25 +318,9 @@ def load_detections(path: str, index: DatasetIndex, strict: bool = True) -> Dete
     doc = _load_json(path)
     if not isinstance(doc, list):
         raise ParseError(f"{path}: top level must be a list of detection records")
-
-    columns = _columns(doc, "score")
-    if columns is None:
-        # some record is malformed: parsing record by record raises at the first
-        for i, rec in enumerate(doc):
-            _detection_record(i, rec, index, path)
-    image_ids, cat_ids, xywh, scores = columns
-    scores = np.asarray(scores, dtype=np.float64)
-    boxes, keep = _corners(xywh)
-    slots = _slots(image_ids, index.images)
-    keep &= (0.0 <= scores) & (scores <= 1.0) & (slots >= 0)
-    keep &= _slots(cat_ids, index.categories) >= 0
-    problems = [
-        _detection_record(i, doc[i], index, path) for i in np.flatnonzero(~keep).tolist()
-    ]
-    _handle_bad_records(problems, path, strict)
-
-    labels = id_array(_kept(cat_ids, keep))
-    per_image = _per_image(slots[keep], index.images, boxes[keep], labels, scores[keep])
+    per_image = _load_records(
+        doc, path, strict, index.images, index.categories, lambda i, _: f"[{i}]", numbers=("score",)
+    )
     return DetectionSet({i: DetectionArrays(*columns) for i, columns in per_image.items()})
 
 

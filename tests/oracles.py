@@ -5,6 +5,7 @@ equal :func:`iou`/:func:`giou` bit for bit, the pricing kernel's cells
 must equal :func:`unit_cost` (and its two terms) cell by cell, its plans
 (``transport._plans``) must reach the objective of
 :func:`brute_force_solve` on the :func:`unit_cost_matrix` of a scene,
+an image's cost is never below :func:`ratio_optimum`,
 ``nms`` must keep what :func:`scalar_nms` keeps, and
 ``generate_fixture`` must build what :func:`scalar_fixture` builds.
 """
@@ -25,6 +26,7 @@ from oceval import (
     OcCostParams,
 )
 from oceval.errors import ConfigError
+from oceval.occost import _problem_cost
 from oceval.transport import _checked_gains
 
 MAX_BRUTE_FORCE_SIDE = 6
@@ -138,6 +140,28 @@ def brute_force_solve(entries: np.ndarray, beta: float) -> tuple[np.ndarray, np.
     rows = np.array([i for i, _ in best_match], dtype=np.intp)
     cols = np.array([j for _, j in best_match], dtype=np.intp)
     return rows, cols
+
+
+def ratio_optimum(entries: np.ndarray, beta: float) -> float:
+    """The least normalised cost of the m x n pair costs ``entries`` with
+    dummy cost ``beta``: the minimum over every partial matching of
+    (sum of matched costs + beta (m + n - 2k)) / (m + n - k), each by
+    ``occost._problem_cost``'s arithmetic, so that the kernel's own plan
+    scores the same bits here.
+
+    This minimises the ratio itself. The package divides after solving:
+    its plan minimises the transport objective, in which a pair is worth
+    matching only below beta. Enumeration is exhaustive, for small
+    instances only.
+    """
+    m, n = entries.shape
+    paid = entries.tolist()
+    return min(
+        _problem_cost([paid[i][j] for i, j in zip(rows, cols)], beta, m, n)
+        for k in range(min(m, n) + 1)
+        for rows in itertools.combinations(range(m), k)
+        for cols in itertools.permutations(range(n), k)
+    )
 
 
 def scalar_nms(dets: list[Detection], params: NmsParams) -> list[Detection]:

@@ -63,6 +63,7 @@ ORACLES = [
     "classification_cost",
     "unit_cost",
     "unit_cost_matrix",
+    "ratio_optimum",
 ]
 
 MODULES = [

@@ -162,6 +162,19 @@ def test_duplicate_image_or_category_id_exits_4_in_both_modes(tmp_path, capsys, 
     assert f"duplicate {noun} id {first}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lenient", [[], ["--lenient"]])
+def test_a_malformed_iscrowd_exits_3_in_both_modes(tmp_path, capsys, lenient):
+    # iscrowd is part of every annotation's structure: a bad one is a parse
+    # error even when its record also refers to an unknown image
+    gt, dt = run_fixture(tmp_path, images=2, gts_per_image=2)
+    doc = json.loads(Path(gt).read_text())
+    doc["annotations"][1].update(image_id=99, iscrowd=2)
+    bad = tmp_path / "crowd.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["evaluate", "--gt", str(bad), "--dt", dt, *lenient]) == 3
+    assert "annotations[1] (id 2).iscrowd must be 0 or 1" in capsys.readouterr().err
+
+
 def test_annotation_ids_may_repeat(tmp_path, capsys):
     # annotation ids only name records in messages: repeated or missing ids
     # load and score as distinct ground truths

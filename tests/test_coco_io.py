@@ -154,6 +154,18 @@ def test_box_corners_that_overflow_or_vanish(tmp_path, bbox, which):
     assert kept.boxes.tolist() == [[0.0, 0.0, 5.0, 5.0]]
 
 
+def test_lenient_load_warnings_name_the_callers_file(tmp_path):
+    # each record refers to an unknown image 7
+    record = {"image_id": 7, "category_id": 1, "bbox": [0, 0, 5, 5]}
+    path = minimal_gt(tmp_path, annotations=[record])
+    with pytest.warns(SkippedRecordWarning) as from_gt:
+        index = load_ground_truth(path, strict=False)
+    dt_path = write_json(tmp_path / "dt.json", [{**record, "score": 0.5}])
+    with pytest.warns(SkippedRecordWarning) as from_dt:
+        load_detections(dt_path, index, strict=False)
+    assert [w.filename for w in [*from_gt, *from_dt]] == [__file__] * 2
+
+
 def test_structural_problems_are_parse_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -487,6 +499,9 @@ def _oracle_annotations(path, images, categories, strict):
         image_id = _oracle_int(rec.get("image_id"), f"{label}.image_id", path)
         cat_id = _oracle_int(rec.get("category_id"), f"{label}.category_id", path)
         box, problem = _oracle_box(rec.get("bbox"), label, path)
+        crowd = rec.get("iscrowd", 0)
+        if crowd not in (0, 1, True, False):
+            raise ParseError(f"{path}: {label}.iscrowd must be 0 or 1")
         if problem is None and image_id not in images:
             problem = f"{label}: unknown image_id {image_id}"
         if problem is None and cat_id not in categories:
@@ -494,9 +509,6 @@ def _oracle_annotations(path, images, categories, strict):
         if problem is not None:
             problems.append(problem)
             continue
-        crowd = rec.get("iscrowd", 0)
-        if crowd not in (0, 1, True, False):
-            raise ParseError(f"{path}: {label}.iscrowd must be 0 or 1")
         grouped[image_id].append((box, cat_id, bool(crowd)))
     _oracle_problems(problems, path, strict)
     return grouped

@@ -31,7 +31,13 @@ from oceval.occost import map_images
 from oceval.transport import _TIE_EPSILON, _checked_gains
 
 from conftest import kernel_step, random_scene, transformed
-from oracles import brute_force_solve, classification_cost, localization_cost, unit_cost_matrix
+from oracles import (
+    brute_force_solve,
+    classification_cost,
+    localization_cost,
+    ratio_optimum,
+    unit_cost_matrix,
+)
 
 BOX = BoundingBox(0, 0, 10, 10)
 FAR_BOX = BoundingBox(200, 200, 210, 210)
@@ -624,3 +630,36 @@ def test_lowering_one_pair_cost_can_raise_the_image_cost():
         rows, cols = brute_force_solve(costs, beta)
         assert list(zip(rows.tolist(), cols.tolist())) == plan
         assert plan_cost(costs, beta, rows, cols) == value
+
+
+@pytest.mark.parametrize("loc_weight, beta", [(0.5, 0.6), (0.5, 0.3), (0.0, 0.6), (1.0, 0.6)])
+def test_the_cost_is_never_below_the_ratio_optimum(rng, loc_weight, beta):
+    # the kernel's plan is one of the plans the optimum ranges over, so the
+    # cost is never below it. A plan's ratio is below beta exactly when its
+    # gains, the sum of (cost - beta) over its pairs, are negative; the
+    # kernel's plan has the least gains, so when its cost is beta no plan's
+    # ratio is below beta (near-ties aside; see the next test)
+    params = OcCostParams(loc_weight, beta)
+    for _ in range(300):
+        dets, gts = random_scene(rng, categories=2, size=60.0)
+        cost = image_oc_cost(dets, gts, params).oc_cost
+        optimum = ratio_optimum(unit_cost_matrix(dets, gts, params), beta)
+        assert cost >= optimum
+        if cost == beta:
+            assert optimum == beta
+
+
+def test_the_ratio_optimum_can_lie_below_the_cost():
+    # the non-monotone scene above: matching (0, 1) and (1, 0) has the
+    # least ratio, 0.35, but pays 0.1 more transport objective than (0, 0)
+    entries, beta = np.array([[0.0, 0.2], [0.5, 0.9]]), 0.6
+    assert kernel_step(entries, beta)[0] == 0.39999999999999997
+    assert ratio_optimum(entries, beta) == 0.35
+    # on a near-tie the per-pair credit prefers two pairs at beta to one
+    # pair 5e-8 below it, so a cost of exactly beta can lie above the
+    # ratio optimum: scenes, not raw costs, feed the property above
+    beta = 0.3
+    entries = np.array([[beta - 5e-8, beta], [beta, 1.0]])
+    cost, rows, cols = kernel_step(entries, beta)
+    assert cost == beta and list(zip(rows.tolist(), cols.tolist())) == [(0, 1), (1, 0)]
+    assert ratio_optimum(entries, beta) == math.fsum([beta - 5e-8, beta, beta]) / 3 < beta
