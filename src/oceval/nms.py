@@ -4,15 +4,17 @@ The tuner scores every point of a (score threshold, IoU threshold) grid
 by the detections that survive it, either by mean image-level correction
 cost (minimized) or by dataset mAP (maximized). Only higher-scored boxes
 suppress, so NMS at ``(s, t)`` keeps exactly the ``score >= s`` prefix of
-what NMS at ``(s0, t)`` keeps for any ``s0 <= s``. The tuner therefore
-needs one pass per IoU threshold, at the lowest score threshold of that
-column; each grid point takes a prefix of that pass. Each pass is in
-rank order, so one call per pass of the count that the mAP floor scorer
-also uses (:func:`~oceval.map_metric._floor_counts`) gives the length of
-that prefix at every score threshold, for every image at once, and so
-the survivor count of the best point as well.
+what NMS at ``(s0, t)`` keeps for any ``s0 <= s``. One kernel,
+:func:`_nms_passes`, owns that rule: given any points, it runs one pass
+per distinct IoU threshold, at the lowest score threshold of its points,
+and gives each point its pass and the length of its prefix in every
+image. Each pass is in rank order, so one call per pass of the count
+that the mAP floor scorer also uses
+(:func:`~oceval.map_metric._floor_counts`) gives those lengths at every
+score threshold, for every image at once, and so the survivor count of
+the best point as well.
 
-One kernel computes every pass of every image in a single call, in the
+The kernel computes every pass of every image in a single call, in the
 calling process: :func:`tune` calls it once for the whole grid, before
 either objective, and :func:`nms` with one image and one point. It
 ranks each image once, computes the IoU of each pair of same-label rows
@@ -127,7 +129,7 @@ def nms(dets: Detections, params: NmsParams) -> list[Detection] | DetectionArray
     operation is idempotent. A columnar input gives its kept rows in
     columnar form; a sequence gives a list of its own kept items.
     """
-    kept = _nms_passes([detection_arrays(dets)], [params])[0][0]
+    kept = _nms_passes([detection_arrays(dets)], [params])[0][0][0]
     if isinstance(dets, DetectionArrays):
         return dets.take(kept)
     return [dets[i] for i in kept.tolist()]
@@ -135,23 +137,32 @@ def nms(dets: Detections, params: NmsParams) -> list[Detection] | DetectionArray
 
 def _nms_passes(
     images: Sequence[DetectionArrays], points: Sequence[NmsParams]
-) -> list[tuple[np.ndarray, ...]]:
-    """What NMS at each of ``points`` keeps of each image: element [i][j]
-    holds the rows of image i kept at point j, in rank order.
+) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray, np.ndarray]:
+    """What NMS at each of ``points`` keeps of each image, as passes and
+    prefixes: ``(passes, column, lengths)``. There is one pass per distinct
+    IoU threshold, in ascending order, run at the lowest score threshold of
+    its points; ``passes[i][c]`` holds the rows of image i that pass c
+    keeps, in rank order. Point j belongs to pass ``column[j]`` and keeps
+    its first ``lengths[i, j]`` rows in image i: those that score at least
+    its own threshold, counted for every image at once by one call per
+    pass of :func:`~oceval.map_metric._floor_counts`.
 
     Each image is ranked once, its rows scoring at least the lowest floor
     grouped by label, and the IoU of every pair of rows of a group is
     computed once (:func:`~oceval.map_metric._pair_ious` on each group's
-    upper triangle), keeping the pairs above the lowest IoU threshold. At
-    each point the rows below its score threshold start out suppressed;
+    upper triangle), keeping the pairs above the lowest IoU threshold. In
+    each pass the rows below its score threshold start out suppressed;
     they rank below every other row of their group, so they suppress
     nothing that counts. Then step k lets the k-th row with pairs of every
     group, if still live, suppress the rows below it that it overlaps by
-    more than the point's IoU threshold: groups share no row, so one step
-    serves them all, at every point at once.
+    more than the pass's IoU threshold: groups share no row, so one step
+    serves them all, in every pass at once.
     """
-    floors = np.array([p.score_threshold for p in points])[:, None]
-    thresholds = np.array([p.iou_threshold for p in points])[:, None]
+    point_floors = np.array([p.score_threshold for p in points])
+    ious, column = np.unique([p.iou_threshold for p in points], return_inverse=True)
+    floors = np.ones(len(ious))
+    np.minimum.at(floors, column, point_floors)
+    floors, thresholds = floors[:, None], ious[:, None]
     sizes = [len(d) for d in images]
     image = np.repeat(np.arange(len(images)), sizes)
     scores = np.concatenate([np.zeros(0), *(d.scores for d in images)])
@@ -174,21 +185,24 @@ def _nms_passes(
     for a, b in zip(steps[:-1], steps[1:]):
         span = _ranges(first[a:b], stop[a:b])
         live = ~np.take(suppressed, pair_row[span], axis=1)
-        point, at = np.nonzero(live & (pair_iou[span] > thresholds))
-        flat[point * len(key) + pair_col[span[at]]] = True
+        c, at = np.nonzero(live & (pair_iou[span] > thresholds))
+        flat[c * len(key) + pair_col[span[at]]] = True
 
-    # each point's kept rows in rank order, cut by image
+    # each pass's kept rows in rank order, counted per point and cut by image
     kept = np.empty_like(suppressed)
     kept[:, by_key] = ~suppressed
     offsets = np.cumsum(sizes) - sizes
-    per_point = []
-    for keep in kept:
+    lengths = np.empty((len(images), len(points)), dtype=np.int64)
+    per_pass = []
+    for c, keep in enumerate(kept):
         found = ranked[keep]
         owner = image[found]
+        at = np.flatnonzero(column == c)
+        lengths[:, at] = _floor_counts(scores[found], owner, len(images), point_floors[at])
         found -= offsets[owner]
         cuts = np.searchsorted(owner, np.arange(len(images) + 1)).tolist()
-        per_point.append([found[a:b] for a, b in zip(cuts[:-1], cuts[1:])])
-    return list(zip(*per_point))
+        per_pass.append([found[a:b] for a, b in zip(cuts[:-1], cuts[1:])])
+    return list(zip(*per_pass)), column, lengths
 
 
 def default_grid(
@@ -217,7 +231,8 @@ def tune(
     better). Exact ties keep the first point in grid order, so results are
     reproducible for a fixed grid. Each point's value equals evaluating
     ``nms`` at that point on every image. NMS runs in the calling process,
-    one batched call for the whole grid; ``jobs > 1`` splits only the
+    one call of :func:`_nms_passes` for the whole grid, which also gives
+    each point's pass and prefix lengths; ``jobs > 1`` splits only the
     oc-cost pricing of the images over one set of forked workers (the map
     objective runs in one process).
     """
@@ -231,15 +246,7 @@ def tune(
     if not inputs:
         raise ValidationError("cannot evaluate an empty image sequence")
 
-    lowest: dict[float, float] = {}
-    for point in candidates:
-        t = point.iou_threshold
-        lowest[t] = min(lowest.get(t, 1.0), point.score_threshold)
-    passes = _nms_passes([d for _, d, _ in inputs], [NmsParams(s, t) for t, s in lowest.items()])
-    # each point's pass, and how many rows of it each image keeps there
-    column = np.array([list(lowest).index(p.iou_threshold) for p in candidates])
-    floors = np.array([p.score_threshold for p in candidates])
-    lengths = _prefix_lengths([d.scores for _, d, _ in inputs], passes, column, floors)
+    passes, column, lengths = _nms_passes([d for _, d, _ in inputs], candidates)
 
     if objective == "oc-cost":
         params = oc_params or OcCostParams()
@@ -249,6 +256,7 @@ def tune(
         best_index = min(range(len(values)), key=lambda i: (values[i], i))
         kind = "minimize-oc-cost"
     else:
+        floors = np.array([p.score_threshold for p in candidates])
         values = _grid_maps(inputs, passes, column, floors, map_params or MapParams())
         best_index = max(range(len(values)), key=lambda i: (values[i], -i))
         kind = "maximize-map"
@@ -259,29 +267,6 @@ def tune(
         objective_kind=kind,
         survivor_counts=tuple(lengths[:, best_index].tolist()),
     )
-
-
-def _prefix_lengths(
-    scores: Sequence[np.ndarray],
-    passes: Sequence[tuple[np.ndarray, ...]],
-    column: np.ndarray,
-    floors: np.ndarray,
-) -> np.ndarray:
-    """How many detections of each image NMS keeps at each point, shape
-    (images, points): the rows of the point's pass ``passes[i][column[j]]``
-    of image i that score at least its floor ``floors[j]``. Each pass is in
-    rank order, so they are a prefix of it. Per pass, one call of the
-    shared count (:func:`~oceval.map_metric._floor_counts`) counts them
-    at every floor of its points, for every image at once.
-    """
-    lengths = np.empty((len(scores), len(floors)), dtype=np.int64)
-    for c in range(len(passes[0])):
-        rows = [p[c] for p in passes]
-        kept = np.concatenate([np.zeros(0), *(s[r] for s, r in zip(scores, rows))])
-        owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-        points = np.flatnonzero(column == c)
-        lengths[:, points] = _floor_counts(kept, owner, len(rows), floors[points])
-    return lengths
 
 
 def _grid_maps(

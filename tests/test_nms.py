@@ -256,12 +256,15 @@ B0 = BoundingBox(0, 0, 2, 2)
 def test_batched_passes_match_the_scalar_loop(images, points, block):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry_module, "_BLOCK_PAIRS", block)
-        found = nms_module._nms_passes([detection_arrays(dets) for dets in images], points)
-    assert len(found) == len(images)
-    for dets, kept in zip(images, found):
-        assert len(kept) == len(points)
-        for point, rows in zip(points, kept):
-            assert [id(dets[i]) for i in rows.tolist()] == [id(d) for d in scalar_nms(dets, point)]
+        passes, column, lengths = nms_module._nms_passes(
+            [detection_arrays(dets) for dets in images], points
+        )
+    assert len(passes) == len(images)
+    assert lengths.shape == (len(images), len(points))
+    for i, (dets, kept) in enumerate(zip(images, passes)):
+        for j, point in enumerate(points):
+            rows = kept[column[j]][: lengths[i, j]]
+            assert [id(dets[r]) for r in rows.tolist()] == [id(d) for d in scalar_nms(dets, point)]
 
 
 def _tune_oracle(inputs, objective, grid, oc_params=None, map_params=None):

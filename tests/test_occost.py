@@ -16,6 +16,7 @@ import oceval.occost
 import oceval.transport
 from oceval import geometry
 from oceval import (
+    BootstrapConfig,
     BoundingBox,
     ConfigError,
     Detection,
@@ -25,6 +26,8 @@ from oceval import (
     dataset_oc_cost,
     image_oc_cost,
     lambda_sweep,
+    run_bootstrap,
+    trial_sample,
 )
 from oceval.costs import image_arrays
 from oceval.occost import map_images
@@ -592,6 +595,63 @@ def test_a_costly_extra_detection_or_ground_truth_never_lowers_the_cost(problem,
                 assert old - new < _TIE_EPSILON
             else:
                 assert new >= math.nextafter(old, -math.inf)
+
+
+# How far below beta an image's cost must lie for a costly extra unit to
+# raise it strictly. Each cost is a correctly rounded sum divided by a mass
+# of at most 9, so it lies within two ulps (under 5e-16) of its exact
+# value, while the exact rise (beta - cost) / (mass + 1) is then at least
+# 1e-9 / 9 = 1.1e-10.
+BELOW_BETA = 1e-9
+
+
+@settings(max_examples=400, deadline=None)
+@given(problem=problems(), data=st.data())
+def test_a_costly_extra_detection_or_ground_truth_raises_a_cost_below_beta(problem, data):
+    """Penalising false positives and negatives properly, strictly: left
+    unmatched, the extra unit takes a cost c over a mass M to
+    (M * c + beta) / (M + 1), which exceeds c by (beta - c) / (M + 1)."""
+    entries, beta = problem
+    m, n = entries.shape
+    row = np.array(data.draw(st.lists(costly(beta), min_size=n, max_size=n)), dtype=np.float64)
+    col = np.array(data.draw(st.lists(costly(beta), min_size=m, max_size=m)), dtype=np.float64)
+    before = both_costs(entries, beta)
+    for grown in (np.vstack([entries, row[None, :]]), np.hstack([entries, col[:, None]])):
+        if credit_matches_above_beta(grown, beta):
+            continue
+        for old, new in zip(before, both_costs(grown, beta)):
+            if old < beta - BELOW_BETA:
+                assert new > old
+
+
+def test_a_detector_with_extra_costly_false_positives_costs_more_in_every_trial():
+    # B is A plus, on every third image, a detection disjoint from every
+    # ground truth with a label none of them has
+    rng = np.random.default_rng(7)
+    a = [(i, *random_scene(rng)) for i in range(30)]
+    extra = Detection(BoundingBox(200, 200, 220, 220), 99, 0.5)
+    modified = set(range(0, len(a), 3))
+    b = [(i, dets + [extra] if i in modified else dets, gts) for i, dets, gts in a]
+    params = OcCostParams()
+    for i in modified:
+        assert (unit_cost_matrix([extra], a[i][2], params) >= params.dummy_cost + _TIE_EPSILON).all()
+
+    # a mean of copies of beta can round one ulp low (the test below); no
+    # modified image here pays beta on every unit with a rounded mean
+    report = dataset_oc_cost(a, params)
+    assert dataset_oc_cost(b, params).mean_oc_cost > report.mean_oc_cost
+    per_image = [r.oc_cost for r in report.per_image]
+    cheap = {i for i in modified if per_image[i] < params.dummy_cost}
+    assert cheap  # the strict case is exercised
+    config = BootstrapConfig()
+    report_a, report_b = run_bootstrap([("a", a), ("b", b)], config=config)
+    strict = 0
+    for trial, (value_a, value_b) in enumerate(zip(report_a.values, report_b.values)):
+        assert value_b >= value_a
+        if cheap & set(trial_sample(config, trial, len(a)).tolist()):
+            assert value_b > value_a
+            strict += 1
+    assert strict > config.trials // 2
 
 
 def test_a_costly_extra_detection_can_lower_the_cost_by_one_ulp():
