@@ -6,7 +6,8 @@ counter ``trial * 2**64``, so trial streams are independent of
 scheduling and of each other. Every detector is evaluated on the same
 multiset within a trial (paired comparison), which isolates ranking
 stability from sampling noise. Per-image costs and match tables are
-computed once; trials only re-aggregate them.
+computed once, a table shared by detectors, and trials only re-aggregate
+them, a pooling scoring a batch of trials of every detector at once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .costs import ImageInput, OcCostParams
 from .errors import ConfigError, ValidationError, _check_integer, _check_real
-from .map_metric import MapParams, build_match_table, map_from_table
+from .map_metric import MapParams, _batches, _pooled_maps, build_match_table
 from .occost import check_jobs, dataset_oc_cost
 
 __all__ = [
@@ -116,7 +117,7 @@ def run_bootstrap(
     ``detectors`` pairs a name with per-image inputs; all detectors must
     cover the same images in the same order. ``jobs`` parallelizes the
     one-time per-image OC-cost precomputation (the mAP metric runs in one
-    process) and never changes any output value.
+    process, and pools batches of trials) and never changes any output value.
     """
     if metric not in ("oc-cost", "map"):
         raise ConfigError(f"metric must be 'oc-cost' or 'map', got {metric!r}")
@@ -136,10 +137,11 @@ def run_bootstrap(
             )
 
     population = len(reference_ids)
-    samples = [trial_sample(config, trial, population) for trial in range(config.trials)]
+    samples = np.array([trial_sample(config, trial, population) for trial in range(config.trials)])
+    maps = _trial_maps(detectors, samples, map_params or MapParams()) if metric == "map" else []
 
     reports: list[BootstrapReport] = []
-    for name, inputs in detectors:
+    for k, (name, inputs) in enumerate(detectors):
         if metric == "oc-cost":
             full = dataset_oc_cost(inputs, oc_params or OcCostParams(), jobs=jobs)
             per_image = [r.oc_cost for r in full.per_image]
@@ -147,8 +149,7 @@ def run_bootstrap(
                 math.fsum(per_image[i] for i in sample) / len(sample) for sample in samples
             ]
         else:
-            table = build_match_table(inputs, map_params or MapParams())
-            values = [map_from_table(table, sample).mean_ap for sample in samples]
+            values = maps[k]
         mean, std, percentiles = _summarize(values)
         reports.append(
             BootstrapReport(
@@ -162,3 +163,29 @@ def run_bootstrap(
             )
         )
     return reports
+
+
+def _trial_maps(
+    detectors: Sequence[tuple[str, Sequence[ImageInput]]], samples: np.ndarray, params: MapParams
+) -> list[list[float]]:
+    """Each detector's mAP on each trial's sample, a row of ``samples``.
+    Consecutive detectors share one match table, and consecutive trials one
+    pooling of every detector of it (:func:`~oceval.map_metric._pooled_maps`),
+    while their rows fit in the row budget of :mod:`oceval.map_metric`:
+    a trial pools the table rows of its drawn images, and detector d's
+    trial t is its sample shifted by d's first image in the table."""
+    population = len(detectors[0][1])
+    values = np.zeros((len(samples), len(detectors)))
+    sizes = [sum(len(d) + len(g) for _, d, g in inputs) for _, inputs in detectors]
+    for group in _batches(sizes):
+        table = build_match_table([item for k in group for item in detectors[k][1]], params)
+        # (trial, detector, draw): the images of each detector's trials
+        shifted = samples[:, None, :] + population * np.arange(len(group))[:, None]
+        bounds = table.offsets[np.searchsorted(table.image, np.arange(table.images + 1))]
+        pooled_rows = np.diff(bounds)[shifted].sum(axis=(1, 2))
+        for batch in _batches(pooled_rows.tolist()):
+            trials = slice(batch.start, batch.stop)
+            multisets = shifted[trials].reshape(-1, samples.shape[1])
+            [maps] = _pooled_maps(table, multisets, np.array([-np.inf]))[0]
+            values[trials, group.start : group.stop] = np.reshape(maps, (len(batch), -1))
+    return values.T.tolist()

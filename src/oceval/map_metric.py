@@ -14,8 +14,10 @@ categories present in that image's detections or ground truths.
 Every kernel runs over all (image, category) segments at once: matching
 builds one flat :class:`MatchTable` for the whole dataset, and one AP
 kernel, run in blocks of segments of bounded size, scores the segments
-of a table (per-image mAP) and the categories pooled from any multiset
-of its images (dataset mAP).
+of a table (per-image mAP) and the categories pooled from multisets of
+its images (dataset mAP), many multisets and score floors per pooling,
+for :func:`map_from_table`, the bootstrap and the NMS tuner. One budget,
+``_TABLE_ROWS``, bounds the rows of a table they share and of a pooling.
 """
 
 from __future__ import annotations
@@ -87,6 +89,20 @@ class MapReport:
 # The IoU computation takes ``geometry._BLOCK_PAIRS`` pairs per block.
 _BLOCK_ROWS = 1 << 10
 _BLOCK_CELLS = 1 << 14
+# the most rows of one match table or pooling, unless one input has more
+_TABLE_ROWS = 1 << 16
+
+
+def _batches(sizes: Sequence[int]) -> list[range]:
+    """Consecutive items cut into batches whose sizes sum to at most
+    ``_TABLE_ROWS``; an item larger than that is a batch of its own."""
+    starts, total = [0], 0
+    for i, size in enumerate(sizes):
+        if i and total + size > _TABLE_ROWS:
+            starts.append(i)
+            total = 0
+        total += size
+    return list(map(range, starts, starts[1:] + [len(sizes)]))
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -194,21 +210,34 @@ def _greedy_lockstep(
     return flags
 
 
+def _recall_ranks(gt_count: np.ndarray, recall_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ground-truth counts, sorted, and the least q >= 1 with
+    q / gt >= r in floating point at each of the recall points r of each."""
+    gt = np.unique(gt_count)
+    samples = np.linspace(0.0, 1.0, recall_points)
+    count = gt.astype(np.float64)[:, None]
+    # ceil(r * gt) - 2 is at most 3 below the least q with q / gt >= r
+    need = np.maximum(np.ceil(samples * count) - 2.0, 0.0)
+    for _ in range(3):
+        need += need / count < samples
+    return gt, np.maximum(need, 1.0).astype(np.int64)
+
+
 def _block_aps(
-    flags: np.ndarray, starts: np.ndarray, gt_count: np.ndarray, recall_points: int
+    flags: np.ndarray, starts: np.ndarray, gt_count: np.ndarray, recall: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """Interpolated AP, shape (thresholds, segments), of every column of
     every segment of score-ordered (rows, thresholds) ``flags``. Segment s
     starts at row ``starts[s]`` and holds every true positive up to the
-    next start; one without true positives scores 0.
+    next start; one without true positives scores 0. ``recall`` is
+    :func:`_recall_ranks` of a set of counts holding every ``gt_count``.
 
     Row i of a segment has precision tp_i / (i + 1) and recall
     tp_i / gt_count, tp_i counting its true positives up to row i. AP
-    averages, over ``recall_points`` equally spaced values r, the envelope
-    (the highest precision from the first row of recall >= r to the end)
-    or 0 when recall never reaches r. Precision peaks only at true
-    positives, so only they are read: recall reaches r at the q-th true
-    positive, q the fewest with q / gt_count >= r in floating point, and
+    averages, over the recall points r, the envelope (the highest
+    precision from the first row of recall >= r to the end) or 0 when
+    recall never reaches r. Precision peaks only at true positives, so
+    only they are read: recall reaches r at the q-th true positive, and
     the envelope there is the highest precision of the q-th and later ones.
     """
     levels, segments = flags.shape[1], len(gt_count)
@@ -228,14 +257,8 @@ def _block_aps(
     envelope = precision[by_value[np.maximum.accumulate(key[::-1])[::-1] % len(row)]]
 
     active = np.flatnonzero(count)
-    gt, pick = np.unique(gt_count[active % segments], return_inverse=True)
-    samples = np.linspace(0.0, 1.0, recall_points)
-    gt = gt.astype(np.float64)[:, None]
-    # ceil(r * gt) - 2 is at most 3 below the least q with q / gt >= r
-    need = np.maximum(np.ceil(samples * gt) - 2.0, 0.0)
-    for _ in range(3):
-        need += need / gt < samples
-    at = np.maximum(need, 1.0).astype(np.int64)[pick]
+    gt, need = recall
+    at = need[np.searchsorted(gt, gt_count[active % segments])]
     short = at > count[active, None]
     at += start[active, None] - 1
     at[short] = len(row)
@@ -252,9 +275,11 @@ def _segment_means(
     ``flags``, and 0 for one without ground truths. :func:`_block_aps`
     scores the others in blocks of consecutive segments, each as large as
     ``_BLOCK_CELLS`` allows, which bounds every temporary but those of a
-    single segment larger than that."""
+    single segment larger than that; the recall points of each distinct
+    ground-truth count are found once for all blocks."""
     levels = flags.shape[1]
     scored = np.flatnonzero(gt_count)
+    recall = _recall_ranks(gt_count[scored], recall_points)
     sizes = offsets[scored + 1] - offsets[scored]
     through = np.cumsum(sizes)
     most = max(1, _BLOCK_CELLS // (levels * recall_points))
@@ -267,7 +292,7 @@ def _segment_means(
         hi = min(max(fit, lo + 1), lo + most)
         block = scored[lo:hi]
         first, stop = offsets[block[0]], offsets[block[-1] + 1]
-        aps = _block_aps(flags[first:stop], offsets[block] - first, gt_count[block], recall_points)
+        aps = _block_aps(flags[first:stop], offsets[block] - first, gt_count[block], recall)
         sums[block] = list(map(math.fsum, aps.T.tolist()))
         lo = hi
     return sums / levels
@@ -379,40 +404,74 @@ def _floor_counts(
 
 
 def _pooled(
-    table: MatchTable, image_indices: Sequence[int]
+    table: MatchTable, multisets: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of a multiset of the table's images pooled per category:
-    the rows, category by category in (category, -score, row) order, the
-    offsets of the categories in them, and the category codes and pooled
-    ground-truth counts of those categories. Only categories with at least
-    one pooled ground truth are listed. A row's place in the table orders
-    it by (image index, in-image rank), so the order does not depend on
-    the order of ``image_indices``; repeated indices count with
-    multiplicity. An index that is no integer (a bool is none) or is
-    outside ``[0, table.images)`` is a :class:`ConfigError`."""
-    picked = np.asarray(image_indices)
-    # only an integer array or a range is checked whole: numpy reads a
-    # bool in a list of integers as an integer
-    typed = isinstance(image_indices, (np.ndarray, range)) and picked.dtype.kind in "iu"
-    if not typed or (len(picked) and not 0 <= picked.min() <= picked.max() < table.images):
-        for i in picked.tolist() if isinstance(image_indices, np.ndarray) else image_indices:
-            if not (_is_integer(i) and 0 <= i < table.images):
-                raise ConfigError(f"image index must be an integer in [0, {table.images}), got {i!r}")
-    picked = picked.astype(np.int64, copy=False)
-    segments = _ranges(
-        np.searchsorted(table.image, picked), np.searchsorted(table.image, picked, side="right")
-    )
-    category = table.category[segments]
-    gt = np.bincount(category, table.gt_count[segments], minlength=len(table.categories))
-    gt = gt.astype(np.int64)
-    segments = segments[gt[category] > 0]
+    """The rows of each multiset of the table's images pooled per category,
+    as (multiset, category) groups keyed ``multiset * width + category``
+    (``width`` the category count, at least 1): the rows in (group, -score,
+    row) order, the groups' offsets in them, keys and pooled ground-truth
+    counts. Only groups with a pooled ground truth are listed. A row's
+    place in the table orders it by (image index, in-image rank), so the
+    order of a multiset does not matter; repeated indices count with
+    multiplicity. A multiset that is not one-dimensional, or an index that
+    is no integer (a bool is none) or no image, is a :class:`ConfigError`."""
+    images, picks = table.images, []
+    for image_indices in multisets:
+        picked = np.asarray(image_indices)
+        if picked.ndim != 1:
+            raise ConfigError(f"image index array must be one-dimensional, got shape {picked.shape}")
+        # only an integer array or a range is checked whole: numpy reads a
+        # bool in a list of integers as an integer
+        typed = isinstance(image_indices, (np.ndarray, range)) and picked.dtype.kind in "iu"
+        if not typed or (len(picked) and not 0 <= picked.min() <= picked.max() < images):
+            for i in picked.tolist() if isinstance(image_indices, np.ndarray) else image_indices:
+                if not (_is_integer(i) and 0 <= i < images):
+                    raise ConfigError(f"image index must be an integer in [0, {images}), got {i!r}")
+        picks.append(picked.astype(np.int64, copy=False))
+    picked = np.concatenate([np.zeros(0, dtype=np.int64), *picks])
+    lo, hi = np.searchsorted(table.image, picked), np.searchsorted(table.image, picked, side="right")
+    segments = _ranges(lo, hi)
+    width = max(len(table.categories), 1)
+    owner = np.repeat(np.repeat(np.arange(len(picks)), [len(m) for m in picks]), hi - lo)
+    group = owner * width + table.category[segments]
+    gt = np.bincount(group, table.gt_count[segments], minlength=len(picks) * width).astype(np.int64)
+    kept = gt[group] > 0
+    segments, group = segments[kept], group[kept]
     lo, hi = table.offsets[segments], table.offsets[segments + 1]
     rows = _ranges(lo, hi)
-    category = np.repeat(table.category[segments], hi - lo)
-    order = np.lexsort((rows, -table.scores[rows], category))
+    group = np.repeat(group, hi - lo)
+    order = np.lexsort((rows, -table.scores[rows], group))
     scored = np.flatnonzero(gt)
-    offsets = np.r_[0, np.cumsum(np.bincount(category, minlength=len(gt))[scored])]
+    offsets = np.r_[0, np.cumsum(np.bincount(group, minlength=len(gt))[scored])]
     return rows[order], offsets, scored, gt[scored]
+
+
+def _pooled_maps(
+    table: MatchTable, multisets: Sequence[Sequence[int]], floors: np.ndarray
+) -> tuple[list[list[float]], np.ndarray, np.ndarray]:
+    """``maps[f][m]``, the mAP of multiset m of the table's images without
+    the detections below ``floors[f]``, and the :func:`_pooled` groups'
+    keys and mean APs, shape (floors, groups). Matching reads only higher
+    ranks, so a floor keeps a prefix of every segment and pooled group: one
+    :func:`_floor_counts` and one :func:`_segment_means` call score every
+    (floor, group) prefix. An mAP is the ``math.fsum`` of its groups' means,
+    in category order, over their count, or 0 without any."""
+    rows, offsets, scored, gt = _pooled(table, multisets)
+    group = np.repeat(np.arange(len(scored)), np.diff(offsets))
+    count = _floor_counts(table.scores[rows], group, len(scored), floors)
+    # floor-major: the bounds of group g's rows scoring at least floors[f]
+    starts = np.tile(offsets[:-1], len(floors))
+    stops = starts + count.T.reshape(-1)
+    means = _segment_means(
+        table.flags[rows[_ranges(starts, stops)]],
+        np.r_[0, np.cumsum(stops - starts)],
+        np.tile(gt, len(floors)),
+        table.params.recall_points,
+    ).reshape(len(floors), len(scored))
+    bounds = np.searchsorted(scored // max(len(table.categories), 1), np.arange(len(multisets) + 1))
+    cuts = list(map(slice, bounds[:-1].tolist(), bounds[1:].tolist()))
+    maps = [[math.fsum(row[c]) / max(c.stop - c.start, 1) for c in cuts] for row in means.tolist()]
+    return maps, scored, means
 
 
 def map_from_table(table: MatchTable, image_indices: Sequence[int]) -> MapReport:
@@ -422,51 +481,11 @@ def map_from_table(table: MatchTable, image_indices: Sequence[int]) -> MapReport
     makes the value invariant to the order of ``image_indices``; repeated
     indices count with multiplicity. Only categories with at least one
     pooled ground truth participate. An index that is no integer or no
-    image of the table is a :class:`ConfigError`.
+    image of the table, or a multiset not 1-D, is a :class:`ConfigError`.
     """
-    params = table.params
-    rows, offsets, scored, gt = _pooled(table, image_indices)
-    if not len(scored):
-        return MapReport(mean_ap=0.0, per_category={}, params=params)
-    means = _segment_means(table.flags[rows], offsets, gt, params.recall_points)
-    per_category = dict(zip(table.categories[scored].tolist(), means.tolist()))
-    mean_ap = math.fsum(per_category.values()) / len(per_category)
-    return MapReport(mean_ap=mean_ap, per_category=per_category, params=params)
-
-
-def _floor_maps(
-    table: MatchTable, image_indices: Sequence[int], floors: Sequence[float]
-) -> list[float]:
-    """The dataset mAP of a multiset of the table's images at each score
-    floor ``s`` of ``floors``: the mAP of the table built from the same
-    inputs without the detections scoring below ``s``, from one pooling.
-
-    Each segment ranks its detections by descending score, and greedy
-    matching reads only higher-ranked rows, so dropping the detections
-    below ``s`` keeps a prefix of every segment with its flags; a
-    ``max_detections`` cap keeps the top ranks, so the prefix holds under
-    it as well. Pooling ranks each category's rows by descending score,
-    so the rows scoring at least ``s`` are a prefix of its pooled list,
-    and the categories scored, those with ground truths, are the same at
-    every floor. One :func:`_floor_counts` call cuts every category's list
-    at every floor, and one :func:`_segment_means` call scores every
-    (floor, category) prefix.
-    """
-    rows, offsets, scored, gt = _pooled(table, image_indices)
-    if not len(scored):
-        return [0.0] * len(floors)
-    category = np.repeat(np.arange(len(scored)), np.diff(offsets))
-    count = _floor_counts(table.scores[rows], category, len(scored), np.asarray(floors))
-    # floor-major: the bounds of category c's rows scoring at least floors[f]
-    starts = np.tile(offsets[:-1], len(floors))
-    stops = starts + count.T.reshape(-1)
-    means = _segment_means(
-        table.flags[rows[_ranges(starts, stops)]],
-        np.r_[0, np.cumsum(stops - starts)],
-        np.tile(gt, len(floors)),
-        table.params.recall_points,
-    )
-    return [math.fsum(row) / len(scored) for row in means.reshape(len(floors), len(scored)).tolist()]
+    maps, scored, means = _pooled_maps(table, [image_indices], np.array([-np.inf]))
+    per_category = dict(zip(table.categories[scored].tolist(), means[0].tolist()))
+    return MapReport(mean_ap=maps[0][0], per_category=per_category, params=table.params)
 
 
 def image_maps(table: MatchTable) -> list[float]:

@@ -22,16 +22,16 @@ once, with the pair kernel that greedy mAP matching also uses, and
 suppresses in lockstep over all groups and passes. Then:
 
 - for the mAP objective, consecutive passes share one match table
-  while their rows fit in a fixed budget, each (pass, image) an image of
-  its own: the labels are coded and the greedy matching runs once per
-  table, once for the whole grid on a small dataset, while a large one
-  gets a table per pass and the memory of one. Matching runs in score
-  order and pooling ranks each category by score, so the detections of
-  a pass that survive a score threshold are a prefix of each category's
-  pooled list: each pass pools its images once, the same count cuts
-  every category's list at every score threshold of it, and one call of
-  the AP kernel scores them all
-  (:func:`~oceval.map_metric._floor_maps`);
+  while their rows fit in the row budget of :mod:`oceval.map_metric`,
+  each (pass, image) an image of its own: the labels are coded and the
+  greedy matching runs once per table, once for the whole grid on a
+  small dataset, while a large one gets a table per pass and the memory
+  of one. Matching runs in score order and pooling ranks each category
+  by score, so the detections of a pass that survive a score threshold
+  are a prefix of each category's pooled list: each pass pools its
+  images once, the same count cuts every category's list at every score
+  threshold of it, and one call of the AP kernel scores them all
+  (:func:`~oceval.map_metric._pooled_maps`);
 - for the oc-cost objective, each process lists each grid point's
   prefix of each of its images' passes as the pricing kernel of
   :mod:`oceval.occost` takes them, block by block; the kernel solves
@@ -59,10 +59,11 @@ from .costs import (
 from .errors import ConfigError, ValidationError, _check_real
 from .map_metric import (
     MapParams,
+    _batches,
     _floor_counts,
-    _floor_maps,
     _lockstep_steps,
     _pair_ious,
+    _pooled_maps,
     _rank_groups,
     _ranges,
     build_match_table,
@@ -82,10 +83,6 @@ __all__ = [
 # 0.05..0.90 step 0.05 and 0.3..0.9 step 0.1
 DEFAULT_SCORE_THRESHOLDS: tuple[float, ...] = tuple(i / 100.0 for i in range(5, 91, 5))
 DEFAULT_IOU_THRESHOLDS: tuple[float, ...] = tuple(i / 10.0 for i in range(3, 10))
-
-# the most detection and ground-truth rows one match table of the map
-# objective holds, unless one NMS pass alone has more
-_TABLE_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -277,25 +274,18 @@ def _grid_maps(
     params: MapParams,
 ) -> list[float]:
     """Each point's dataset mAP. Consecutive passes share one match table
-    while their detection and ground-truth rows fit in ``_TABLE_ROWS``,
-    each (pass, image) an image of its own, pass-major: the labels are
-    coded and the matching runs once per table, one table after another.
-    Each pass then pools its range of images once and scores every floor
-    of its points (:func:`~oceval.map_metric._floor_maps`).
+    while their detection and ground-truth rows fit in the row budget of
+    :mod:`oceval.map_metric` (:func:`~oceval.map_metric._batches`), each
+    (pass, image) an image of its own, pass-major: the labels are coded and
+    the matching runs once per table, one table after another. Each pass
+    then pools its range of images once and scores every floor of its
+    points (:func:`~oceval.map_metric._pooled_maps`).
     """
     n = len(inputs)
     gts = sum(len(g) for _, _, g in inputs)
-    groups: list[list[int]] = []
-    total = 0
-    for c in range(len(passes[0])):
-        size = gts + sum(len(rows[c]) for rows in passes)
-        if not groups or total + size > _TABLE_ROWS:
-            groups.append([])
-            total = 0
-        groups[-1].append(c)
-        total += size
+    sizes = [gts + sum(len(rows[c]) for rows in passes) for c in range(len(passes[0]))]
     values = [0.0] * len(column)
-    for group in groups:
+    for group in _batches(sizes):
         table = build_match_table(
             [
                 (image_id, d.take(rows[c]), g)
@@ -306,8 +296,8 @@ def _grid_maps(
         )
         for k, c in enumerate(group):
             points = np.flatnonzero(column == c)
-            maps = _floor_maps(table, range(k * n, k * n + n), floors[points])
-            for i, value in zip(points.tolist(), maps):
+            maps = _pooled_maps(table, [range(k * n, k * n + n)], floors[points])[0]
+            for i, [value] in zip(points.tolist(), maps):
                 values[i] = value
     return values
 

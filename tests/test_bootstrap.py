@@ -1,3 +1,4 @@
+import importlib
 import math
 import re
 
@@ -10,6 +11,7 @@ from oceval import (
     ConfigError,
     Detection,
     GroundTruthInstance,
+    MapParams,
     OcCostParams,
     ValidationError,
     dataset_map,
@@ -17,6 +19,11 @@ from oceval import (
     run_bootstrap,
     trial_sample,
 )
+from oceval import map_metric
+from oceval.costs import detection_arrays
+from oceval.map_metric import build_match_table, map_from_table
+
+bootstrap_module = importlib.import_module("oceval.bootstrap")
 
 BOX = BoundingBox(0, 0, 10, 10)
 
@@ -182,3 +189,91 @@ def test_metric_validation():
         run_bootstrap([], "oc-cost", BootstrapConfig())
     with pytest.raises(ValidationError):
         run_bootstrap([("a", [])], "oc-cost", BootstrapConfig())
+
+
+def detector_outputs(rng, images=8):
+    """Three detectors of the same images: jittered copies of each ground
+    truth at tied scores and stray boxes. Only the second predicts label 9
+    and it detects nothing on every third image; the third is columnar."""
+    ground_truths, outputs = [], ([], [], [])
+    for image_id in range(images):
+        objects = [
+            (rng.uniform(0, 60, size=2), rng.uniform(8, 30, size=2), int(rng.integers(1, 4)))
+            for _ in range(int(rng.integers(0, 4)))
+        ]
+        ground_truths.append(
+            [GroundTruthInstance(BoundingBox(*xy, *(xy + wh)), label) for xy, wh, label in objects]
+        )
+        for k, dets in enumerate(outputs):
+            found = []
+            for xy, wh, label in objects:
+                for _ in range(int(rng.integers(0, 3))):
+                    at = xy + rng.normal(0, 3, size=2)
+                    score = float(rng.choice([0.9, 0.5, 0.1]))
+                    found.append(Detection(BoundingBox(*at, *(at + wh)), label, score))
+            stray = rng.uniform(0, 60, size=2)
+            stray_box = BoundingBox(*stray, *(stray + 10))
+            found.append(Detection(stray_box, 9 if k == 1 else 2, float(rng.uniform())))
+            dets.append([] if k == 1 and image_id % 3 == 0 else found)
+    inputs = [list(zip(range(images), dets, ground_truths)) for dets in outputs]
+    inputs[2] = [(i, detection_arrays(d), g) for i, d, g in inputs[2]]
+    return [(f"d{k}", items) for k, items in enumerate(inputs)]
+
+
+@pytest.mark.parametrize("tables", ["one for all", "two, then one", "one per detector"])
+@pytest.mark.parametrize("with_replacement", [True, False])
+def test_detectors_sharing_a_table_score_as_a_table_per_detector(
+    rng, monkeypatch, tables, with_replacement
+):
+    """Every trial value of every detector equals the mAP of its sample in
+    a table of that detector's own, however the row budget puts the
+    detectors into shared tables and the trials into poolings: a batch
+    holds consecutive trials, every detector of its table, and pools at
+    most the budget's rows unless it holds a single trial."""
+    params = MapParams(iou_thresholds=(0.3, 0.5, 0.7), max_detections=4)
+    config = BootstrapConfig(trials=6, sample_fraction=1.0 if with_replacement else 0.5,
+                             with_replacement=with_replacement, seed=3)
+    built, batches = [], []
+
+    def counting_table(items, params):
+        built.append(len(items))
+        return build_match_table(items, params)
+
+    def counting_pool(table, multisets, floors):
+        batches.append((table, multisets))
+        return map_metric._pooled_maps(table, multisets, floors)
+
+    monkeypatch.setattr(bootstrap_module, "build_match_table", counting_table)
+    monkeypatch.setattr(bootstrap_module, "_pooled_maps", counting_pool)
+    for _ in range(3):
+        detectors = detector_outputs(rng)
+        n = len(detectors[0][1])
+        samples = [trial_sample(config, t, n) for t in range(config.trials)]
+        if with_replacement:
+            assert any(len(set(sample.tolist())) < len(sample) for sample in samples)
+        expected = [
+            [map_from_table(build_match_table(inputs, params), sample).mean_ap for sample in samples]
+            for _, inputs in detectors
+        ]
+        sizes = [sum(len(d) + len(g) for _, d, g in inputs) for _, inputs in detectors]
+        budget, tables_built = {
+            "one for all": (1 << 40, [3 * n]),
+            "two, then one": (sizes[0] + sizes[1], [2 * n, n]),
+            "one per detector": (0, [n, n, n]),
+        }[tables]
+        monkeypatch.setattr(map_metric, "_TABLE_ROWS", budget)
+        built.clear()
+        batches.clear()
+        reports = run_bootstrap(detectors, "map", config, map_params=params)
+        assert [list(report.values) for report in reports] == expected
+        assert built == tables_built
+        if tables == "one for all":
+            assert len(batches) == 1
+        elif tables == "one per detector":
+            assert len(batches) == config.trials * len(detectors)
+        for table, multisets in batches:
+            per_table = table.images // n
+            bounds = np.searchsorted(table.image, np.arange(table.images + 1))
+            image_rows = np.diff(table.offsets[bounds])
+            assert len(multisets) % per_table == 0
+            assert len(multisets) == per_table or sum(image_rows[m].sum() for m in multisets) <= budget

@@ -24,6 +24,7 @@ from oceval.map_metric import (
     MapReport,
     _block_aps,
     _greedy_lockstep,
+    _recall_ranks,
     _segment_means,
     _floor_counts,
     build_match_table,
@@ -472,7 +473,8 @@ def test_category_ap_columns_match_average_precision(flags, num_gt, recall_point
         average_precision(flags[:, t].tolist(), num_gt, recall_points) for t in range(flags.shape[1])
     ]
     assert _category_ap(flags, num_gt, recall_points) == expected
-    assert _block_aps(flags, np.array([0]), np.array([num_gt]), recall_points)[:, 0].tolist() == expected
+    recall = _recall_ranks(np.array([num_gt]), recall_points)
+    assert _block_aps(flags, np.array([0]), np.array([num_gt]), recall)[:, 0].tolist() == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -492,7 +494,8 @@ def test_category_ap_columns_match_average_precision(flags, num_gt, recall_point
 def test_block_aps_equal_oracle_per_segment(segments, recall_points):
     flags = np.concatenate([f for f, _ in segments])
     starts = np.cumsum([0] + [len(f) for f, _ in segments])[:-1]
-    aps = _block_aps(flags, starts, np.array([n for _, n in segments]), recall_points)
+    gt_count = np.array([n for _, n in segments])
+    aps = _block_aps(flags, starts, gt_count, _recall_ranks(gt_count, recall_points))
     for s, (f, num_gt) in enumerate(segments):
         assert aps[:, s].tolist() == _category_ap(f, num_gt, recall_points)
 
@@ -504,8 +507,9 @@ def test_block_aps_equal_oracle_on_long_segments(rng):
     segments = [(rng.uniform(size=(rows, 3)) < 0.4, num_gt) for rows, num_gt in sizes]
     flags = np.concatenate([f for f, _ in segments])
     starts = np.cumsum([0] + [len(f) for f, _ in segments])[:-1]
+    gt_count = np.array([n for _, n in segments])
     for recall_points in (11, 101, 1001):
-        aps = _block_aps(flags, starts, np.array([n for _, n in segments]), recall_points)
+        aps = _block_aps(flags, starts, gt_count, _recall_ranks(gt_count, recall_points))
         for s, (f, num_gt) in enumerate(segments):
             assert aps[:, s].tolist() == _category_ap(f, num_gt, recall_points)
 
@@ -591,11 +595,12 @@ ABOVE = float(np.nextafter(1.0, 2.0))
 def test_floor_maps_equal_the_map_of_each_filtered_table(
     images, max_detections, thresholds, recall_points, data
 ):
-    """One pooling scores every floor: each floor's value equals, bit for
-    bit, the mAP of the table built, matching and all, from the inputs
-    filtered at that floor, and the oracle's.
+    """One pooling scores every multiset at every floor: each (multiset,
+    floor) value equals, bit for bit, the mAP of the table built, matching
+    and all, from the inputs filtered at that floor, and the oracle's.
     Floors above every score, 0, detection scores, unsorted and repeated;
-    object labels, categories with only ground truths, a detection cap."""
+    object labels, categories with only ground truths, a detection cap;
+    every image, images drawn more than once, and none."""
     params = MapParams(
         iou_thresholds=tuple(thresholds), recall_points=recall_points, max_detections=max_detections
     )
@@ -608,14 +613,16 @@ def test_floor_maps_equal_the_map_of_each_filtered_table(
         floors = data.draw(st.permutations(drawn + [ABOVE, 0.0, *scores[:1]]))
     table = build_match_table(inputs, params)
     entries = oracle_table(inputs, params)
-    everything = range(len(inputs))
-    got = map_metric._floor_maps(table, everything, floors)
+    multisets = [range(len(inputs)), [len(inputs) - 1, 0, len(inputs) - 1, 0, 0], []]
+    got = map_metric._pooled_maps(table, multisets, np.array(floors))[0]
     filtered = [
         build_match_table([(i, [d for d in dets if d.score >= s], gts) for i, dets, gts in inputs], params)
         for s in floors
     ]
-    assert got == [map_from_table(kept, everything).mean_ap for kept in filtered]
-    assert got == [oracle_map(oracle_filter(entries, s), params, everything).mean_ap for s in floors]
+    assert got == [[map_from_table(kept, m).mean_ap for m in multisets] for kept in filtered]
+    assert got == [
+        [oracle_map(oracle_filter(entries, s), params, m).mean_ap for m in multisets] for s in floors
+    ]
 
 
 @st.composite
@@ -654,9 +661,11 @@ def test_floor_counts_equal_a_count_per_group_and_floor(case):
 
 
 def test_map_from_table_rejects_an_index_of_no_image():
-    """An image index is an integer (a bool is none) in [0, images). numpy
-    would pool image 0 for 0.7, image 1 for 1.9 and True, and the last
-    image for -1, and raise a bare IndexError for 2."""
+    """An image index is an integer (a bool is none) in [0, images), in a
+    one-dimensional multiset. numpy would pool image 0 for 0.7, image 1
+    for 1.9 and True, and the last image for -1, and raise a bare
+    IndexError for 2, ValueError for a 2-D array and TypeError for a 0-D
+    one. The pooled scorer checks every multiset it is given alike."""
     table = build_match_table(
         [(0, [Detection(B1, 1, 0.5)], [GroundTruthInstance(B1, 1)]), (1, [], [GroundTruthInstance(B2, 1)])],
         MapParams(),
@@ -664,10 +673,13 @@ def test_map_from_table_rejects_an_index_of_no_image():
     cases = [
         ([0.7], "0.7"), ([1.9], "1.9"), ([True], "True"), ([-1], "-1"), ([2], "2"),
         ([0, True], "True"), (np.array([1.0]), "1.0"), (np.array([0, 2]), "2"),
+        (np.array([[0, 1]]), "shape (1, 2)"), (np.array(0), "shape ()"),
     ]
     for bad, shown in cases:
         with pytest.raises(ConfigError, match=rf"^image index .* got {re.escape(shown)}$"):
             map_from_table(table, bad)
+        with pytest.raises(ConfigError, match=rf"^image index .* got {re.escape(shown)}$"):
+            map_metric._pooled_maps(table, [range(2), bad], np.array([0.0]))
     assert map_from_table(table, []).mean_ap == 0.0
     sample = np.array([1, 0, 1], dtype=np.int64)
     assert map_from_table(table, sample) == map_from_table(table, [0, 1, 1])

@@ -19,6 +19,7 @@ from oceval import (
     nms,
     tune,
 )
+from oceval import map_metric
 from oceval.costs import detection_arrays
 from oceval.map_metric import build_match_table, map_from_table
 from oceval.nms import DEFAULT_IOU_THRESHOLDS, DEFAULT_SCORE_THRESHOLDS
@@ -380,7 +381,7 @@ def test_passes_sharing_a_table_score_as_a_table_per_pass(rng, monkeypatch, tabl
             "two passes, then one": (sizes[0.3] + sizes[0.5], [2 * n, n]),
             "one for every pass": (sum(sizes.values()), [3 * n]),
         }[tables]
-        monkeypatch.setattr(nms_module, "_TABLE_ROWS", budget)
+        monkeypatch.setattr(map_metric, "_TABLE_ROWS", budget)
         built.clear()
         result = tune(inputs, "map", grid, map_params=map_params)
         assert [value for _, value in result.grid] == per_table
