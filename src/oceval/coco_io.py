@@ -27,6 +27,7 @@ versioned JSON (raw doubles) or CSV (its row table, 6 significant digits).
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import warnings
@@ -88,13 +89,25 @@ class DetectionSet:
 
 
 def _load_json(path: str) -> Any:
+    """The document of the UTF-8 JSON file ``path``. The cyclic garbage
+    collector is paused while it is parsed: parsing makes many containers
+    and no cycles, and each collection would walk every one made so far."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
         raise ParseError(f"{path}: cannot read file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON: not UTF-8 text at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: invalid JSON: nested too deeply") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _require_int(value: Any, what: str, path: str) -> int:

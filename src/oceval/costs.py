@@ -15,7 +15,7 @@ negative).
 Every cell depends on its own detection and ground truth only, so the
 terms are computed cell by cell (:func:`_cell_terms`) over any list of
 (detection, ground truth) pairs: the one pricing kernel, ``_price`` in
-:mod:`oceval.occost`, lists the cells of many problems at once. The two
+:mod:`oceval.occost`, lists the cells of many passes at once. The two
 terms do not depend on ``loc_weight``, so the kernel computes them once
 per cell and blends them once per weight (:func:`_blend`; the lambda
 sweep). A cell's terms, blend and gain are the same bits whichever list

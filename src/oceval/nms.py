@@ -32,11 +32,11 @@ suppresses in lockstep over all groups and passes. Then:
   images once, the same count cuts every category's list at every score
   threshold of it, and one call of the AP kernel scores them all
   (:func:`~oceval.map_metric._pooled_maps`);
-- for the oc-cost objective, each process lists each grid point's
-  prefix of each of its images' passes as the pricing kernel of
-  :mod:`oceval.occost` takes them, block by block; the kernel solves
-  each distinct set of survivors once however many grid points share
-  it.
+- for the oc-cost objective, each process hands its images' passes, and
+  each point's pass and prefix lengths, to the pricing kernel of
+  :mod:`oceval.occost` as they are: the kernel prices each distinct pass
+  once and settles every prefix of it from that one pricing, solving
+  each distinct set of survivors once however many grid points share it.
 """
 
 from __future__ import annotations
@@ -247,8 +247,9 @@ def tune(
 
     if objective == "oc-cost":
         params = oc_params or OcCostParams()
-        tasks = list(zip(inputs, passes, lengths.tolist()))
-        per_image = map_images(_grid_costs, tasks, jobs, column.tolist(), params)
+        points = column.tolist()
+        tasks = [(item, rows, points, n) for item, rows, n in zip(inputs, passes, lengths.tolist())]
+        per_image = map_images(_price, tasks, jobs, [params])
         values = [math.fsum(oc for oc, _ in costs) / len(per_image) for costs in zip(*per_image)]
         best_index = min(range(len(values)), key=lambda i: (values[i], i))
         kind = "minimize-oc-cost"
@@ -301,24 +302,3 @@ def _grid_maps(
                 values[i] = value
     return values
 
-
-def _grid_costs(
-    column: Sequence[int],
-    params: OcCostParams,
-    tasks: Sequence[tuple[ImageInput, tuple[np.ndarray, ...], list[int]]],
-) -> list[list[tuple[float, int]]]:
-    """Each image's ``(cost, k)`` at each grid point, from its NMS passes
-    and the length of each point's prefix of its pass.
-
-    It only lists each point's prefix; the pricing kernel solves each
-    distinct list once. The lists are made as the kernel takes the images,
-    in the process that prices them, so only those of the block being
-    priced are alive at a time.
-    """
-    return _price(
-        [params],
-        (
-            (item, [rows[c][:n] for c, n in zip(column, lengths)])
-            for item, rows, lengths in tasks
-        ),
-    )

@@ -13,15 +13,22 @@ when one side of the image is empty.
 One kernel, :func:`_price`, prices every image of every entry point:
 :func:`image_oc_cost`, :func:`dataset_oc_cost`, :func:`lambda_sweep`
 and the NMS tuner. It takes a list of params and a sequence of images,
-each with a list of subsets of its detection rows. A problem is one
-image with one distinct subset; no caller deduplicates. The kernel
-prices the problems of contiguous images in blocks
-(:func:`_solved_blocks`): it computes the pair terms of every cell of a
-block in one pass, blends and checks them once per params, and settles
-every problem's plan at once (:func:`~oceval.transport._plans`). The
-drivers cut their images into contiguous ranges with
-:func:`map_images`, one per process, and each process prices its range
-block by block; workers send back plain ``(cost, k)`` pairs.
+each with its passes and the problems asked of them. A pass is one
+ordered list of an image's detection rows, and a problem is the first
+rows of a pass: the whole-image entry points give each image one pass,
+all of its rows in file order, and ask for all of it; the tuner gives
+each image its NMS passes and asks for the prefix that each grid point
+keeps. No caller deduplicates. The kernel solves each distinct problem
+once, and prices each pass once, up to its longest problem: the
+problems of a pass, shortest first, each extend the one before with
+the rows past it, and are settled together from that one pricing
+(:func:`~oceval.transport._plans`). It prices the passes of contiguous
+images in blocks (:func:`_solved_blocks`): it computes the pair terms
+of every cell of a block at once, blends and checks them once per
+params, and settles every problem's plan at once. The drivers cut their
+images into contiguous ranges with :func:`map_images`, one per process,
+and each process prices its range block by block; workers send back
+plain ``(cost, k)`` pairs.
 
 The kernel is also the only way to an image's plan: :func:`_plan` reads
 it from the solved block as an :class:`ImagePlan`, which
@@ -139,25 +146,33 @@ def image_oc_cost(
     )
 
 
-# A kernel task: one image's input in columns and the subsets of its
-# detection rows (index arrays or slices) to price.
-_Task = tuple[tuple[Hashable, DetectionArrays, GroundTruthArrays], Sequence[np.ndarray | slice]]
-# An image of a block: its detections and ground truths, its distinct
-# problems (detection row arrays) and the problem of each of its subsets.
-_Listed = tuple[DetectionArrays, GroundTruthArrays, list[np.ndarray], list[int]]
+# A kernel task: one image's input in columns, its passes (ordered lists
+# of its detection rows, as int64 index arrays) and the problems to price,
+# the first ``lengths[i]`` rows of pass ``column[i]`` each.
+_Task = tuple[
+    tuple[Hashable, DetectionArrays, GroundTruthArrays], Sequence[np.ndarray], Sequence[int], Sequence[int]
+]
+# An image of a block: its detections and ground truths, and of each of
+# its distinct problems, ordered by pass and then by length, its rows,
+# its own rows (those past the problem of its pass it extends) and
+# whether it extends one; then the problem of each one asked.
+_Listed = tuple[DetectionArrays, GroundTruthArrays, list[np.ndarray], list[np.ndarray], list[bool], list[int]]
 
 
 class _Block(NamedTuple):
     """A block of images solved under each params of a call: the detection
-    rows of each distinct problem, the problem of each subset of each
-    image, each problem's size, the terms of every cell (problem by
-    problem, column by column) and, per params, every cell's unit cost and
-    its :func:`~oceval.transport._plans` (matched cells, count per problem)."""
+    rows of each distinct problem, the problem of each one asked of each
+    image, each problem's count of own rows, its ground truths and whether
+    it extends the problem before it, the terms of every cell (problem by
+    problem, column by column, own rows only) and, per params, every
+    cell's unit cost and its :func:`~oceval.transport._plans` (matched
+    cells, count per problem)."""
 
     problems: list[np.ndarray]
     listed: list[list[int]]
     heights: np.ndarray
     widths: np.ndarray
+    extends: np.ndarray
     loc: np.ndarray
     cls: np.ndarray
     plans: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -165,8 +180,11 @@ class _Block(NamedTuple):
 
 def _whole_image(item: ImageInput) -> _Task:
     """The kernel task of one whole image: its input in columns, with all
-    of its detection rows as the one subset."""
-    return image_arrays(item), [slice(None)]
+    of its detection rows in file order as the one pass and the one
+    problem."""
+    arrays = image_arrays(item)
+    m = len(arrays[1])
+    return arrays, (np.arange(m),), (0,), (m,)
 
 
 def _price(
@@ -174,15 +192,16 @@ def _price(
 ) -> list[list[tuple[float, int]]]:
     """The pricing kernel: for each task, the correction cost and
     matched-pair count ``(cost, k)`` of its image under each params at
-    each subset of its detection rows, params-major. Every OC-cost entry
-    point prices its images here, a solved block at a time."""
+    each problem it asks, params-major. Every OC-cost entry point prices
+    its images here, a solved block at a time."""
     priced: list[list[tuple[float, int]]] = []
     for block in _solved_blocks(param_list, tasks):
+        lengths, widths = list(map(len, block.problems)), block.widths.tolist()
         solved = []
         for params, (entries, matched, counts) in zip(param_list, block.plans):
             values = entries[matched].tolist()
             costs, done = [], 0
-            for m, n, k in zip(block.heights.tolist(), block.widths.tolist(), counts.tolist()):
+            for m, n, k in zip(lengths, widths, counts.tolist()):
                 costs.append((_problem_cost(values[done : done + k], params.dummy_cost, m, n), k))
                 done += k
             solved.append(costs)
@@ -194,30 +213,42 @@ def _solved_blocks(param_list: Sequence[OcCostParams], tasks: Iterable[_Task]) -
     """The problems of ``tasks`` priced and solved under each of
     ``param_list``, block by block.
 
-    A problem is an image with one subset of its rows; subsets that
-    select the same rows in the same order are one problem, solved once
-    per params however many times they are listed. The tasks are taken in
-    order and priced in blocks of contiguous images whose problems hold at
-    most ``geometry._BLOCK_PAIRS`` cells together (an image with more is a
-    block of its own), so an iterable that lists subsets lazily keeps one
-    block's lists alive at a time.
+    A problem is the first rows of one pass of an image. Problems that
+    hold the same rows in the same order, of one pass or of two, are one
+    problem, solved once per params however many times they are asked;
+    so passes that hold the same rows are one pass. The problems asked
+    are taken by pass and then by length, and each distinct one extends
+    the one before it of its pass with the rows past it
+    (:func:`~oceval.transport._plans`): each pass is priced once, up to
+    its longest problem. The tasks are taken in order and priced in blocks
+    of contiguous images whose passes hold at most ``geometry._BLOCK_PAIRS``
+    priced cells together (an image with more is a block of its own), so
+    an iterable that lists passes lazily keeps one block's lists alive at
+    a time.
     """
     block: list[_Listed] = []
     cells = 0
-    for (_, dets, gts), subsets in tasks:
-        every = np.arange(len(dets))
+    for (_, dets, gts), passes, column, lengths in tasks:
         distinct: dict[bytes, int] = {}
-        problems, listed = [], []
-        for subset in subsets:
-            rows = every[subset]
-            listed.append(distinct.setdefault(rows.tobytes(), len(problems)))
-            if listed[-1] == len(problems):
+        problems: list[np.ndarray] = []
+        own: list[np.ndarray] = []
+        extends: list[bool] = []
+        listed = [0] * len(column)
+        last, done = -1, 0
+        for c, n, i in sorted(zip(column, lengths, range(len(column)))):
+            rows = passes[c][:n]
+            listed[i] = distinct.setdefault(rows.tobytes(), len(problems))
+            if listed[i] == len(problems):
+                done = done if c == last else 0
                 problems.append(rows)
-        size = sum(map(len, problems)) * len(gts)
+                own.append(rows[done:])
+                extends.append(c == last and done > 0)
+                last, done = c, n
+        size = sum(map(len, own)) * len(gts)
         if block and cells + size > geometry._BLOCK_PAIRS:
             yield _solve_block(param_list, block)
             block, cells = [], 0
-        block.append((dets, gts, problems, listed))
+        block.append((dets, gts, problems, own, extends, listed))
         cells += size
     if block:
         yield _solve_block(param_list, block)
@@ -225,18 +256,18 @@ def _solved_blocks(param_list: Sequence[OcCostParams], tasks: Iterable[_Task]) -
 
 def _solve_block(param_list: Sequence[OcCostParams], block: Sequence[_Listed]) -> _Block:
     """One block of :func:`_solved_blocks`."""
-    det_sides, gt_sides, distinct, listed = zip(*block)
+    det_sides, gt_sides, distinct, own, chained, listed = zip(*block)
     problems = [rows for image in distinct for rows in image]
     per_image = [len(image) for image in distinct]
     owner = np.repeat(np.arange(len(block)), per_image)
     det_base = _starts(np.array([len(dets) for dets in det_sides], dtype=np.int64))[owner]
     gt_sizes = np.array([len(gts) for gts in gt_sides], dtype=np.int64)
-    heights = np.array([len(rows) for rows in problems], dtype=np.int64)
+    heights = np.array([len(rows) for image in own for rows in image], dtype=np.int64)
     widths = gt_sizes[owner]
-    # the rows of every problem among the block's detections, and every
-    # cell, problem by problem and column by column within one: a column
-    # is one ground truth against the rows of its problem
-    rows = np.concatenate([np.zeros(0, dtype=np.int64), *problems])
+    # the own rows of every problem among the block's detections, and
+    # every cell, problem by problem and column by column within one: a
+    # column is one ground truth against the own rows of its problem
+    rows = np.concatenate([np.zeros(0, dtype=np.int64), *(rows for image in own for rows in image)])
     rows += np.repeat(det_base, heights)
     columns = np.where(heights > 0, widths, 0)
     height = np.repeat(heights, columns)
@@ -254,13 +285,15 @@ def _solve_block(param_list: Sequence[OcCostParams], block: Sequence[_Listed]) -
         np.concatenate([g.crowd for g in gt_sides]),
     )
     loc, cls = _cell_terms(dets, gts, rows[row_of_cell], np.repeat(gt, height))
+    extends = np.array([flag for image in chained for flag in image], dtype=bool)
     plans = []
     for params in param_list:
         entries = _blend(loc, cls, params)
-        plans.append((entries, *_plans(_checked_gains(entries, params.dummy_cost), heights, widths)))
+        gains = _checked_gains(entries, params.dummy_cost)
+        plans.append((entries, *_plans(gains, heights, widths, extends)))
     firsts = _starts(np.array(per_image)).tolist()
     listed = [[first + p for p in image] for first, image in zip(firsts, listed)]
-    return _Block(problems, listed, heights, widths, loc, cls, plans)
+    return _Block(problems, listed, heights, widths, extends, loc, cls, plans)
 
 
 def _plan(block: _Block, q: int, p: int) -> ImagePlan:
@@ -269,10 +302,13 @@ def _plan(block: _Block, q: int, p: int) -> ImagePlan:
     entries, matched, counts = block.plans[q]
     done = int(counts[:p].sum())
     cells = matched[done : done + counts[p]]
-    first = int((block.heights[:p] * block.widths[:p]).sum())
-    gt_indices, at = np.divmod(cells - first, max(int(block.heights[p]), 1))
+    # p and the problems it extends, and the one whose own rows hold each cell
+    links = np.arange(p - int(np.argmin(block.extends[p::-1])), p + 1)
+    firsts = _starts(block.heights * block.widths)[links]
+    link = np.searchsorted(firsts, cells, side="right") - 1
+    gt_indices, at = np.divmod(cells - firsts[link], block.heights[links][link])
     rows = block.problems[p]
-    det_indices = rows[at]
+    det_indices = rows[at + _starts(block.heights[links])[link]]
     terms = (entries[cells], block.loc[cells], block.cls[cells])
     unmatched = np.setdiff1d(rows, det_indices), np.setdiff1d(np.arange(block.widths[p]), gt_indices)
     return ImagePlan(det_indices, gt_indices, *terms, *unmatched)
@@ -416,7 +452,7 @@ def dataset_oc_cost(
             num_detections=len(dets),
             num_ground_truths=len(gts),
         )
-        for ((image_id, dets, gts), _), [(oc, k)] in zip(tasks, priced)
+        for ((image_id, dets, gts), _, _, _), [(oc, k)] in zip(tasks, priced)
     ]
     mean = math.fsum(r.oc_cost for r in results) / len(results)
     return DatasetReport(

@@ -28,12 +28,16 @@ one of two ways, cheapest first, and both are exact:
 
 One code path, ``_plans``, settles a block of many problems at once:
 the pricing kernel of :mod:`oceval.occost` (``_price``) hands it the
-cells of many images. It finds every problem's certificate with segment
-reductions over the block's cells, and runs the assignment only on the
-problems whose certificates fail. The plan of one image is public only
-through that kernel: ``image_oc_cost(...).plan`` lists its matched
-pairs (``det_indices``, ``gt_indices``) and its unmatched units
-(``unmatched_detections``, ``unmatched_ground_truths``).
+cells of many images, each pass of an image once. The problems of a
+pass are its prefixes, shortest first, and each one lists only the
+cells of its rows past the one before it. ``_plans`` finds every
+problem's certificate with segment reductions over the block's cells
+and a running minimum along the prefixes of each pass, and runs the
+assignment only on the problems whose certificates fail. The plan of
+one image is public only through that kernel:
+``image_oc_cost(...).plan`` lists its matched pairs (``det_indices``,
+``gt_indices``) and its unmatched units (``unmatched_detections``,
+``unmatched_ground_truths``).
 
 On detector output the certificate settles most images. The assignment
 takes O(r^2 c) time on an r x c block (r <= c), and a start that gives
@@ -193,20 +197,30 @@ def _augment(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _plans(
-    gains: np.ndarray, heights: np.ndarray, widths: np.ndarray
+    gains: np.ndarray, heights: np.ndarray, widths: np.ndarray, extends: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The optimal plans of a block of problems under the credited gains.
 
-    Problem p is ``heights[p]`` x ``widths[p]``; ``gains`` lists its cells
-    column by column (column j holds the gains of rows 0, 1, ... against
-    column j) after those of problem p - 1. Returns the cell, an index
-    into ``gains``, of every matched pair, grouped by problem and ordered
-    by row within one, and each problem's count of pairs.
+    Problem q has ``heights[q]`` rows of its own against ``widths[q]``
+    columns; ``gains`` lists the cells of those rows column by column
+    (column j holds the gains of its rows 0, 1, ... against column j)
+    after those of problem q - 1. Where ``extends[q]`` is true (by default
+    nowhere), problems q - 1 and q both have rows of their own and the
+    same columns, and the rows of problem q are those of problem q - 1
+    followed by its own: the problems of a chain are longer and longer
+    prefixes of one list of rows, whose cells are listed once. Returns the
+    cell, an index into ``gains``, of every matched pair, grouped by
+    problem and ordered by row within one, and each problem's count of
+    pairs.
 
     The certificate of every problem is settled at once: each column's
-    least gain and the first row that reaches it (``argmin``'s tie rule).
-    A problem whose columns with a negative least gain pick distinct rows
-    takes those pairs; every other one is handed to :func:`_augment`.
+    least gain over the problem's own rows and the first of them that
+    reaches it (``argmin``'s tie rule), then, along a chain, the least gain
+    so far in each column and the first of the chain's rows that reaches
+    it, which lies in the first problem that does. A problem whose columns
+    with a negative least gain pick distinct rows takes those pairs; every
+    other one is handed to :func:`_augment` with the gains of all of its
+    rows.
     """
     columns = np.where(heights > 0, widths, 0)
     height = np.repeat(heights, columns)
@@ -218,11 +232,41 @@ def _plans(
         pick = np.minimum.reduceat(holds, start)
     else:
         least = pick = start
+    # an entry is one column of one problem; a pick's row is counted over
+    # the own rows of every problem of the block
+    problem = np.repeat(np.arange(len(heights)), columns)
+    before = np.cumsum(heights) - heights
+    head = np.arange(len(heights))
+    if extends is not None and extends.any():
+        # a lane is one column of a chain, and a step one problem of it:
+        # along each lane, the least gain so far and the entry of the
+        # latest step that lowered it (entries grow step by step), whose
+        # pick is the first of the chain's rows to reach it
+        head = np.maximum.accumulate(np.where(extends, 0, head))
+        lanes = np.where(extends, 0, columns)
+        lane = np.arange(len(problem)) - np.repeat(
+            np.cumsum(columns) - columns - (np.cumsum(lanes) - lanes)[head], columns
+        )
+        step = (np.arange(len(heights)) - head)[problem]
+        shape = (int(lanes.sum()), int(step.max(initial=0)) + 1)
+        lows = np.full(shape, np.inf)
+        lows[lane, step] = least
+        running = np.minimum.accumulate(lows, axis=1)
+        lowers = np.ones(shape, dtype=bool)
+        lowers[:, 1:] = lows[:, 1:] < running[:, :-1]
+        entry = np.full(shape, -1)
+        entry[lane, step] = np.arange(len(problem))
+        entry = np.maximum.accumulate(np.where(lowers, entry, -1), axis=1)[lane, step]
+        # a pick in an earlier problem of the chain: its start is shifted
+        # so that the key below gives its row, and set apart by problem,
+        # since the problems of a chain share rows
+        start = start[entry] - before[problem[entry]]
+        start += before[problem] - problem * int(heights.sum())
+        least, pick = running[lane, step], pick[entry]
     negative = least < 0
-    cells = pick[negative]
-    problem = np.repeat(np.arange(len(heights)), columns)[negative]
+    cells, problem = pick[negative], problem[negative]
     # the picks by problem, then row: a repeated row is a collision
-    key = cells - start[negative] + (np.cumsum(heights) - heights)[problem]
+    key = cells - start[negative] + before[problem]
     order = np.argsort(key, kind="stable")
     cells, problem, key = cells.take(order), problem.take(order), key.take(order)
     clash = key[1:] == key[:-1]
@@ -230,14 +274,18 @@ def _plans(
         clashing = np.zeros(len(heights), dtype=bool)
         clashing[problem[1:][clash]] = True
         settled = ~clashing[problem]
-        found, owner = [cells[settled]], [problem[settled]]
-        first = (np.cumsum(heights * widths) - heights * widths).tolist()
-        for p in np.flatnonzero(clashing).tolist():
-            m, n = int(heights[p]), int(widths[p])
-            rows, cols = _augment(gains[first[p] : first[p] + m * n].reshape(n, m).T)
-            found.append(cols * m + rows + first[p])
-            owner.append(np.repeat(p, len(rows)))
-        owner = np.concatenate(owner)
-        order = np.argsort(owner, kind="stable")
-        cells, problem = np.concatenate(found).take(order), owner.take(order)
+        found, whose = [cells[settled]], problem[settled]
+        # the cell of each own row in column 0, and the step to the next column
+        firsts = np.cumsum(heights * widths) - heights * widths
+        row_cell = np.repeat(firsts - before, heights) + np.arange(heights.sum())
+        row_step = np.repeat(heights, heights)
+        problems = np.flatnonzero(clashing)
+        starts, stops = before[head[problems]].tolist(), (before + heights)[problems].tolist()
+        for a, b, n in zip(starts, stops, widths[problems].tolist()):
+            grid = row_cell[a:b, None] + row_step[a:b, None] * np.arange(n)
+            rows, cols = _augment(gains[grid])
+            found.append(grid[rows, cols])
+        whose = np.concatenate([whose, np.repeat(problems, [len(pairs) for pairs in found[1:]])])
+        order = np.argsort(whose, kind="stable")
+        cells, problem = np.concatenate(found).take(order), whose.take(order)
     return cells, np.bincount(problem, minlength=len(heights))

@@ -162,6 +162,27 @@ def test_duplicate_image_or_category_id_exits_4_in_both_modes(tmp_path, capsys, 
     assert f"duplicate {noun} id {first}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("side", ["--gt", "--dt"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b'[{"note": "\xff"}]', "invalid JSON: not UTF-8 text at byte 11"),
+        (b"[" * 100000 + b"]" * 100000, "invalid JSON: nested too deeply"),
+    ],
+    ids=["not UTF-8", "nested too deeply"],
+)
+def test_unreadable_json_text_exits_3_with_one_short_line(tmp_path, capsys, side, text, message):
+    # a file that is not UTF-8, or that nests past the parser's depth, is a
+    # parse error naming the file, not an internal error quoting its bytes
+    gt, dt = run_fixture(tmp_path, images=2)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    files = {"--gt": gt, "--dt": dt, side: str(bad)}
+    capsys.readouterr()
+    assert main(["evaluate", "--gt", files["--gt"], "--dt", files["--dt"]]) == 3
+    assert capsys.readouterr().err == f"parse error: {bad}: {message}\n"
+
+
 @pytest.mark.parametrize("lenient", [[], ["--lenient"]])
 def test_a_malformed_iscrowd_exits_3_in_both_modes(tmp_path, capsys, lenient):
     # iscrowd is part of every annotation's structure: a bad one is a parse

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import re
@@ -182,6 +183,29 @@ def test_structural_problems_are_parse_errors(tmp_path):
                 tmp_path, images=[{"id": "a", "width": 10, "height": 10}]
             )
         )
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parsing_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, enabled):
+    # json.load runs with the cyclic collector off, and the load leaves it
+    # as it found it, after a good file and after a parse error alike
+    seen = []
+    parse = json.load
+    monkeypatch.setattr(json, "load", lambda handle: seen.append(gc.isenabled()) or parse(handle))
+    good = minimal_gt(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        load_ground_truth(good)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ParseError):
+            load_ground_truth(str(bad))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
 
 
 def test_annotation_order_preserved(tmp_path):

@@ -416,7 +416,36 @@ def test_tune_solves_each_distinct_survivor_set_once(rng, count_calls):
             len({frozenset(map(id, scalar_nms(dets, point))) for point in grid})
             for _, dets, _ in inputs
         ]
-        # _plans(gains, heights, widths) settles one problem per height
-        assert sum(len(heights) for _, heights, _ in plans) == sum(distinct)
+        # _plans(gains, heights, widths, extends) settles one problem per height
+        assert sum(len(heights) for _, heights, *_ in plans) == sum(distinct)
         shared += len(grid) * len(inputs) - sum(distinct)
+    assert shared > 0
+
+
+def test_tune_prices_each_distinct_pass_once(rng, count_calls):
+    # the oc-cost objective computes the terms of each cell of each
+    # distinct pass (what NMS keeps at one IoU threshold and the lowest
+    # score threshold) once, however many score thresholds cut it
+    terms = count_calls("_cell_terms")
+    ious = (0.3, 0.5, 0.7, 1.0)
+    grid = default_grid((0.0, 0.2, 0.4, 0.6, 0.8), ious)
+    shared = 0
+    for _ in range(5):
+        inputs = _raw_dataset(rng, images=8)
+        terms.clear()
+        tune(inputs, "oc-cost", grid, jobs=1)
+        passes = [
+            {tuple(map(id, scalar_nms(dets, NmsParams(0.0, t)))) for t in ious} for _, dets, _ in inputs
+        ]
+        prefixes = [
+            {tuple(map(id, scalar_nms(dets, point))) for point in grid} for _, dets, _ in inputs
+        ]
+        # _cell_terms(dets, gts, det_rows, gt_rows) gets one row per cell
+        cells = sum(len(rows) for _, _, rows, _ in terms)
+        assert cells == sum(
+            sum(map(len, distinct)) * len(gts) for distinct, (_, _, gts) in zip(passes, inputs)
+        )
+        shared += sum(
+            sum(map(len, distinct)) * len(gts) for distinct, (_, _, gts) in zip(prefixes, inputs)
+        ) - cells
     assert shared > 0

@@ -208,8 +208,8 @@ def test_pair_terms_and_solves_once_per_image(rng, count_calls):
 
     def counted():
         # _cell_terms(dets, gts, det_rows, gt_rows) gets one row per cell;
-        # _plans(gains, heights, widths) one height per problem
-        found = sum(len(rows) for _, _, rows, _ in terms), sum(len(h) for _, h, _ in plans)
+        # _plans(gains, heights, widths, extends) one height per problem
+        found = sum(len(rows) for _, _, rows, _ in terms), sum(len(h) for _, h, *_ in plans)
         terms.clear()
         plans.clear()
         return found
@@ -235,19 +235,36 @@ KERNEL_BOXES = (BOX, BOX, BoundingBox(1, 1, 11, 11), BoundingBox(5, 0, 15, 10), 
 
 @st.composite
 def kernel_images(draw):
-    """One image with int64 labels or labels past int64, and the subsets
-    of its detection rows to price: in any order, some empty, some
-    repeated, some the whole image as a slice."""
+    """One image with int64 labels or labels past int64, its passes (ordered
+    lists of its detection rows, some the whole image in file order, some
+    identical, some sharing a prefix with another) and the problems to
+    price, each a pass and a length: of any length from 0 to the whole
+    pass, some repeated, in any order."""
     labels = st.sampled_from((1, 2**70) if draw(st.booleans()) else (1, 2))
     scores = st.sampled_from((0.3, 0.9)) | st.floats(0.0, 1.0)
     boxes = st.sampled_from(KERNEL_BOXES)
     dets = draw(st.lists(st.builds(Detection, boxes, labels, scores), max_size=6))
     gts = draw(st.lists(st.builds(GroundTruthInstance, boxes, labels), max_size=4))
-    subset = st.permutations(range(len(dets))).flatmap(
+    every = np.arange(len(dets))
+    ordered = st.permutations(every.tolist()).flatmap(
         lambda order: st.integers(0, len(order)).map(lambda size: np.array(order[:size], int))
     )
-    subsets = draw(st.lists(subset | st.just(slice(None)), min_size=1, max_size=4))
-    return dets, gts, subsets + subsets[: draw(st.integers(0, len(subsets)))]
+    passes = draw(st.lists(ordered | st.just(every), min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        # the first rows of a pass, then others of the image
+        rows = passes[draw(st.integers(0, len(passes) - 1))]
+        shared = rows[: draw(st.integers(0, len(rows)))]
+        rest = draw(st.permutations(np.setdiff1d(every, shared).tolist()))
+        passes.append(np.concatenate([shared, rest[: draw(st.integers(0, len(rest)))]]).astype(int))
+    passes += passes[: draw(st.integers(0, 1))]
+    sizes = [len(rows) for rows in passes]
+    ask = st.integers(0, len(passes) - 1).flatmap(
+        lambda c: st.tuples(st.just(c), st.sampled_from((0, sizes[c])) | st.integers(0, sizes[c]))
+    )
+    asks = draw(st.lists(ask, min_size=1, max_size=6))
+    asks += asks[: draw(st.integers(0, len(asks)))]
+    column, lengths = zip(*asks)
+    return dets, gts, passes, list(column), list(lengths)
 
 
 kernel_params = st.lists(
@@ -259,13 +276,17 @@ kernel_params = st.lists(
 
 
 def check_kernel(images, param_list):
-    """The kernel prices every (params, image, subset) of a multi-image
-    call as its steps price that image's subset alone on the scalar
+    """The kernel prices every (params, image, problem) of a multi-image
+    call as its steps price that problem alone on the scalar
     ``unit_cost`` matrix (``kernel_step``): the same cost, the same k and,
     read from the solved block by ``occost._plan``, the same plan with
     the scalar costs and terms, whose pair costs the kernel's
-    normalisation turns into that cost."""
-    tasks = [(image_arrays((i, dets, gts)), subsets) for i, (dets, gts, subsets) in enumerate(images)]
+    normalisation turns into that cost. A problem is the first ``length``
+    rows of one pass of its image."""
+    tasks = [
+        (image_arrays((i, dets, gts)), passes, column, lengths)
+        for i, (dets, gts, passes, column, lengths) in enumerate(images)
+    ]
     alones = []
     for params in param_list:
         alone = oceval.occost._price([params], tasks)
@@ -273,9 +294,9 @@ def check_kernel(images, param_list):
         blocks = oceval.occost._solved_blocks([params], tasks)
         listed = [(block, problems) for block in blocks for problems in block.listed]
         assert len(listed) == len(images)
-        for (dets, gts, subsets), got, (block, problems) in zip(images, alone, listed):
-            for subset, (cost, k), problem in zip(subsets, got, problems, strict=True):
-                rows = np.arange(len(dets))[subset]
+        for (dets, gts, passes, column, lengths), got, (block, problems) in zip(images, alone, listed):
+            for c, n, (cost, k), problem in zip(column, lengths, got, problems, strict=True):
+                rows = passes[c][:n]
                 picked = [dets[r] for r in rows.tolist()]
                 entries, beta = unit_cost_matrix(picked, gts, params), params.dummy_cost
                 alone_cost, at, to = kernel_step(entries, beta)
@@ -317,18 +338,19 @@ def test_blocked_kernel_prices_every_problem_as_solve_does(images, param_list, b
 
 
 def test_blocked_kernel_reaches_the_assignment_and_splits_blocks(count_calls):
-    # two ground truths pick one detection (the certificates collide), at
-    # lambda 0 every ground truth of a label is the same column, labels
-    # past int64 sit next to int64 ones, and one image has more cells than
-    # a block holds
+    # two ground truths pick one detection (the certificates collide), in
+    # problems of one pass that extend each other too, at lambda 0 every
+    # ground truth of a label is the same column, labels past int64 sit
+    # next to int64 ones, and one image has more cells than a block holds
     duplicate = [Detection(BOX, 1, 0.9), Detection(BOX, 1, 0.5), Detection(FAR_BOX, 2, 0.7)]
     images = [
-        (duplicate, [GroundTruthInstance(BOX, 1)] * 2, [slice(None), np.array([1, 0]), np.array([], int)]),
-        ([], [], [slice(None)]),
-        ([Detection(BOX, 2**70, 0.8)], [], [slice(None)]),
-        ([], [GroundTruthInstance(BOX, 2**70)], [slice(None), slice(None)]),
+        (duplicate, [GroundTruthInstance(BOX, 1)] * 2, [np.arange(3), np.array([1, 0]), np.array([], int)],
+         [0, 1, 2, 0, 1, 0], [3, 2, 0, 1, 1, 2]),
+        ([], [], [np.arange(0)], [0], [0]),
+        ([Detection(BOX, 2**70, 0.8)], [], [np.arange(1)], [0], [1]),
+        ([], [GroundTruthInstance(BOX, 2**70)], [np.arange(0), np.arange(0)], [0, 1], [0, 0]),
         ([Detection(BOX, 2**70, 0.8), Detection(BOX, 1, 0.6)],
-         [GroundTruthInstance(BOX, 2**70), GroundTruthInstance(BOX, 1)], [np.array([1, 0])]),
+         [GroundTruthInstance(BOX, 2**70), GroundTruthInstance(BOX, 1)], [np.array([1, 0])], [0], [2]),
     ]
     params = [OcCostParams(0.0, 0.6), OcCostParams(0.5, 0.6)]
     augments = []
@@ -339,6 +361,29 @@ def test_blocked_kernel_reaches_the_assignment_and_splits_blocks(count_calls):
         blocks = count_calls("_solve_block")
         check_kernel(images, params)
     assert augments and len(blocks) > 1
+
+
+def test_a_tie_across_the_prefixes_of_a_pass_keeps_the_first_row(monkeypatch):
+    # identical detections in two problems of one pass, the longer one
+    # extending the shorter: at a tie its ground truth picks the first of
+    # the tied rows, as it does in the longer problem's rows alone, at the
+    # head of the pass or past the first prefix. Neither two problems that
+    # pick the same row nor two columns that pick rows of different
+    # problems of the chain collide: the certificates settle them all.
+    augments = []
+    augment = oceval.transport._augment
+    monkeypatch.setattr(oceval.transport, "_augment", lambda gains: augments.append(1) or augment(gains))
+    twin = Detection(BOX, 1, 0.9)
+    other = Detection(BoundingBox(1, 1, 11, 11), 1, 0.9)
+    gt = [GroundTruthInstance(BOX, 1)]
+    for dets, gts, lengths in (
+        ([twin, twin], gt, [1, 2]),
+        ([other, twin, twin], gt, [1, 2, 3]),
+        ([twin, Detection(FAR_BOX, 2, 0.9)], gt + [GroundTruthInstance(FAR_BOX, 2)], [1, 2]),
+    ):
+        pass_ = [np.arange(len(dets))]
+        check_kernel([(dets, gts, pass_, [0] * len(lengths), lengths)], [OcCostParams()])
+    assert augments == []
 
 
 def test_dataset_jobs_one_fan_out(rng, count_pools):
